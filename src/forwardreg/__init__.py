@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 
 from .spaces import (
     LinMap,
-    NormEstimate,
     SpaceSpec,
     adjoint,
     inner,
-    operator_norm,
     smallest_singular_value,
     weighted_singular_values,
 )
@@ -38,13 +36,11 @@ from .forwarding import (
     StateEvaluation,
     assemble_feedback_matrix,
     build_forwarding,
-    coercivity_lambda,
     eval_M,
     eval_dM,
     eval_dM_adjoint,
     eval_dM_adjoint_B,
     functional_equation_residual,
-    gains,
     linear_forwarding,
     uniform_coercivity_check,
 )
@@ -65,6 +61,7 @@ from .plants import (
     WilsonCowanParams,
     compute_M_ks,
     make_linear_benchmark,
+    make_scalar_linear,
     make_sine_gordon,
     make_wilson_cowan,
 )
@@ -87,25 +84,25 @@ from .verify import (
 __all__ = [
     "__version__",
     # spaces
-    "LinMap", "NormEstimate", "SpaceSpec", "adjoint", "inner",
-    "operator_norm", "smallest_singular_value", "weighted_singular_values",
+    "LinMap", "SpaceSpec", "adjoint", "inner", "smallest_singular_value",
+    "weighted_singular_values",
     # evolution
     "AlphaEstimate", "ContractionReport", "OperatorSolver", "Plant",
     "Trajectory", "apply_nonlinear_A", "adjoint_tangent_flow",
     "contraction_check", "estimate_alpha", "flow", "step", "tangent_flow",
     # forwarding
     "CoercivityReport", "ForwardingMap", "StateEvaluation",
-    "assemble_feedback_matrix", "build_forwarding", "coercivity_lambda",
-    "eval_M", "eval_dM", "eval_dM_adjoint", "eval_dM_adjoint_B",
-    "functional_equation_residual", "gains", "linear_forwarding",
-    "uniform_coercivity_check",
+    "assemble_feedback_matrix", "build_forwarding", "eval_M", "eval_dM",
+    "eval_dM_adjoint", "eval_dM_adjoint_B", "functional_equation_residual",
+    "linear_forwarding", "uniform_coercivity_check",
     # regulator
     "ClosedLoopState", "EquilibriumResult", "RegulationReport", "RunResult",
     "Scenario", "convergence_report", "feedback", "find_equilibrium",
     "lyapunov", "simulate",
     # plants
     "SineGordonParams", "WilsonCowanParams", "compute_M_ks",
-    "make_linear_benchmark", "make_sine_gordon", "make_wilson_cowan",
+    "make_linear_benchmark", "make_scalar_linear", "make_sine_gordon",
+    "make_wilson_cowan",
     # verify
     "CheckResult", "FDCheckTable", "LadderTable", "LinearOracle",
     "VerificationReport", "contraction_samples", "dense_linear_oracle",

@@ -22,11 +22,16 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .evolution import OperatorSolver, Plant
+from .evolution import Plant
 from .forwarding import ForwardingMap, StateEvaluation, build_forwarding
-from .plants import make_linear_benchmark, make_sine_gordon, make_wilson_cowan
+from .plants import (
+    make_linear_benchmark,
+    make_scalar_linear,
+    make_sine_gordon,
+    make_wilson_cowan,
+)
 from .regulator import Scenario, convergence_report, find_equilibrium, simulate
-from .spaces import LinMap, SpaceSpec
+from .spaces import LinMap
 from .verify import run_battery, smooth_sample
 
 __all__ = ["RunConfig", "load_config", "cmd_gains", "cmd_simulate", "cmd_verify",
@@ -110,25 +115,6 @@ def _floats(text: str) -> list:
     return [float(x) for x in str(text).replace(";", ",").split(",") if x.strip()]
 
 
-def _make_scalar_linear(a: float, b: float, c: float) -> Plant:
-    sp = SpaceSpec(1, np.eye(1), "H")
-    amat = np.array([[a]])
-    return Plant(
-        name="scalar-linear",
-        space_H=sp,
-        space_U=sp,
-        space_Z=sp,
-        A=LinMap(sp, sp, matrix=amat),
-        F=lambda w: np.zeros(1),
-        dF=lambda w: LinMap(sp, sp, matrix=np.zeros((1, 1))),
-        B=LinMap(sp, sp, matrix=np.array([[b]])),
-        C=LinMap(sp, sp, matrix=np.array([[c]])),
-        solver=OperatorSolver(amat),
-        alpha_cert=float(a),
-        lip_F=0.0,
-    )
-
-
 def build_plant(cfg: RunConfig) -> Plant:
     p = cfg.plant
     kind = p.get("kind", "").strip()
@@ -167,7 +153,7 @@ def build_plant(cfg: RunConfig) -> Plant:
             plant.C = LinMap(plant.space_H, plant.space_Z, matrix=cmat)
         return plant
     if kind == "scalar_linear":
-        return _make_scalar_linear(
+        return make_scalar_linear(
             float(p.get("a", 2.0)), float(p.get("b", 1.0)), float(p.get("c", 1.0))
         )
     raise ValueError(f"unknown plant kind {kind!r}")
@@ -373,7 +359,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _sweep_cell(args):
-    """One (||d||, ||y_ref||) grid cell; returns a row dict, never raises."""
+    """One (||d||, ||y_ref||) grid cell as a row dict.
+
+    A numerical or configuration failure of the cell gives a NaN row; any
+    other exception is a programming error and propagates.
+    """
     plant_cfg, fwd_cfg, d_norm, y_norm, seed, dt, t_budget, res_tol = args
     cfg = RunConfig(
         plant=plant_cfg, forwarding=fwd_cfg, scenarios=[], verify={}, sweep={},
@@ -407,7 +397,7 @@ def _sweep_cell(args):
             "output_residual": eq.output_residual, "fitted_rate": rate,
             "averaged_output_error": avg, "t_reached": eq.t_reached,
         }
-    except Exception:
+    except (ValueError, ArithmeticError):  # np.linalg.LinAlgError is a ValueError
         return {
             "d_norm": d_norm, "y_ref_norm": y_norm, "success": 0, "converged": 0,
             "drift_residual": float("nan"), "output_residual": float("nan"),

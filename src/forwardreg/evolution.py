@@ -82,8 +82,8 @@ class Plant:
     ``rmatvec`` is the plain transpose (Gram weighting is applied by callers
     where adjoints are needed). ``alpha_cert`` is the certified monotonicity
     margin of A + dF(.) in the H product, or None when the construction could
-    not certify one. ``lip_F`` / ``lip_dF`` are global Lipschitz bounds used
-    for step-size guards and quadrature tail bounds.
+    not certify one. ``lip_F`` is a global Lipschitz bound of F, used for
+    step-size guards and quadrature tail bounds.
     """
 
     name: str
@@ -98,8 +98,6 @@ class Plant:
     solver: OperatorSolver
     alpha_cert: Optional[float]
     lip_F: float
-    lip_dF: Optional[float] = None
-    feasible: bool = True
     meta: dict = field(default_factory=dict)
 
     @property

@@ -39,8 +39,6 @@ __all__ = [
     "eval_dM_adjoint",
     "eval_dM_adjoint_B",
     "assemble_feedback_matrix",
-    "coercivity_lambda",
-    "gains",
     "uniform_coercivity_check",
     "functional_equation_residual",
 ]
@@ -325,27 +323,6 @@ def assemble_feedback_matrix(fmap: ForwardingMap, w: np.ndarray) -> np.ndarray:
         )
     cols = [ev.dM_adjoint_B(e) for e in np.eye(dim_z)]
     return np.column_stack(cols)
-
-
-def coercivity_lambda(fmap: ForwardingMap) -> float:
-    """lambda = sigma_min(z -> B* dM(0)* z)^2; zero signals infeasibility."""
-    return fmap.lam
-
-
-def gains(fmap: ForwardingMap) -> tuple[float, float]:
-    """(rho, kappa) from the computed lambda, alpha and ||B||.
-
-    rho = ||B||^2 max{1, 2/alpha}, kappa = min{alpha/4, lam/12}. Raises when
-    the range condition fails (lambda = 0) or alpha is missing.
-    """
-    if not fmap.range_ok:
-        raise ValueError(
-            "range condition fails (lambda = 0 within rank tolerance): "
-            "regulation infeasible"
-        )
-    if fmap.plant.alpha_cert is None or fmap.plant.alpha_cert <= 0:
-        raise ValueError("gains need a positive contraction certificate alpha")
-    return fmap.rho, fmap.kappa
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Example plants: damped sine-Gordon, a nonlocal neural-field model, and a
-seeded linear benchmark.
+"""Example plants: damped sine-Gordon, a nonlocal neural-field model, a
+seeded linear benchmark and a scalar linear plant.
 
 Each constructor returns a fully certified Plant: operators, Gram weights
 matching the continuous energy products, a contraction certificate alpha
@@ -24,6 +24,7 @@ __all__ = [
     "SineGordonParams",
     "WilsonCowanParams",
     "make_linear_benchmark",
+    "make_scalar_linear",
     "make_sine_gordon",
     "make_wilson_cowan",
     "compute_M_ks",
@@ -75,8 +76,27 @@ def make_linear_benchmark(
         solver=OperatorSolver(amat),
         alpha_cert=float(alpha),
         lip_F=0.0,
-        lip_dF=0.0,
         meta={"seed": seed, "attempts": attempt + 1},
+    )
+
+
+def make_scalar_linear(a: float = 2.0, b: float = 1.0, c: float = 1.0) -> Plant:
+    """Scalar plant dw/dt + a w = b u, y = c w, with alpha = a."""
+    sp = SpaceSpec(1, np.eye(1), "H")
+    amat = np.array([[a]])
+    return Plant(
+        name="scalar-linear",
+        space_H=sp,
+        space_U=sp,
+        space_Z=sp,
+        A=LinMap(sp, sp, matrix=amat),
+        F=lambda w: np.zeros(1),
+        dF=lambda w: LinMap(sp, sp, matrix=np.zeros((1, 1))),
+        B=LinMap(sp, sp, matrix=np.array([[b]])),
+        C=LinMap(sp, sp, matrix=np.array([[c]])),
+        solver=OperatorSolver(amat),
+        alpha_cert=float(a),
+        lip_F=0.0,
     )
 
 
@@ -223,8 +243,6 @@ def make_sine_gordon(params: Optional[SineGordonParams] = None, **overrides) -> 
         solver=OperatorSolver(amat),
         alpha_cert=alpha_cert,
         lip_F=2.0 * gamma / math.sqrt(lambda1_disc),
-        lip_dF=gamma * math.sqrt(length),
-        feasible=feasible,
         meta={
             "params": params,
             "h": h,
@@ -363,8 +381,6 @@ def make_wilson_cowan(params: Optional[WilsonCowanParams] = None, **overrides) -
         solver=OperatorSolver(amat),
         alpha_cert=alpha_cert,
         lip_F=lip_f,
-        lip_dF=2.0 * hs_norm * params.L_s,
-        feasible=feasible,
         meta={
             "params": params,
             "h": h,

@@ -16,7 +16,9 @@ stagnation tolerance.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -36,6 +38,16 @@ __all__ = [
     "find_equilibrium",
     "convergence_report",
 ]
+
+# stagnation rule of find_equilibrium: every _CHECK_EVERY steps, stop once
+# the mean drift speed is at most _STAG_TOL; then average the last
+# _TAIL_STEPS states
+_STAG_TOL = 1e-10
+_CHECK_EVERY = 50
+_TAIL_STEPS = 20
+# convergence_report calls a run Lyapunov-monotone when no step raises V by
+# more than this
+_JUMP_TOL = 0.0
 
 
 @dataclass
@@ -140,15 +152,16 @@ def feedback(fmap: ForwardingMap, state: ClosedLoopState) -> np.ndarray:
     return ev.dM_adjoint_B(state.z - ev.M())
 
 
+def _energy(fmap: ForwardingMap, w: np.ndarray, eta: np.ndarray) -> float:
+    """V at plant state w and integrator error eta = z - M(w)."""
+    space_h, space_z = fmap.plant.space_H, fmap.plant.space_Z
+    return 0.5 * space_h.inner(w, w) + 0.5 * fmap.rho * space_z.inner(eta, eta)
+
+
 def lyapunov(fmap: ForwardingMap, state: ClosedLoopState) -> float:
     """V = 1/2 ||w||_H^2 + (rho/2) ||z - M(w)||_Z^2."""
     _require_feasible(fmap)
-    ev = StateEvaluation(fmap, state.w)
-    eta = state.z - ev.M()
-    plant = fmap.plant
-    return 0.5 * plant.space_H.inner(state.w, state.w) + 0.5 * fmap.rho * (
-        plant.space_Z.inner(eta, eta)
-    )
+    return _energy(fmap, state.w, state.z - StateEvaluation(fmap, state.w).M())
 
 
 def _prep_scenario(plant: Plant, scenario: Scenario):
@@ -159,7 +172,26 @@ def _prep_scenario(plant: Plant, scenario: Scenario):
     w0 = np.zeros(plant.dim) if scenario.w0 is None else np.asarray(scenario.w0, float)
     z0 = np.zeros(dim_z) if scenario.z0 is None else np.asarray(scenario.z0, float)
     d = None if scenario.d is None else np.asarray(scenario.d, float)
-    return w0, z0, d, y_ref
+    n = max(int(round(scenario.T / scenario.dt)), 1)
+    return w0, z0, d, y_ref, n
+
+
+def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
+    """Yield (w, z, m, u, y) at each closed-loop state, then step once.
+
+    m = M(w), u = B* dM(w)* (z - m) and y = C w belong to the yielded state;
+    resuming advances w by the IMEX step with forcing B u + d and z by
+    explicit Euler. Endless: drivers take as many states as they need.
+    """
+    while True:
+        ev = StateEvaluation(fmap, w)
+        m = ev.M()
+        u = ev.dM_adjoint_B(z - m)
+        y = plant.C(w)
+        yield w, z, m, u, y
+        forcing = plant.B(u) if d is None else plant.B(u) + d
+        w = plant.solver.solve_step(dt, w - dt * plant.F(w) + dt * forcing)
+        z = z + dt * (y - y_ref)
 
 
 def simulate(
@@ -177,9 +209,8 @@ def simulate(
     if plant is not fmap.plant:
         raise ValueError("fmap was built for a different plant")
     _require_feasible(fmap)
-    w0, z0, d, y_ref = _prep_scenario(plant, scenario)
+    w0, z0, d, y_ref, n = _prep_scenario(plant, scenario)
     dt = scenario.dt
-    n = max(int(round(scenario.T / dt)), 1)
 
     space_h, space_z = plant.space_H, plant.space_Z
     dim_u = plant.space_U.dim
@@ -191,30 +222,16 @@ def simulate(
     m_hist = np.empty((n + 1, space_z.dim))
     v_hist = np.empty(n + 1)
 
-    w = w0.copy()
-    z = z0.copy()
-    rho = fmap.rho
     diverged = False
-    k_stop = n
-    for k in range(n + 1):
-        ev = StateEvaluation(fmap, w)
-        m = ev.M()
-        eta = z - m
-        u = ev.dM_adjoint_B(eta)
-        y = plant.C(w)
+    states = islice(_closed_loop(plant, fmap, w0, z0, d, y_ref, dt), n + 1)
+    for k, (w, z, m, u, y) in enumerate(states):
         w_hist[k], z_hist[k], y_hist[k], u_hist[k], m_hist[k] = w, z, y, u, m
-        v_hist[k] = 0.5 * space_h.inner(w, w) + 0.5 * rho * space_z.inner(eta, eta)
+        v_hist[k] = _energy(fmap, w, z - m)
         if not np.isfinite(v_hist[k]) or space_h.norm(w) > divergence_guard:
             diverged = True
-            k_stop = k
             break
-        if k == n:
-            break
-        forcing = plant.B(u) if d is None else plant.B(u) + d
-        w = plant.solver.solve_step(dt, w - dt * plant.F(w) + dt * forcing)
-        z = z + dt * (y - y_ref)
 
-    end = k_stop + 1
+    end = k + 1
     return RunResult(
         times=times[:end],
         w=w_hist[:end],
@@ -236,70 +253,57 @@ def find_equilibrium(
     *,
     dt: float,
     t_budget: float,
-    stag_tol: float = 1e-10,
-    check_every: int = 50,
-    tail_steps: int = 20,
 ) -> tuple[np.ndarray, np.ndarray, EquilibriumResult]:
     """Locate the closed-loop equilibrium by budgeted simulation.
 
-    Runs from the origin and stops when the state movement over
-    ``check_every`` steps falls below ``stag_tol`` (normalized by dt and the
-    interval, i.e. a bound on the mean drift speed), then averages the last
-    ``tail_steps`` states. Residuals report the stationary-equation defect
-    and the regulation error at the averaged point. A run that exhausts the
-    budget without stagnating returns ``converged=False``; per the local
-    theory this can simply mean (d, y_ref) are too large for the basin.
+    Runs from the origin and checks every 50 steps the mean drift speed,
+    the state movement over those steps divided by 50 dt. It stops when
+    that speed is at most 1e-10 and returns the mean of the last 20 states.
+    The check also stops the search, unconverged, once the H-norm of the
+    state is no longer finite. Residuals report the stationary-equation
+    defect and the regulation error at the averaged point. A run that
+    exhausts the budget without stagnating returns ``converged=False``; per
+    the local theory this can simply mean (d, y_ref) are too large for the
+    basin.
     """
     _require_feasible(fmap)
     y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
     scenario = Scenario(y_ref=y_ref, T=t_budget, dt=dt, d=d)
-    w0, z0, d_vec, y_ref = _prep_scenario(plant, scenario)
+    w0, z0, d_vec, y_ref, n = _prep_scenario(plant, scenario)
     space_h, space_z = plant.space_H, plant.space_Z
 
-    n = max(int(round(t_budget / dt)), 1)
-    tail_w = []
-    tail_z = []
-    w, z = w0.copy(), z0.copy()
-    w_mark, z_mark = w.copy(), z.copy()
+    tail_w = deque(maxlen=_TAIL_STEPS)
+    tail_z = deque(maxlen=_TAIL_STEPS)
+    w_mark, z_mark = w0, z0
     converged = False
-    k_done = n
-    for k in range(n):
-        ev = StateEvaluation(fmap, w)
-        u = ev.dM_adjoint_B(z - ev.M())
-        y = plant.C(w)
-        forcing = plant.B(u) if d_vec is None else plant.B(u) + d_vec
-        w = plant.solver.solve_step(dt, w - dt * plant.F(w) + dt * forcing)
-        z = z + dt * (y - y_ref)
+    # states 1..n: the origin itself is never part of the tail
+    states = islice(_closed_loop(plant, fmap, w0, z0, d_vec, y_ref, dt), 1, n + 1)
+    for k, (w, z, _, _, _) in enumerate(states, start=1):
         tail_w.append(w)
         tail_z.append(z)
-        if len(tail_w) > tail_steps:
-            tail_w.pop(0)
-            tail_z.pop(0)
-        if (k + 1) % check_every == 0:
+        if k % _CHECK_EVERY == 0:
             speed = (
                 space_h.norm(w - w_mark) + space_z.norm(z - z_mark)
-            ) / (check_every * dt)
-            if speed <= stag_tol:
+            ) / (_CHECK_EVERY * dt)
+            if speed <= _STAG_TOL:
                 converged = True
-                k_done = k + 1
                 break
-            w_mark, z_mark = w.copy(), z.copy()
+            w_mark, z_mark = w, z
             if not np.isfinite(space_h.norm(w)):
                 break
 
     w_star = np.mean(tail_w, axis=0)
     z_star = np.mean(tail_z, axis=0)
-    ev = StateEvaluation(fmap, w_star)
-    u_star = ev.dM_adjoint_B(z_star - ev.M())
+    u_star = feedback(fmap, ClosedLoopState(w_star, z_star))
     drift = -(plant.A(w_star) + plant.F(w_star)) + plant.B(u_star)
     if d_vec is not None:
         drift = drift + d_vec
     res = EquilibriumResult(
         converged=converged,
-        t_reached=k_done * dt,
+        t_reached=k * dt,
         drift_residual=space_h.norm(drift),
         output_residual=space_z.norm(plant.C(w_star) - y_ref),
-        iterations=k_done,
+        iterations=k,
     )
     return w_star, z_star, res
 
@@ -310,7 +314,6 @@ def convergence_report(
     w_star: np.ndarray,
     z_star: np.ndarray,
     window: float,
-    jump_tol: float = 0.0,
 ) -> RegulationReport:
     """Convergence metrics of a run against a known equilibrium.
 
@@ -365,6 +368,6 @@ def convergence_report(
         final_output_error=final_err,
         averaged_output_error=averaged,
         fitted_rate=fitted,
-        lyapunov_monotone=bool(max_jump <= jump_tol),
+        lyapunov_monotone=bool(max_jump <= _JUMP_TOL),
         max_lyapunov_jump=max_jump,
     )

@@ -9,7 +9,6 @@ models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,10 +17,8 @@ import scipy.linalg as sla
 __all__ = [
     "SpaceSpec",
     "LinMap",
-    "NormEstimate",
     "inner",
     "adjoint",
-    "operator_norm",
     "smallest_singular_value",
     "weighted_singular_values",
 ]
@@ -174,47 +171,6 @@ def adjoint(m: LinMap) -> LinMap:
         rmatvec=lambda x: m.codomain.apply_gram(m(m.domain.solve_gram(x))),
         label=m.label + "*",
     )
-
-
-@dataclass
-class NormEstimate:
-    """Power-iteration estimate of an operator norm.
-
-    ``residual`` is the final Rayleigh-quotient residual
-    ``||L*L x - value^2 x||_dom`` for the unit iterate x; small residuals mean
-    the iteration has locked onto the top singular pair.
-    """
-
-    value: float
-    residual: float
-    iterations: int
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def operator_norm(m: LinMap, iters: int = 100, seed: int = 0) -> NormEstimate:
-    """Gram-weighted operator norm of ``m`` by power iteration on L*L.
-
-    Deterministic: the starting vector comes from a fixed-seed generator.
-    """
-    rng = np.random.default_rng(seed)
-    x = m.domain.sample_sphere(rng)
-    rq = 0.0
-    it = 0
-    for it in range(1, iters + 1):
-        y = m(x)
-        z = m.adjoint_apply(y)  # L*L x
-        rq = m.codomain.inner(y, y)  # ||Lx||^2 for unit x
-        nz = m.domain.norm(z)
-        if nz == 0.0:
-            return NormEstimate(0.0, 0.0, it)
-        x = z / nz
-    y = m(x)
-    z = m.adjoint_apply(y)
-    rq = m.codomain.inner(y, y)
-    res = m.domain.norm(z - rq * x)
-    return NormEstimate(float(np.sqrt(rq)), float(res), it)
 
 
 def weighted_singular_values(m: LinMap) -> np.ndarray:

@@ -23,7 +23,6 @@ def make_scalar_plant(a=2.0, c=0.1):
         solver=OperatorSolver(amat),
         alpha_cert=a,
         lip_F=0.0 if c == 0 else 3 * c * 4.0,  # valid on |w| <= 2
-        lip_dF=6 * c * 2.0,
     )
 
 
@@ -62,7 +61,6 @@ def make_random_plant(dim=6, seed=5, alpha=1.0, nl=0.2):
         solver=OperatorSolver(amat),
         alpha_cert=None,
         lip_F=nl * np.linalg.norm(k, 2),
-        lip_dF=2 * nl * np.linalg.norm(k, 2),
     )
 
 
@@ -92,5 +90,4 @@ def make_linear_plant(dim=5, seed=2, alpha=0.8, dim_out=2):
         solver=OperatorSolver(amat),
         alpha_cert=alpha,
         lip_F=0.0,
-        lip_dF=0.0,
     )

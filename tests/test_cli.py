@@ -1,11 +1,13 @@
 """End-to-end tests for the batch front end: config parsing, artifacts, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -376,6 +378,23 @@ def test_sweep_infeasible_exit_2(tmp_path):
     assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sweep_cell_catches_only_numerical_failures(tmp_path, monkeypatch):
+    path = write_config(
+        tmp_path, "[plant]\nkind = scalar_linear\n\n[forwarding]\ndt_quad = 0.01\n"
+    )
+    cfg = cli.load_config(path, str(tmp_path / "out"), None, 1)
+    monkeypatch.setattr(cli, "find_equilibrium",
+                        Mock(side_effect=np.linalg.LinAlgError("singular matrix")))
+    assert cli.cmd_sweep(cfg) == 0
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    row = dict(zip(lines[1].split(","), map(float, lines[2].split(","))))
+    assert row["success"] == 0 and np.isnan(row["drift_residual"])
+    # a programming error is not a failed cell
+    monkeypatch.setattr(cli, "find_equilibrium", Mock(side_effect=TypeError("bug")))
+    with pytest.raises(TypeError):
+        cli.cmd_sweep(cfg)
+
+
 # -- shipped configs ------------------------------------------------------------
 
 
@@ -407,11 +426,15 @@ def test_shipped_sine_gordon_config_gains(tmp_path):
 def test_console_script_smoke(tmp_path):
     path = write_config(tmp_path, SCALAR_INI)
     out = tmp_path / "out"
+    # the child imports the same forwardreg as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from forwardreg.cli import main; sys.exit(main(sys.argv[1:]))",
          "gains", "--config", path, "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "feasible = True" in proc.stdout

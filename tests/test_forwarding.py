@@ -8,13 +8,11 @@ from forwardreg.forwarding import (
     StateEvaluation,
     assemble_feedback_matrix,
     build_forwarding,
-    coercivity_lambda,
     eval_M,
     eval_dM,
     eval_dM_adjoint,
     eval_dM_adjoint_B,
     functional_equation_residual,
-    gains,
     linear_forwarding,
     uniform_coercivity_check,
 )
@@ -205,7 +203,7 @@ def test_shared_evaluation_consistency():
 def test_coercivity_lambda_scalar():
     # B* dM(0)* z = -z/2, so lambda = 1/4
     fmap = build_forwarding(make_scalar_plant(a=2.0), dt_quad=0.01)
-    assert coercivity_lambda(fmap) == pytest.approx(0.25, rel=1e-12)
+    assert fmap.lam == pytest.approx(0.25, rel=1e-12)
 
 
 def test_gain_formulas_scalar():
@@ -213,7 +211,8 @@ def test_gain_formulas_scalar():
     # lam = 1/4 -> lam_tilde = 1/12, kappa = min{2/4, 1/48} = 1/48
     assert fmap.lam_tilde == fmap.lam / 3.0
     assert fmap.lam_tilde == pytest.approx(1.0 / 12.0, rel=1e-12)
-    rho, kappa = gains(fmap)
+    assert fmap.feasible
+    rho, kappa = fmap.rho, fmap.kappa
     assert kappa == pytest.approx(1.0 / 48.0, rel=1e-12)
     assert kappa == min(2.0 / 4.0, fmap.lam_tilde / 4.0)
     # ||B|| = 1, alpha = 2 -> rho = 1 * max{1, 1} = 1
@@ -223,8 +222,8 @@ def test_gain_formulas_scalar():
 def test_gain_formulas_small_alpha():
     # ||B|| = 1, alpha = 0.5 -> rho = max{1, 4} = 4
     fmap = build_forwarding(make_scalar_plant(a=0.5), dt_quad=0.01)
-    rho, _ = gains(fmap)
-    assert rho == pytest.approx(4.0, rel=1e-12)
+    assert fmap.feasible
+    assert fmap.rho == pytest.approx(4.0, rel=1e-12)
 
 
 def test_rank_deficient_output_infeasible():
@@ -236,8 +235,7 @@ def test_rank_deficient_output_infeasible():
     fmap = build_forwarding(p, dt_quad=0.05)
     assert not fmap.range_ok
     assert not fmap.feasible
-    with pytest.raises(ValueError):
-        gains(fmap)
+    assert fmap.rho is None and fmap.kappa is None
 
 
 def test_uniform_coercivity_radius_zero_matches_lambda():

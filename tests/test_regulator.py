@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from forwardreg.evolution import OperatorSolver, Plant
 from forwardreg.forwarding import StateEvaluation, build_forwarding
+from forwardreg.plants import make_scalar_linear
 from forwardreg.regulator import (
     ClosedLoopState,
     Scenario,
@@ -12,40 +12,20 @@ from forwardreg.regulator import (
     lyapunov,
     simulate,
 )
-from forwardreg.spaces import LinMap, SpaceSpec
 
 from helpers import make_scalar_plant
 
 
-def scalar_linear(a=2.0, b=1.0, c=1.0):
-    sp = SpaceSpec(1, np.eye(1), "H")
-    amat = np.array([[a]])
-    return Plant(
-        name="scalar-linear",
-        space_H=sp,
-        space_U=sp,
-        space_Z=sp,
-        A=LinMap(sp, sp, matrix=amat),
-        F=lambda w: np.zeros(1),
-        dF=lambda w: LinMap(sp, sp, matrix=np.zeros((1, 1))),
-        B=LinMap(sp, sp, matrix=np.array([[b]])),
-        C=LinMap(sp, sp, matrix=np.array([[c]])),
-        solver=OperatorSolver(amat),
-        alpha_cert=a,
-        lip_F=0.0,
-    )
-
-
 @pytest.fixture(scope="module")
 def unit_loop():
-    plant = scalar_linear(2.0, 1.0, 1.0)
+    plant = make_scalar_linear(2.0, 1.0, 1.0)
     return plant, build_forwarding(plant, dt_quad=0.01)
 
 
 @pytest.fixture(scope="module")
 def fast_loop():
     # b = c = 2 pushes lambda to 4 so kappa = 1/3; handy for short runs
-    plant = scalar_linear(2.0, 2.0, 2.0)
+    plant = make_scalar_linear(2.0, 2.0, 2.0)
     return plant, build_forwarding(plant, dt_quad=0.01)
 
 
@@ -92,7 +72,7 @@ def test_feedback_at_origin_is_linear_gain(unit_loop):
 
 
 def test_feedback_requires_feasible_map():
-    plant = scalar_linear(2.0, 1.0, 0.0)  # C = 0 kills the range condition
+    plant = make_scalar_linear(2.0, 1.0, 0.0)  # C = 0 kills the range condition
     fmap = build_forwarding(plant, dt_quad=0.01)
     assert not fmap.feasible
     with pytest.raises(ValueError):
@@ -201,9 +181,34 @@ def test_find_equilibrium_matches_closed_form(fast_loop):
 def test_find_equilibrium_reports_budget_exhaustion(fast_loop):
     plant, fmap = fast_loop
     ws, zs, res = find_equilibrium(
-        plant, fmap, None, np.array([0.3]), dt=0.05, t_budget=1.0, stag_tol=0.0
+        plant, fmap, None, np.array([0.3]), dt=0.05, t_budget=1.0
     )
     assert not res.converged
+
+
+def test_find_equilibrium_reports_overflow_stop(fast_loop):
+    # dt = 1 makes the explicit z-step unstable: the state norm overflows
+    # long before the budget, and the search must say where it stopped
+    plant, fmap = fast_loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, res = find_equilibrium(
+            plant, fmap, None, np.array([0.3]), dt=1.0, t_budget=20000.0
+        )
+    assert res.converged is False
+    assert res.iterations * 1.0 == res.t_reached < 20000.0
+
+
+def test_find_equilibrium_is_the_simulated_tail_mean(fast_loop):
+    # both drivers step the same loop: the search's point is the mean of the
+    # last 20 states of a run over the horizon the search reached
+    plant, fmap = fast_loop
+    d, y_ref, dt = np.array([0.05]), np.array([0.3]), 0.05
+    ws, zs, res = find_equilibrium(plant, fmap, d, y_ref, dt=dt, t_budget=200.0)
+    assert res.converged
+    run = simulate(plant, fmap, Scenario(y_ref=y_ref, T=res.t_reached, dt=dt, d=d))
+    assert len(run) == res.iterations + 1
+    assert np.all(ws == np.mean(run.w[-20:], axis=0))
+    assert np.all(zs == np.mean(run.z[-20:], axis=0))
 
 
 # -- convergence report -------------------------------------------------------

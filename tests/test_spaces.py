@@ -8,7 +8,6 @@ from forwardreg.spaces import (
     SpaceSpec,
     adjoint,
     inner,
-    operator_norm,
     smallest_singular_value,
 )
 
@@ -77,38 +76,6 @@ def test_double_adjoint_is_identity():
     L = LinMap(dom, cod, matrix=rng.standard_normal((5, 4)))
     Lss = adjoint(adjoint(L))
     np.testing.assert_allclose(Lss.as_matrix(), L.as_matrix(), atol=1e-12)
-
-
-def test_operator_norm_diagonal():
-    sp = SpaceSpec(3, np.eye(3), "H")
-    L = LinMap(sp, sp, matrix=np.diag([3.0, 1.0, 0.5]))
-    est = operator_norm(L, seed=1)
-    assert float(est) == pytest.approx(3.0, abs=1e-8)
-    assert est.residual < 1e-8
-
-
-def test_operator_norm_weighted():
-    # identity map from (R^2, diag(4,1)) to (R^2, I): largest weighted
-    # singular value of diag(1/2, 1) is 1 (hand computation)
-    dom = SpaceSpec(2, np.diag([4.0, 1.0]))
-    cod = SpaceSpec(2, np.eye(2))
-    L = LinMap(dom, cod, matrix=np.eye(2))
-    assert float(operator_norm(L, seed=2)) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_operator_norm_matches_svd_random():
-    rng = np.random.default_rng(17)
-    md = rng.standard_normal((6, 6))
-    mc = rng.standard_normal((4, 4))
-    dom = SpaceSpec(6, md @ md.T + 6 * np.eye(6))
-    cod = SpaceSpec(4, mc @ mc.T + 4 * np.eye(4))
-    mat = rng.standard_normal((4, 6))
-    L = LinMap(dom, cod, matrix=mat)
-    # reference: weighted singular values via Cholesky congruence
-    lc = np.linalg.cholesky(cod.gram)
-    ld = np.linalg.cholesky(dom.gram)
-    ref = np.linalg.svd(lc.T @ mat @ np.linalg.inv(ld).T, compute_uv=False)
-    assert float(operator_norm(L, seed=3)) == pytest.approx(ref[0], rel=1e-8)
 
 
 def test_smallest_singular_value_weighted():
