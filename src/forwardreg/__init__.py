@@ -27,7 +27,6 @@ from .evolution import (
     contraction_check,
     estimate_alpha,
     flow,
-    step,
     tangent_flow,
 )
 from .forwarding import (
@@ -89,7 +88,7 @@ __all__ = [
     # evolution
     "AlphaEstimate", "ContractionReport", "OperatorSolver", "Plant",
     "Trajectory", "apply_nonlinear_A", "adjoint_tangent_flow",
-    "contraction_check", "estimate_alpha", "flow", "step", "tangent_flow",
+    "contraction_check", "estimate_alpha", "flow", "tangent_flow",
     # forwarding
     "CoercivityReport", "ForwardingMap", "StateEvaluation",
     "assemble_feedback_matrix", "build_forwarding", "eval_M", "eval_dM",

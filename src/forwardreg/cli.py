@@ -59,7 +59,6 @@ class RunConfig:
     seed: int
     workers: int
     sha256: str
-    path: str = ""
 
     def tag(self) -> str:
         return f"config_sha256={self.sha256} version={__version__} seed={self.seed}"
@@ -107,7 +106,6 @@ def load_config(
         seed=seed,
         workers=workers,
         sha256=digest,
-        path=str(path),
     )
 
 
@@ -464,6 +462,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -10,6 +10,10 @@ The tangent flow integrates the first variation along a stored base
 trajectory with the same scheme, and the adjoint flow propagates the exact
 Gram-weighted adjoint of every discrete tangent step in reverse, so discrete
 duality holds to roundoff rather than to O(dt).
+
+These flows and the quadratures of the forwarding module all run on two
+kernels, :func:`forward_sweep` and its exact transpose :func:`reverse_sweep`,
+so this module alone fixes the discrete step, trapezoid weights and transpose.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ __all__ = [
     "AlphaEstimate",
     "ContractionReport",
     "apply_nonlinear_A",
-    "step",
+    "forward_sweep",
+    "reverse_sweep",
     "flow",
     "tangent_flow",
     "adjoint_tangent_flow",
@@ -41,9 +46,10 @@ __all__ = [
 class OperatorSolver:
     """LU-backed solves for A and the IMEX step matrices (I + dt A).
 
-    One factorization per distinct dt is cached; transposed solves reuse the
-    same factorization. ``dense_step_inverse`` materializes (I + dt A)^{-1}
-    for the quadrature-heavy inner loops of the forwarding evaluations.
+    One factorization per distinct dt is cached. ``solve_step`` serves the
+    closed-loop step and sample smoothing; ``dense_step_inverse`` materializes
+    (I + dt A)^{-1} and its transpose for the flow, tangent and adjoint sweeps
+    of :func:`forward_sweep` and :func:`reverse_sweep`.
     """
 
     def __init__(self, a_matrix: np.ndarray):
@@ -62,8 +68,8 @@ class OperatorSolver:
             self._step_lu[key] = sla.lu_factor(np.eye(self._dim) + dt * self._a)
         return self._step_lu[key]
 
-    def solve_step(self, dt: float, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        return sla.lu_solve(self._step_factor(dt), b, trans=1 if transpose else 0)
+    def solve_step(self, dt: float, b: np.ndarray) -> np.ndarray:
+        return sla.lu_solve(self._step_factor(dt), b)
 
     def dense_step_inverse(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """Return (P, P.T contiguous) with P = (I + dt A)^{-1}."""
@@ -145,42 +151,61 @@ def _check_step_size(plant: Plant, dt: float) -> None:
         )
 
 
-def step(plant: Plant, w: np.ndarray, f: Optional[np.ndarray], dt: float) -> np.ndarray:
-    """One IMEX Euler step: solve (I + dt A) w' = w + dt (f - F(w))."""
-    _check_step_size(plant, dt)
-    rhs = w - dt * plant.F(w)
-    if f is not None:
-        rhs = rhs + dt * f
-    return plant.solver.solve_step(dt, rhs)
+def forward_sweep(
+    p: np.ndarray, dt: float, x0: np.ndarray, g_at: Callable, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward recursion x_{k+1} = P (x_k - dt g_k), g_k = g_at(k, x_k).
+
+    The one loop over flow and quadrature nodes: with P = (I + dt A)^{-1}
+    and g the semilinear part F it is the IMEX flow; with g_k = J_k v it is
+    the discrete tangent step T_k = P (I - dt J_k). Returns the states
+    x_0..x_n and the trapezoid sum q of g_0..g_n with step dt.
+    """
+    states = np.empty((n + 1, x0.shape[0]))
+    states[0] = x0
+    q = np.zeros(x0.shape[0])
+    x = x0
+    for k in range(n):
+        g = g_at(k, x)
+        q += (0.5 * dt if k == 0 else dt) * g
+        x = p @ (x - dt * g)
+        states[k + 1] = x
+    q += 0.5 * dt * g_at(n, x)
+    return states, q
 
 
-def flow(
-    plant: Plant,
-    w0: np.ndarray,
-    forcing,
-    T: float,
-    dt: float,
-) -> Trajectory:
-    """Integrate the plant on [0, T] with fixed step dt.
+def reverse_sweep(
+    pt: np.ndarray, dt: float, jac_at: Callable, psi: np.ndarray, lam: np.ndarray, n: int
+) -> np.ndarray:
+    """Exact transpose of :func:`forward_sweep` with g_k = J_k x_k, in reverse.
 
-    ``forcing`` is None, a constant vector, or a callable t -> vector. The
-    horizon is rounded to a whole number of steps.
+    ``pt`` is P^T and ``jac_at(k).rmatvec`` applies J_k^T. Returns the
+    cotangents r_0..r_n of x_0..x_n for the output psi . q + lam . x_n, so
+    psi . q + lam . x_n == x_0 . r_0 to roundoff. Callers pass psi and lam
+    in Gram-multiplied coordinates; the rows are in the same coordinates.
+    """
+    rows = np.empty((n + 1, psi.shape[0]))
+    r = lam + jac_at(n).rmatvec(0.5 * dt * psi)
+    rows[n] = r
+    for k in range(n - 1, -1, -1):
+        y = pt @ r
+        r = y + jac_at(k).rmatvec((0.5 * dt if k == 0 else dt) * psi - dt * y)
+        rows[k] = r
+    return rows
+
+
+def flow(plant: Plant, w0: np.ndarray, T: float, dt: float) -> Trajectory:
+    """Integrate the uncontrolled plant on [0, T] with fixed step dt.
+
+    The horizon is rounded to a whole number of steps.
     """
     _check_step_size(plant, dt)
     n = max(int(round(T / dt)), 0)
-    times = dt * np.arange(n + 1)
-    states = np.empty((n + 1, plant.dim))
-    states[0] = w0
-    cur = np.array(w0, dtype=float)
-    const_f = forcing if (forcing is None or not callable(forcing)) else None
-    for k in range(n):
-        f = forcing(times[k]) if callable(forcing) else const_f
-        rhs = cur - dt * plant.F(cur)
-        if f is not None:
-            rhs = rhs + dt * f
-        cur = plant.solver.solve_step(dt, rhs)
-        states[k + 1] = cur
-    return Trajectory(times, states)
+    p, _ = plant.solver.dense_step_inverse(dt)
+    states, _ = forward_sweep(
+        p, dt, np.asarray(w0, dtype=float), lambda k, w: plant.F(w), n
+    )
+    return Trajectory(dt * np.arange(n + 1), states)
 
 
 def tangent_flow(plant: Plant, base: Trajectory, h: np.ndarray) -> Trajectory:
@@ -189,15 +214,11 @@ def tangent_flow(plant: Plant, base: Trajectory, h: np.ndarray) -> Trajectory:
     Same IMEX scheme and grid as the base trajectory: the dF term is frozen
     at the stored base state of the step's left endpoint.
     """
-    dt = base.dt
-    n = len(base) - 1
-    states = np.empty((n + 1, plant.dim))
-    states[0] = h
-    v = np.array(h, dtype=float)
-    for k in range(n):
-        jac = plant.dF(base.states[k])
-        v = plant.solver.solve_step(dt, v - dt * jac(v))
-        states[k + 1] = v
+    p, _ = plant.solver.dense_step_inverse(base.dt)
+    states, _ = forward_sweep(
+        p, base.dt, np.asarray(h, dtype=float),
+        lambda k, v: plant.dF(base.states[k])(v), len(base) - 1,
+    )
     return Trajectory(base.times.copy(), states)
 
 
@@ -207,21 +228,15 @@ def adjoint_tangent_flow(plant: Plant, base: Trajectory, zeta: np.ndarray) -> Tr
     Each tangent step is T_k = (I + dt A)^{-1} (I - dt dF(w_k)); the adjoint
     trajectory applies the Gram-weighted T_k* backwards from ``zeta`` so that
     (tangent(h)[-1], zeta)_H == (h, adjoint(zeta)[0])_H to roundoff. States
-    are indexed forward in time, states[-1] == zeta.
+    are indexed forward in time, states[-1] == zeta to roundoff.
     """
-    dt = base.dt
-    n = len(base) - 1
     gram = plant.space_H
-    states = np.empty((n + 1, plant.dim))
-    states[n] = zeta
-    # run in Gram-multiplied coordinates: no Gram solves inside the loop
-    st = gram.apply_gram(np.asarray(zeta, dtype=float))
-    for k in range(n - 1, -1, -1):
-        st = plant.solver.solve_step(dt, st, transpose=True)
-        jac = plant.dF(base.states[k])
-        st = st - dt * jac.rmatvec(st)
-        states[k] = gram.solve_gram(st)
-    return Trajectory(base.times.copy(), states)
+    _, pt = plant.solver.dense_step_inverse(base.dt)
+    rows = reverse_sweep(
+        pt, base.dt, lambda k: plant.dF(base.states[k]), np.zeros(plant.dim),
+        gram.apply_gram(np.asarray(zeta, dtype=float)), len(base) - 1,
+    )
+    return Trajectory(base.times.copy(), gram.solve_gram(rows.T).T)
 
 
 @dataclass
@@ -292,8 +307,8 @@ def contraction_check(
     """
     if alpha is None:
         alpha = plant.require_alpha()
-    t1 = flow(plant, w1, None, T, dt)
-    t2 = flow(plant, w2, None, T, dt)
+    t1 = flow(plant, w1, T, dt)
+    t2 = flow(plant, w2, T, dt)
     space = plant.space_H
     d0 = space.norm(np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float))
     if d0 == 0.0:

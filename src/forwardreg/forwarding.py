@@ -8,7 +8,9 @@ quadrature form
 where T_t is the uncontrolled flow. Its differential replaces Q by the
 quadrature of dF(T_t w) v(t) with v the tangent flow of the direction, and
 the adjoint of the differential is the exact discrete adjoint of those
-quadrature steps, so duality holds to roundoff.
+quadrature steps, so duality holds to roundoff. The base flow, the tangent
+quadrature and its adjoint run on the two sweep kernels of
+:mod:`forwardreg.evolution` (``forward_sweep`` and ``reverse_sweep``).
 
 The integral converges because the flow contracts at rate alpha and F is
 Lipschitz with F(0) = 0; the neglected tail beyond a horizon tau is below
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import Plant, apply_nonlinear_A
+from .evolution import Plant, apply_nonlinear_A, forward_sweep, reverse_sweep
 from .spaces import LinMap, weighted_singular_values
 
 __all__ = [
@@ -212,24 +214,11 @@ class StateEvaluation:
             return
         self.tau = fmap.horizon(w_norm)
         self.nq = max(int(math.ceil(self.tau / fmap.dt_quad)), 1)
-        dtq = fmap.dt_quad
-        p_dense, pt_dense = plant.solver.dense_step_inverse(dtq)
-        self._p_dense = p_dense
-        self._pt_dense = pt_dense
-        n = self.nq
-        states = np.empty((n + 1, plant.dim))
-        states[0] = self.w
-        q = np.zeros(plant.dim)
-        cur = self.w
+        self._p, self._pt = plant.solver.dense_step_inverse(fmap.dt_quad)
         # trapezoid accumulation of Q = int F(T_t w) dt along the base flow
-        for k in range(n):
-            g = plant.F(cur)
-            q += (0.5 * dtq if k == 0 else dtq) * g
-            cur = p_dense @ (cur - dtq * g)
-            states[k + 1] = cur
-        q += 0.5 * dtq * plant.F(cur)
-        self.base_states = states
-        self.q = q
+        self.base_states, self.q = forward_sweep(
+            self._p, fmap.dt_quad, self.w, lambda k, x: plant.F(x), self.nq
+        )
 
     # -- primal evaluations -------------------------------------------------
 
@@ -240,41 +229,30 @@ class StateEvaluation:
         h = np.asarray(h, dtype=float)
         if self.nq == 0:
             return self.fmap.m_lin(h)
-        plant = self.plant
-        dtq = self.fmap.dt_quad
-        qp = np.zeros(plant.dim)
-        v = h
-        for k in range(self.nq):
-            g = plant.dF(self.base_states[k])(v)
-            qp += (0.5 * dtq if k == 0 else dtq) * g
-            v = self._p_dense @ (v - dtq * g)
-        qp += 0.5 * dtq * plant.dF(self.base_states[self.nq])(v)
+        dF, base = self.plant.dF, self.base_states
+        _, qp = forward_sweep(
+            self._p, self.fmap.dt_quad, h, lambda k, v: dF(base[k])(v), self.nq
+        )
         return self.fmap.m_lin(h - qp)
 
     # -- adjoint evaluations ------------------------------------------------
 
     def _adjoint_gram_coords(self, zeta: np.ndarray) -> np.ndarray:
-        """G_H-multiplied dM(w)* zeta, i.e. G_H (psi - r).
+        """G_H-multiplied dM(w)* zeta, i.e. G_H (psi - r_0).
 
-        Reverse sweep of the exact transposes of the discrete tangent steps
-        with trapezoid weights folded in; runs entirely in Gram-multiplied
-        coordinates so the loop contains no Gram solves.
+        The reverse sweep of the tangent quadrature, started from psi = G_H
+        M_lin* zeta; it runs in Gram-multiplied coordinates, so it needs no
+        Gram solves.
         """
         psi_t = self.fmap._mlin_t_gz @ np.asarray(zeta, dtype=float)
         if self.nq == 0:
             return psi_t
-        plant = self.plant
-        dtq = self.fmap.dt_quad
-        r_t = np.zeros(plant.dim)
-        for k in range(self.nq, -1, -1):
-            ck = 0.5 * dtq if (k == 0 or k == self.nq) else dtq
-            if k == self.nq:
-                y = np.zeros(plant.dim)
-            else:
-                y = self._pt_dense @ r_t
-            jac = plant.dF(self.base_states[k])
-            r_t = y + jac.rmatvec(ck * psi_t - dtq * y)
-        return psi_t - r_t
+        dF, base = self.plant.dF, self.base_states
+        r = reverse_sweep(
+            self._pt, self.fmap.dt_quad, lambda k: dF(base[k]), psi_t,
+            np.zeros(self.plant.dim), self.nq,
+        )
+        return psi_t - r[0]
 
     def dM_adjoint(self, zeta: np.ndarray) -> np.ndarray:
         return self.plant.space_H.solve_gram(self._adjoint_gram_coords(zeta))

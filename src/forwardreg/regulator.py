@@ -259,12 +259,11 @@ def find_equilibrium(
     Runs from the origin and checks every 50 steps the mean drift speed,
     the state movement over those steps divided by 50 dt. It stops when
     that speed is at most 1e-10 and returns the mean of the last 20 states.
-    The check also stops the search, unconverged, once the H-norm of the
-    state is no longer finite. Residuals report the stationary-equation
-    defect and the regulation error at the averaged point. A run that
-    exhausts the budget without stagnating returns ``converged=False``; per
-    the local theory this can simply mean (d, y_ref) are too large for the
-    basin.
+    Residuals report the stationary-equation defect and the regulation error
+    at the averaged point. A run that exhausts the budget without stagnating
+    returns ``converged=False``; per the local theory this can simply mean
+    (d, y_ref) are too large for the basin. A run whose state is no longer
+    finite at a check raises FloatingPointError naming the step.
     """
     _require_feasible(fmap)
     y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
@@ -290,7 +289,10 @@ def find_equilibrium(
                 break
             w_mark, z_mark = w, z
             if not np.isfinite(space_h.norm(w)):
-                break
+                raise FloatingPointError(
+                    f"equilibrium search diverged: the state is not finite at "
+                    f"step {k} (t = {k * dt:.6g})"
+                )
 
     w_star = np.mean(tail_w, axis=0)
     z_star = np.mean(tail_z, axis=0)

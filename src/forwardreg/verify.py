@@ -31,7 +31,7 @@ from .forwarding import (
     functional_equation_residual,
     uniform_coercivity_check,
 )
-from .regulator import Scenario, simulate
+from .regulator import Scenario, find_equilibrium, simulate
 
 __all__ = [
     "LinearOracle",
@@ -299,7 +299,7 @@ def linearized_decay_samples(
     for _ in range(n_dirs):
         w0 = smooth_sample(plant, rng, radius)
         h = space.sample_sphere(rng)
-        base = flow(plant, w0, None, T, dt)
+        base = flow(plant, w0, T, dt)
         tan = tangent_flow(plant, base, h)
         n0 = space.norm(tan.states[0])
         for t, v in zip(tan.times[1:], tan.states[1:]):
@@ -598,8 +598,6 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
 
 
 def _oracle_checks(plant, fmap, cfg, tables, rng):
-    from .regulator import find_equilibrium
-
     out = []
     dim_z = plant.space_Z.dim
     y_ref = 0.1 * rng.standard_normal(dim_z)

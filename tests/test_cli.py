@@ -395,6 +395,25 @@ def test_sweep_cell_catches_only_numerical_failures(tmp_path, monkeypatch):
         cli.cmd_sweep(cfg)
 
 
+def test_sweep_cell_diverged_search_is_a_nan_row():
+    # scalar a = b = c = 2 at dt = 1: the explicit z-step is unstable and the
+    # equilibrium search overflows long before its budget
+    plant_cfg = {"kind": "scalar_linear", "a": "2", "b": "2", "c": "2"}
+    args = (plant_cfg, {"dt_quad": "0.01"}, 0.0, 0.3, 0, 1.0, 20000.0, 1e-4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = cli._sweep_cell(args)
+    assert row["success"] == 0 and row["converged"] == 0
+    assert np.isnan(row["drift_residual"]) and np.isnan(row["t_reached"])
+
+
+def test_main_arithmetic_error_exit_3(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, SCALAR_INI)
+    monkeypatch.setattr(cli, "cmd_simulate", Mock(
+        side_effect=FloatingPointError("equilibrium search diverged at step 50")))
+    assert cli.main(["simulate", "--config", path]) == cli.EXIT_DIVERGED
+    assert "error: equilibrium search diverged at step 50" in capsys.readouterr().err
+
+
 # -- shipped configs ------------------------------------------------------------
 
 

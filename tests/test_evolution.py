@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forwardreg.evolution import (
     OperatorSolver,
@@ -11,27 +12,28 @@ from forwardreg.evolution import (
     contraction_check,
     estimate_alpha,
     flow,
-    step,
+    forward_sweep,
+    reverse_sweep,
     tangent_flow,
 )
 from forwardreg.spaces import LinMap, SpaceSpec
 from helpers import make_random_plant, make_scalar_plant
 
 
-def test_step_scalar_hand_value():
+def test_flow_scalar_hand_value():
     # hand computation: (I + dt a) w' = w - dt c w^3 with dt=0.01, w=1:
     # w' = (1 - 0.001) / 1.02
     p = make_scalar_plant(a=2.0, c=0.1)
-    w1 = step(p, np.array([1.0]), None, 0.01)
+    w1 = flow(p, np.array([1.0]), 0.01, 0.01).states[1]
     assert w1[0] == pytest.approx((1.0 - 0.001) / 1.02, rel=1e-14)
 
 
-def test_step_rejects_bad_dt():
+def test_flow_rejects_bad_dt():
     p = make_scalar_plant()
     with pytest.raises(ValueError):
-        step(p, np.array([1.0]), None, -0.1)
+        flow(p, np.array([1.0]), 1.0, -0.1)
     with pytest.raises(ValueError):
-        step(p, np.array([1.0]), None, 10.0)  # dt * lip_F >= 1
+        flow(p, np.array([1.0]), 10.0, 10.0)  # dt * lip_F >= 1
 
 
 def test_flow_matches_bernoulli_closed_form():
@@ -40,7 +42,7 @@ def test_flow_matches_bernoulli_closed_form():
     p = make_scalar_plant(a=2.0, c=0.1)
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        traj = flow(p, np.array([1.0]), None, 0.5, dt)
+        traj = flow(p, np.array([1.0]), 0.5, dt)
         errs.append(abs(traj.final[0] - wT_exact))
     # first-order scheme: error halves with dt
     assert errs[0] < 5e-3
@@ -49,27 +51,9 @@ def test_flow_matches_bernoulli_closed_form():
     assert order1 > 0.9 and order2 > 0.9
 
 
-def test_flow_constant_forcing_fixed_point():
-    # discrete fixed point of the IMEX step with constant forcing f is
-    # exactly the equilibrium A w = f (hand computation)
-    p = make_scalar_plant(a=2.0, c=0.0)
-    f = np.array([3.0])
-    traj = flow(p, np.array([0.0]), f, 20.0, 0.05)
-    assert traj.final[0] == pytest.approx(1.5, abs=1e-12)
-
-
-def test_flow_time_dependent_forcing():
-    # dw/dt + 2w = sin(t): explicit solution (2 sin t - cos t + e^{-2t})/5
-    p = make_scalar_plant(a=2.0, c=0.0)
-    T = 3.0
-    traj = flow(p, np.array([0.0]), lambda t: np.array([np.sin(t)]), T, 1e-3)
-    exact = (2 * np.sin(T) - np.cos(T) + np.exp(-2 * T)) / 5
-    assert traj.final[0] == pytest.approx(exact, abs=5e-4)
-
-
 def test_trajectory_grid():
     p = make_scalar_plant()
-    traj = flow(p, np.array([0.5]), None, 1.0, 0.1)
+    traj = flow(p, np.array([0.5]), 1.0, 0.1)
     assert len(traj) == 11
     assert traj.dt == pytest.approx(0.1)
     np.testing.assert_allclose(traj.times, 0.1 * np.arange(11))
@@ -87,11 +71,11 @@ def test_tangent_flow_matches_finite_difference():
     w0 = rng.standard_normal(p.dim) * 0.5
     h = rng.standard_normal(p.dim)
     T, dt = 1.0, 0.01
-    base = flow(p, w0, None, T, dt)
+    base = flow(p, w0, T, dt)
     v = tangent_flow(p, base, h)
     eps = 1e-6
-    fp = flow(p, w0 + eps * h, None, T, dt)
-    fm = flow(p, w0 - eps * h, None, T, dt)
+    fp = flow(p, w0 + eps * h, T, dt)
+    fm = flow(p, w0 - eps * h, T, dt)
     fd = (fp.final - fm.final) / (2 * eps)
     np.testing.assert_allclose(v.final, fd, atol=1e-7)
 
@@ -102,7 +86,7 @@ def test_adjoint_tangent_duality_exact():
     p = make_random_plant(dim=7, seed=9)
     rng = np.random.default_rng(41)
     w0 = rng.standard_normal(p.dim) * 0.3
-    base = flow(p, w0, None, 0.8, 0.02)
+    base = flow(p, w0, 0.8, 0.02)
     for _ in range(5):
         h = rng.standard_normal(p.dim)
         zeta = rng.standard_normal(p.dim)
@@ -111,6 +95,21 @@ def test_adjoint_tangent_duality_exact():
         lhs = p.space_H.inner(v.final, zeta)
         rhs = p.space_H.inner(h, r.states[0])
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 8), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_reverse_sweep_is_the_exact_transpose(dim, n, seed):
+    # psi . q + lam . x_n == x_0 . r_0 for any dense P and J_k
+    rng = np.random.default_rng(seed)
+    sp = SpaceSpec(dim, np.eye(dim), "H")
+    p = rng.standard_normal((dim, dim))
+    jacs = [LinMap(sp, sp, matrix=rng.standard_normal((dim, dim))) for _ in range(n + 1)]
+    x0, psi, lam = rng.standard_normal((3, dim))
+    dt = float(rng.uniform(0.01, 1.0))
+    states, q = forward_sweep(p, dt, x0, lambda k, x: jacs[k](x), n)
+    r = reverse_sweep(np.ascontiguousarray(p.T), dt, lambda k: jacs[k], psi, lam, n)
+    assert psi @ q + lam @ states[n] == pytest.approx(x0 @ r[0], rel=1e-10)
 
 
 def test_estimate_alpha_scalar():

@@ -16,6 +16,7 @@ from forwardreg.forwarding import (
     linear_forwarding,
     uniform_coercivity_check,
 )
+from forwardreg.plants import make_sine_gordon, make_wilson_cowan
 from forwardreg.spaces import LinMap, adjoint
 from helpers import make_linear_plant, make_random_plant, make_scalar_plant
 
@@ -95,11 +96,28 @@ def test_integral_formula_consistency():
     lhs = p.solver.solve_a(w - ev.q)[0]
     errs = []
     for tau in (2.0, 8.0):
-        traj = flow(p, w, None, tau, dtq)
+        traj = flow(p, w, tau, dtq)
         direct = np.trapezoid(traj.states[:, 0], dx=dtq)
         errs.append(abs(direct - lhs))
     assert errs[1] < errs[0] / 3
     assert errs[1] < 5e-4
+
+
+@pytest.mark.parametrize(
+    "make_plant, dt_quad",
+    [(lambda: make_sine_gordon(N=60, gamma=0.05), 1.0),
+     (lambda: make_wilson_cowan(n=32), 2.5)],
+    ids=["sine_gordon", "wilson_cowan"],
+)
+def test_base_trajectory_is_the_plant_flow(make_plant, dt_quad):
+    # the quadrature's base trajectory and the plant flow are one recursion
+    plant = make_plant()
+    fmap = build_forwarding(plant, dt_quad=dt_quad, tail_tol=1e-4)
+    w = plant.space_H.sample_ball(np.random.default_rng(5), 1.0)
+    ev = StateEvaluation(fmap, w)
+    assert ev.nq > 1
+    traj = flow(plant, w, ev.nq * dt_quad, dt_quad)
+    assert np.array_equal(traj.states, ev.base_states)
 
 
 # -- eval_dM -----------------------------------------------------------------
