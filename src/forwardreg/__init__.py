@@ -12,13 +12,9 @@ from .spaces import (
     LinMap,
     SpaceSpec,
     adjoint,
-    inner,
-    smallest_singular_value,
     weighted_singular_values,
 )
 from .evolution import (
-    AlphaEstimate,
-    ContractionReport,
     OperatorSolver,
     Plant,
     Trajectory,
@@ -30,15 +26,12 @@ from .evolution import (
     tangent_flow,
 )
 from .forwarding import (
-    CoercivityReport,
     ForwardingMap,
     StateEvaluation,
     assemble_feedback_matrix,
     build_forwarding,
     eval_M,
     eval_dM,
-    eval_dM_adjoint,
-    eval_dM_adjoint_B,
     functional_equation_residual,
     linear_forwarding,
     uniform_coercivity_check,
@@ -67,7 +60,6 @@ from .plants import (
 from .verify import (
     CheckResult,
     FDCheckTable,
-    LadderTable,
     LinearOracle,
     VerificationReport,
     contraction_samples,
@@ -75,7 +67,6 @@ from .verify import (
     dissipation_constant,
     fd_check_dM,
     linearized_decay_samples,
-    refinement_ladder,
     run_battery,
     smooth_sample,
 )
@@ -83,16 +74,14 @@ from .verify import (
 __all__ = [
     "__version__",
     # spaces
-    "LinMap", "SpaceSpec", "adjoint", "inner", "smallest_singular_value",
-    "weighted_singular_values",
+    "LinMap", "SpaceSpec", "adjoint", "weighted_singular_values",
     # evolution
-    "AlphaEstimate", "ContractionReport", "OperatorSolver", "Plant",
-    "Trajectory", "apply_nonlinear_A", "adjoint_tangent_flow",
-    "contraction_check", "estimate_alpha", "flow", "tangent_flow",
+    "OperatorSolver", "Plant", "Trajectory", "apply_nonlinear_A",
+    "adjoint_tangent_flow", "contraction_check", "estimate_alpha", "flow",
+    "tangent_flow",
     # forwarding
-    "CoercivityReport", "ForwardingMap", "StateEvaluation",
-    "assemble_feedback_matrix", "build_forwarding", "eval_M", "eval_dM",
-    "eval_dM_adjoint", "eval_dM_adjoint_B", "functional_equation_residual",
+    "ForwardingMap", "StateEvaluation", "assemble_feedback_matrix",
+    "build_forwarding", "eval_M", "eval_dM", "functional_equation_residual",
     "linear_forwarding", "uniform_coercivity_check",
     # regulator
     "ClosedLoopState", "EquilibriumResult", "RegulationReport", "RunResult",
@@ -103,8 +92,7 @@ __all__ = [
     "make_linear_benchmark", "make_scalar_linear", "make_sine_gordon",
     "make_wilson_cowan",
     # verify
-    "CheckResult", "FDCheckTable", "LadderTable", "LinearOracle",
-    "VerificationReport", "contraction_samples", "dense_linear_oracle",
-    "dissipation_constant", "fd_check_dM", "linearized_decay_samples",
-    "refinement_ladder", "run_battery", "smooth_sample",
+    "CheckResult", "FDCheckTable", "LinearOracle", "VerificationReport",
+    "contraction_samples", "dense_linear_oracle", "dissipation_constant",
+    "fd_check_dM", "linearized_decay_samples", "run_battery", "smooth_sample",
 ]

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -32,7 +32,7 @@ from .plants import (
 )
 from .regulator import Scenario, convergence_report, find_equilibrium, simulate
 from .spaces import LinMap
-from .verify import run_battery, smooth_sample
+from .verify import BATTERY_DEFAULTS, run_battery, smooth_sample
 
 __all__ = ["RunConfig", "load_config", "cmd_gains", "cmd_simulate", "cmd_verify",
            "cmd_sweep", "main"]
@@ -276,7 +276,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 dt=scenario.dt,
                 t_budget=float(sc.get("t_budget", scenario.T)),
             )
-            eq_doc = eq.as_dict()
+            eq_doc = asdict(eq)
 
         space_h, space_z = plant.space_H, plant.space_Z
         header = (
@@ -328,25 +328,23 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _parse_verify_config(cfg: RunConfig) -> dict:
+    """Type each [verify] value like its battery default; unknown keys fail."""
     out = {}
     for key, raw in cfg.verify.items():
-        if key in ("fd_eps", "oracle_dts"):
-            out[key] = tuple(_floats(raw))
-        elif key in ("monotonicity_samples", "contraction_pairs", "decay_dirs",
-                     "funceq_samples", "duality_pairs", "dissipation_runs",
-                     "coercivity_samples", "seed"):
-            out[key] = int(raw)
-        else:
-            out[key] = float(raw)
+        if key not in BATTERY_DEFAULTS:
+            raise ValueError(f"unknown [verify] key {key!r}")
+        kind = type(BATTERY_DEFAULTS[key])
+        out[key] = tuple(_floats(raw)) if kind is tuple else kind(raw)
     out.setdefault("seed", cfg.seed)
     return out
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     """Run the check battery; exit 0 iff every mandatory check passes."""
+    battery_cfg = _parse_verify_config(cfg)
     plant = build_plant(cfg)
     fmap = build_fmap(plant, cfg)
-    report = run_battery(plant, fmap, _parse_verify_config(cfg))
+    report = run_battery(plant, fmap, battery_cfg)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     (cfg.outdir / "verify.json").write_text(report.to_json() + "\n")
     for c in report.checks:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,13 +32,10 @@ from .spaces import LinMap, weighted_singular_values
 __all__ = [
     "ForwardingMap",
     "StateEvaluation",
-    "CoercivityReport",
     "build_forwarding",
     "linear_forwarding",
     "eval_M",
     "eval_dM",
-    "eval_dM_adjoint",
-    "eval_dM_adjoint_B",
     "assemble_feedback_matrix",
     "uniform_coercivity_check",
     "functional_equation_residual",
@@ -75,7 +71,8 @@ class ForwardingMap:
     dt_quad, tail_tol : float
         Quadrature step and accepted tail bound for the truncated integral.
     tau_extra : float
-        Extra horizon added past the tail-bound value (refinement ladders).
+        Extra horizon added past the tail-bound value, for refinement studies
+        that lengthen the quadrature at a fixed tail tolerance.
     lam, lam_tilde, rho, kappa : float or None
         Coercivity constant, lam/3, Lyapunov weight and certified decay rate;
         None when the plant is infeasible (lam = 0) or has no alpha.
@@ -273,18 +270,6 @@ def eval_dM(fmap: ForwardingMap, w: np.ndarray, h: np.ndarray) -> np.ndarray:
     return StateEvaluation(fmap, w).dM(h)
 
 
-def eval_dM_adjoint(fmap: ForwardingMap, w: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Adjoint dM(w)* zeta in H (exact discrete adjoint of eval_dM)."""
-    return StateEvaluation(fmap, w).dM_adjoint(zeta)
-
-
-def eval_dM_adjoint_B(
-    fmap: ForwardingMap, w: np.ndarray, zeta: np.ndarray
-) -> np.ndarray:
-    """Feedback direction B* dM(w)* zeta in U."""
-    return StateEvaluation(fmap, w).dM_adjoint_B(zeta)
-
-
 def assemble_feedback_matrix(fmap: ForwardingMap, w: np.ndarray) -> np.ndarray:
     """Dense (dim_U, dim_Z) matrix of z -> B* dM(w)* z, assembled columnwise.
 
@@ -303,37 +288,16 @@ def assemble_feedback_matrix(fmap: ForwardingMap, w: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-@dataclass
-class CoercivityReport:
-    """Sampled lower bound on the feedback coercivity over a state ball."""
-
-    min_sigma_sq: float
-    lam_global: float
-    passed: bool
-    n_samples: int
-    radius: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def uniform_coercivity_check(
-    fmap: ForwardingMap,
-    n_samples: int,
-    radius: float,
-    seed: int = 0,
-    lam_global: Optional[float] = None,
-) -> CoercivityReport:
+    fmap: ForwardingMap, n_samples: int, radius: float, seed: int = 0
+) -> float:
     """Min over sampled states of sigma_min(z -> B* dM(w)* z)^2.
 
-    Passes iff the achieved minimum is at least ``lam_global`` (defaults to
-    lam/3, the local coercivity level the gain formulas rely on). The report
-    carries the achieved minimum either way.
+    The gain formulas rely on this staying at least lam_tilde = lam/3 over
+    the sampled ball.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if lam_global is None:
-        lam_global = fmap.lam_tilde
     rng = np.random.default_rng(seed)
     space = fmap.plant.space_H
     worst = np.inf
@@ -345,13 +309,7 @@ def uniform_coercivity_check(
         )
         smin = float(svals[-1]) if svals.size else 0.0
         worst = min(worst, smin**2)
-    return CoercivityReport(
-        min_sigma_sq=float(worst),
-        lam_global=float(lam_global),
-        passed=bool(worst >= lam_global > 0),
-        n_samples=n_samples,
-        radius=radius,
-    )
+    return float(worst)
 
 
 def functional_equation_residual(fmap: ForwardingMap, w: np.ndarray) -> float:

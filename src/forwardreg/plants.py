@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .evolution import OperatorSolver, Plant
+from .evolution import Plant
 from .spaces import LinMap, SpaceSpec
 
 __all__ = [
@@ -73,7 +73,6 @@ def make_linear_benchmark(
         dF=lambda w: LinMap(sp, sp, matrix=zero),
         B=LinMap(su, sp, matrix=b),
         C=LinMap(sp, sz, matrix=c),
-        solver=OperatorSolver(amat),
         alpha_cert=float(alpha),
         lip_F=0.0,
         meta={"seed": seed, "attempts": attempt + 1},
@@ -94,7 +93,6 @@ def make_scalar_linear(a: float = 2.0, b: float = 1.0, c: float = 1.0) -> Plant:
         dF=lambda w: LinMap(sp, sp, matrix=np.zeros((1, 1))),
         B=LinMap(sp, sp, matrix=np.array([[b]])),
         C=LinMap(sp, sp, matrix=np.array([[c]])),
-        solver=OperatorSolver(amat),
         alpha_cert=float(a),
         lip_F=0.0,
     )
@@ -144,16 +142,14 @@ class SineGordonParams:
         return self.epsilon / (2.0 * (1.0 + self.lambda1)) > self.gamma
 
 
-def make_sine_gordon(params: Optional[SineGordonParams] = None, **overrides) -> Plant:
+def make_sine_gordon(**overrides) -> Plant:
     """Finite-difference sine-Gordon plant with the epsilon-weighted Gram.
 
+    Keyword arguments are the fields of :class:`SineGordonParams`.
     Infeasible parameter regimes construct fine but carry no contraction
     certificate (alpha_cert is None) and a warning is emitted.
     """
-    if params is None:
-        params = SineGordonParams(**overrides)
-    elif overrides:
-        raise ValueError("pass either params or keyword overrides, not both")
+    params = SineGordonParams(**overrides)
     n, length, xi, gamma = params.N, params.L, params.xi, params.gamma
     h = length / (n + 1)
     x = h * np.arange(1, n + 1)
@@ -240,7 +236,6 @@ def make_sine_gordon(params: Optional[SineGordonParams] = None, **overrides) -> 
         dF=dF,
         B=LinMap(space_u, space_h, matrix=b_mat),
         C=LinMap(space_h, space_z, matrix=c_mat),
-        solver=OperatorSolver(amat),
         alpha_cert=alpha_cert,
         lip_F=2.0 * gamma / math.sqrt(lambda1_disc),
         meta={
@@ -316,12 +311,12 @@ def compute_M_ks(params: WilsonCowanParams) -> float:
     return float(params.h**2 * np.sum((params.kernel_values * params.L_s) ** 2))
 
 
-def make_wilson_cowan(params: Optional[WilsonCowanParams] = None, **overrides) -> Plant:
-    """Nonlocal neural-field plant with restriction output on the window."""
-    if params is None:
-        params = WilsonCowanParams(**overrides)
-    elif overrides:
-        raise ValueError("pass either params or keyword overrides, not both")
+def make_wilson_cowan(**overrides) -> Plant:
+    """Nonlocal neural-field plant with restriction output on the window.
+
+    Keyword arguments are the fields of :class:`WilsonCowanParams`.
+    """
+    params = WilsonCowanParams(**overrides)
     n, h = params.n, params.h
     kop = params.kernel_values * h  # midpoint quadrature of the kernel integral
     sp0 = float(params.ds(0.0))
@@ -378,7 +373,6 @@ def make_wilson_cowan(params: Optional[WilsonCowanParams] = None, **overrides) -
         dF=dF,
         B=LinMap(space_u, space_h, matrix=b_mat),
         C=LinMap(space_h, space_z, matrix=c_mat),
-        solver=OperatorSolver(amat),
         alpha_cert=alpha_cert,
         lip_F=lip_f,
         meta={

@@ -98,10 +98,6 @@ class RunResult:
     diverged: bool
     scenario: Scenario
 
-    @property
-    def final(self) -> ClosedLoopState:
-        return ClosedLoopState(self.w[-1], self.z[-1])
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -126,15 +122,6 @@ class EquilibriumResult:
     drift_residual: float
     output_residual: float
     iterations: int
-
-    def as_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "t_reached": self.t_reached,
-            "drift_residual": self.drift_residual,
-            "output_residual": self.output_residual,
-            "iterations": self.iterations,
-        }
 
 
 def _require_feasible(fmap: ForwardingMap) -> None:

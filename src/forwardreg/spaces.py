@@ -17,9 +17,7 @@ import scipy.linalg as sla
 __all__ = [
     "SpaceSpec",
     "LinMap",
-    "inner",
     "adjoint",
-    "smallest_singular_value",
     "weighted_singular_values",
 ]
 
@@ -154,11 +152,6 @@ class LinMap:
         return f"LinMap({self.domain.dim} -> {self.codomain.dim}, label={self.label!r})"
 
 
-def inner(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Gram-weighted inner product on ``space``."""
-    return space.inner(x, y)
-
-
 def adjoint(m: LinMap) -> LinMap:
     """Gram-weighted adjoint as a LinMap from codomain to domain."""
     if m._matrix is not None:
@@ -185,8 +178,3 @@ def weighted_singular_values(m: LinMap) -> np.ndarray:
     w = m.codomain.chol_lower.T @ right.T
     return np.linalg.svd(w, compute_uv=False)
 
-
-def smallest_singular_value(m: LinMap) -> float:
-    """Smallest Gram-weighted singular value (dense computation)."""
-    svals = weighted_singular_values(m)
-    return float(svals[-1]) if svals.size else 0.0

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from forwardreg.evolution import OperatorSolver, Plant
+from forwardreg.evolution import Plant
 from forwardreg.spaces import LinMap, SpaceSpec
 
 
@@ -20,7 +20,6 @@ def make_scalar_plant(a=2.0, c=0.1):
         dF=lambda w: LinMap(sp, sp, matrix=np.array([[3 * c * float(w[0]) ** 2]])),
         B=LinMap(sp, sp, matrix=np.eye(1)),
         C=LinMap(sp, sp, matrix=np.eye(1)),
-        solver=OperatorSolver(amat),
         alpha_cert=a,
         lip_F=0.0 if c == 0 else 3 * c * 4.0,  # valid on |w| <= 2
     )
@@ -58,36 +57,7 @@ def make_random_plant(dim=6, seed=5, alpha=1.0, nl=0.2):
         dF=dF,
         B=LinMap(sp, sp, matrix=np.eye(dim)),
         C=LinMap(sp, sp, matrix=np.eye(dim)),
-        solver=OperatorSolver(amat),
         alpha_cert=None,
         lip_F=nl * np.linalg.norm(k, 2),
     )
 
-
-def make_linear_plant(dim=5, seed=2, alpha=0.8, dim_out=2):
-    """Linear plant (F = 0) with Euclidean grams and full-rank B, C."""
-    rng = np.random.default_rng(seed)
-    sp = SpaceSpec(dim, np.eye(dim), "H")
-    sz = SpaceSpec(dim_out, np.eye(dim_out), "Z")
-    su = SpaceSpec(dim_out, np.eye(dim_out), "U")
-    skew = rng.standard_normal((dim, dim))
-    skew = 0.5 * (skew - skew.T)
-    amat = alpha * np.eye(dim) + skew
-    b = rng.standard_normal((dim, dim_out))
-    c = rng.standard_normal((dim_out, dim))
-    zero = np.zeros((dim, dim))
-
-    return Plant(
-        name="linear-bench",
-        space_H=sp,
-        space_U=su,
-        space_Z=sz,
-        A=LinMap(sp, sp, matrix=amat),
-        F=lambda w: np.zeros(dim),
-        dF=lambda w: LinMap(sp, sp, matrix=zero),
-        B=LinMap(su, sp, matrix=b),
-        C=LinMap(sp, sz, matrix=c),
-        solver=OperatorSolver(amat),
-        alpha_cert=alpha,
-        lip_F=0.0,
-    )

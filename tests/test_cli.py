@@ -303,6 +303,17 @@ def test_verify_rank_deficient_exit_1(tmp_path):
     assert doc["checks"]["contraction"]["pass"] is True
 
 
+def test_verify_unknown_key_exit_2(tmp_path, capsys):
+    # a misspelt key must not fall back to the default silently
+    path = write_config(tmp_path, SCALAR_INI + "\n    [verify]\n    duality_pair = 5\n")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "duality_pair" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert not (out / "verify.json").exists()
+
+
 # -- sweep ----------------------------------------------------------------------
 
 

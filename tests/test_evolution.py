@@ -114,24 +114,22 @@ def test_reverse_sweep_is_the_exact_transpose(dim, n, seed):
 
 def test_estimate_alpha_scalar():
     p = make_scalar_plant(a=2.0, c=0.1)
-    est = estimate_alpha(p, n_samples=40, radius=1.0, seed=2)
+    quotient = estimate_alpha(p, n_samples=40, radius=1.0, seed=2)
     # cubic term only helps: sampled quotient >= a
-    assert est.minimum >= 2.0 - 1e-9
-    assert not est.violates_certificate
+    assert quotient >= 2.0 - 1e-9
 
 
 def test_estimate_alpha_flags_violation():
     p = make_scalar_plant(a=2.0, c=0.1)
     p.alpha_cert = 5.0  # stronger than the truth
-    est = estimate_alpha(p, n_samples=40, seed=2)
-    assert est.violates_certificate
+    quotient = estimate_alpha(p, n_samples=40, seed=2)
+    assert quotient < p.alpha_cert - 1e-3
 
 
 def test_contraction_check_scalar():
     p = make_scalar_plant(a=2.0, c=0.1)
-    rep = contraction_check(p, np.array([1.0]), np.array([-0.5]), T=2.0, dt=0.01)
-    assert rep.passed
-    assert rep.max_ratio <= 1.05
+    ratio = contraction_check(p, np.array([1.0]), np.array([-0.5]), T=2.0, dt=0.01)
+    assert ratio <= 1.05
 
 
 def test_contraction_check_fails_for_expansive():
@@ -148,12 +146,11 @@ def test_contraction_check_fails_for_expansive():
         dF=lambda w: LinMap(sp, sp, matrix=np.zeros((1, 1))),
         B=LinMap(sp, sp, matrix=np.eye(1)),
         C=LinMap(sp, sp, matrix=np.eye(1)),
-        solver=OperatorSolver(amat),
         alpha_cert=1.0,
         lip_F=0.0,
     )
-    rep = contraction_check(p, np.array([1.0]), np.array([0.0]), T=1.0, dt=0.01)
-    assert not rep.passed
+    ratio = contraction_check(p, np.array([1.0]), np.array([0.0]), T=1.0, dt=0.01)
+    assert ratio > 1.05
 
 
 def test_solver_transpose_consistency():

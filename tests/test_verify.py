@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from forwardreg.evolution import OperatorSolver, Plant
+from forwardreg.evolution import Plant
 from forwardreg.forwarding import build_forwarding, functional_equation_residual
 from forwardreg.plants import make_linear_benchmark, make_sine_gordon
 from forwardreg.regulator import Scenario, simulate
@@ -13,12 +13,11 @@ from forwardreg.verify import (
     dense_linear_oracle,
     dissipation_constant,
     fd_check_dM,
-    refinement_ladder,
     run_battery,
     smooth_sample,
 )
 
-from helpers import make_linear_plant, make_scalar_plant
+from helpers import make_scalar_plant
 
 
 def rank_deficient_benchmark(dim=6, alpha=0.8, seed=1):
@@ -42,7 +41,6 @@ def rank_deficient_benchmark(dim=6, alpha=0.8, seed=1):
         dF=lambda w: LinMap(sp, sp, matrix=np.zeros((dim, dim))),
         B=LinMap(s2, sp, matrix=b),
         C=LinMap(sp, s2, matrix=c),
-        solver=OperatorSolver(amat),
         alpha_cert=alpha,
         lip_F=0.0,
     )
@@ -53,7 +51,7 @@ def rank_deficient_benchmark(dim=6, alpha=0.8, seed=1):
 
 def test_oracle_scalar_hand_assembly():
     plant = make_scalar_plant(a=2.0, c=0.0)
-    orc = dense_linear_oracle(plant, None, np.array([0.2]), rho=1.0)
+    orc = dense_linear_oracle(plant, None, np.array([0.2]))
     assert orc.feasible
     assert orc.m_matrix[0, 0] == pytest.approx(-0.5)
     assert orc.k_matrix[0, 0] == pytest.approx(-0.5)
@@ -66,19 +64,19 @@ def test_oracle_scalar_hand_assembly():
 
 
 def test_oracle_zero_data_origin():
-    plant = make_linear_plant()
-    orc = dense_linear_oracle(plant, None, np.zeros(2), rho=1.0)
+    plant = make_linear_benchmark(5, alpha=0.8, seed=2)
+    orc = dense_linear_oracle(plant, None, np.zeros(2))
     assert np.allclose(orc.w_star, 0.0) and np.allclose(orc.z_star, 0.0)
 
 
 def test_oracle_rejects_nonlinear_plants():
     with pytest.raises(ValueError):
-        dense_linear_oracle(make_scalar_plant(a=2.0, c=0.1), None, np.zeros(1), 1.0)
+        dense_linear_oracle(make_scalar_plant(a=2.0, c=0.1), None, np.zeros(1))
 
 
 def test_oracle_singular_loop_is_reported_not_raised():
     plant = rank_deficient_benchmark()
-    orc = dense_linear_oracle(plant, None, np.zeros(2), rho=1.0)
+    orc = dense_linear_oracle(plant, None, np.zeros(2))
     assert not orc.feasible
     assert "rank" in orc.note or "singular" in orc.note
     assert np.isnan(orc.spectral_abscissa)
@@ -89,7 +87,7 @@ def test_oracle_singular_loop_is_reported_not_raised():
 def test_oracle_abscissa_negative_on_seeded_benchmarks():
     for seed in range(4):
         plant = make_linear_benchmark(10, alpha=0.6, seed=seed)
-        orc = dense_linear_oracle(plant, None, np.zeros(2), rho=1.0)
+        orc = dense_linear_oracle(plant, None, np.zeros(2))
         assert orc.feasible
         assert orc.spectral_abscissa < 0.0
 
@@ -97,7 +95,7 @@ def test_oracle_abscissa_negative_on_seeded_benchmarks():
 def test_oracle_trajectory_matches_simulate_first_order():
     plant = make_scalar_plant(a=2.0, c=0.0)
     fmap = build_forwarding(plant, dt_quad=0.01)
-    orc = dense_linear_oracle(plant, np.array([0.1]), np.array([0.2]), fmap.rho)
+    orc = dense_linear_oracle(plant, np.array([0.1]), np.array([0.2]))
     w0, z0 = np.array([0.5]), np.array([-0.3])
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
@@ -122,7 +120,7 @@ def test_fd_table_second_order_in_eps():
 
 
 def test_fd_table_linear_plant_at_floor():
-    plant = make_linear_plant()
+    plant = make_linear_benchmark(5, alpha=0.8, seed=2)
     fmap = build_forwarding(plant, dt_quad=0.02)
     rng = np.random.default_rng(0)
     tab = fd_check_dM(fmap, rng.standard_normal(5), rng.standard_normal(5))
@@ -144,39 +142,29 @@ def test_fd_table_rejects_unsorted_ladder():
         fd_check_dM(fmap, np.ones(1), np.ones(1), (1e-4, 1e-3))
 
 
-# -- refinement ladder --------------------------------------------------------
+# -- functional-equation residual under dt_quad refinement ---------------------
 
 
 def test_ladder_funceq_first_order_in_dt_quad():
     plant = make_scalar_plant(a=2.0, c=0.1)
     w = np.array([0.9])
-    ladder = refinement_ladder(
-        lambda dtq: functional_equation_residual(
+    levels = (0.04, 0.02, 0.01)
+    values = [
+        functional_equation_residual(
             build_forwarding(plant, dt_quad=dtq, tail_tol=1e-10), w
-        ),
-        "dt_quad",
-        (0.04, 0.02, 0.01),
-    )
-    assert ladder.values[0] > ladder.values[1] > ladder.values[2]
-    assert all(0.6 < o < 1.4 for o in ladder.orders)
+        )
+        for dtq in levels
+    ]
+    assert values[0] > values[1] > values[2]
+    orders = np.log2(np.array(values[:-1]) / np.array(values[1:]))
+    assert all(0.6 < o < 1.4 for o in orders)
 
 
 def test_ladder_linear_plant_flat_at_floor():
-    plant = make_linear_plant()
+    plant = make_linear_benchmark(5, alpha=0.8, seed=2)
     w = np.ones(5)
-    ladder = refinement_ladder(
-        lambda dtq: functional_equation_residual(
-            build_forwarding(plant, dt_quad=dtq), w
-        ),
-        "dt_quad",
-        (0.04, 0.02, 0.01),
-    )
-    assert all(v < 1e-12 for v in ladder.values)
-
-
-def test_ladder_requires_three_levels():
-    with pytest.raises(ValueError):
-        refinement_ladder(lambda x: x, "dt", (0.1, 0.05))
+    for dtq in (0.04, 0.02, 0.01):
+        assert functional_equation_residual(build_forwarding(plant, dt_quad=dtq), w) < 1e-12
 
 
 # -- sampling and dissipation helpers -----------------------------------------
@@ -222,6 +210,13 @@ def test_battery_benchmark_all_pass():
     assert "oracle_equilibrium" in names  # linear plants get oracle checks
 
 
+def test_battery_rejects_unknown_config_key():
+    plant = make_scalar_plant(a=2.0, c=0.0)
+    fmap = build_forwarding(plant, dt_quad=0.01)
+    with pytest.raises(ValueError, match="duality_pair"):
+        run_battery(plant, fmap, {"duality_pair": 5})
+
+
 def test_battery_identity_plant_passes():
     # A = I, F = 0, B = C = I: the simplest feasible loop
     dim = 3
@@ -235,7 +230,6 @@ def test_battery_identity_plant_passes():
         dF=lambda w: LinMap(sp, sp, matrix=np.zeros((dim, dim))),
         B=LinMap(sp, sp, matrix=eye),
         C=LinMap(sp, sp, matrix=eye),
-        solver=OperatorSolver(eye),
         alpha_cert=1.0,
         lip_F=0.0,
     )
