@@ -1,19 +1,25 @@
 """Semilinear evolution: plants, IMEX stepping, tangent and adjoint flows.
 
 The state equation is dw/dt + A w + F(w) = f with A linear monotone and F a
-Lipschitz semilinear part vanishing at the origin. Time stepping is IMEX
-Euler, implicit in A and explicit in F:
+Lipschitz semilinear part vanishing at the origin, of the structured form
+F(w) = K sigma(S w) with an elementwise sigma. Time stepping is IMEX Euler,
+implicit in A and explicit in F:
 
     (I + dt A) w' = w + dt (f - F(w)).
 
 The tangent flow integrates the first variation along a stored base
 trajectory with the same scheme, and the adjoint flow propagates the exact
 Gram-weighted adjoint of every discrete tangent step in reverse, so discrete
-duality holds to roundoff rather than to O(dt).
+duality holds to roundoff rather than to O(dt). Along a base trajectory the
+Jacobians are J_k = K diag(D_k) S with the slopes D_k = sigma'(S w_k).
 
 These flows and the quadratures of the forwarding module all run on two
 kernels, :func:`forward_sweep` and its exact transpose :func:`reverse_sweep`,
 so this module alone fixes the discrete step, trapezoid weights and transpose.
+Both apply K and S through stacked operands built once per step size
+([P; S], dt P K and [P^T; -dt K^T P^T] with P = (I + dt A)^{-1}), one
+product each per node, and build no map per node; the reverse sweep takes
+the slopes as one (n + 1, m) block and any number of cotangent columns.
 """
 
 from __future__ import annotations
@@ -45,9 +51,8 @@ class OperatorSolver:
     """LU-backed solves for A and the IMEX step matrices (I + dt A).
 
     One factorization per distinct dt is cached. ``solve_step`` serves the
-    closed-loop step and sample smoothing; ``dense_step_inverse`` materializes
-    (I + dt A)^{-1} and its transpose for the flow, tangent and adjoint sweeps
-    of :func:`forward_sweep` and :func:`reverse_sweep`.
+    closed-loop step, sample smoothing and the dense (I + dt A)^{-1} that
+    :meth:`Plant.sweep_matrices` stacks for the sweeps.
     """
 
     def __init__(self, a_matrix: np.ndarray):
@@ -55,7 +60,6 @@ class OperatorSolver:
         self._dim = self._a.shape[0]
         self._lu_a = sla.lu_factor(self._a)
         self._step_lu: dict[float, tuple] = {}
-        self._step_inv: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def solve_a(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         return sla.lu_solve(self._lu_a, b, trans=1 if transpose else 0)
@@ -69,24 +73,17 @@ class OperatorSolver:
     def solve_step(self, dt: float, b: np.ndarray) -> np.ndarray:
         return sla.lu_solve(self._step_factor(dt), b)
 
-    def dense_step_inverse(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Return (P, P.T contiguous) with P = (I + dt A)^{-1}."""
-        key = float(dt)
-        if key not in self._step_inv:
-            p = sla.lu_solve(self._step_factor(dt), np.eye(self._dim))
-            self._step_inv[key] = (np.ascontiguousarray(p), np.ascontiguousarray(p.T))
-        return self._step_inv[key]
-
 
 @dataclass
 class Plant:
-    """Semilinear plant dw/dt + A w + F(w) = B u, y = C w.
+    """Semilinear plant dw/dt + A w + F(w) = B u, y = C w, F(w) = K sigma(S w).
 
-    ``dF`` maps a state to the Jacobian of F there, as a LinMap on H whose
-    ``rmatvec`` is the plain transpose (Gram weighting is applied by callers
-    where adjoints are needed). ``alpha_cert`` is the certified monotonicity
-    margin of A + dF(.) in the H product, or None when the construction could
-    not certify one. ``lip_F`` is a global Lipschitz bound of F, used for
+    The semilinear part is structured: ``K`` is (dim, m), ``S`` is (m, dim)
+    and ``sigma``/``dsigma`` are an elementwise function on R^m and its
+    derivative, with sigma(0) = 0. A linear plant passes none of them
+    (m = 0). ``alpha_cert`` is the certified monotonicity margin of
+    A + dF(.) in the H product, or None when the construction could not
+    certify one. ``lip_F`` is a global Lipschitz bound of F, used for
     step-size guards and quadrature tail bounds. ``solver`` holds the
     factorizations of A and is built from it.
     """
@@ -96,21 +93,60 @@ class Plant:
     space_U: SpaceSpec
     space_Z: SpaceSpec
     A: LinMap
-    F: Callable[[np.ndarray], np.ndarray]
-    dF: Callable[[np.ndarray], LinMap]
     B: LinMap
     C: LinMap
     solver: OperatorSolver = field(init=False)
     alpha_cert: Optional[float]
     lip_F: float
+    K: Optional[np.ndarray] = None
+    S: Optional[np.ndarray] = None
+    sigma: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    dsigma: Optional[Callable[[np.ndarray], np.ndarray]] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        dim = self.space_H.dim
+        if self.K is None:
+            self.K, self.S = np.zeros((dim, 0)), np.zeros((0, dim))
+            self.sigma = self.dsigma = np.zeros_like
+        self.K = np.ascontiguousarray(self.K, dtype=float)
+        self.S = np.ascontiguousarray(self.S, dtype=float)
+        m = self.K.shape[1]
+        if self.K.shape != (dim, m) or self.S.shape != (m, dim):
+            raise ValueError(
+                f"K must be ({dim}, m) and S (m, {dim}), got {self.K.shape} and {self.S.shape}"
+            )
+        if np.any(self.sigma(np.zeros(m)) != 0.0):
+            raise ValueError("sigma(0) must be 0")
         self.solver = OperatorSolver(self.A.as_matrix())
+        self._sweeps: dict = {}
 
     @property
     def dim(self) -> int:
         return self.space_H.dim
+
+    def F(self, w: np.ndarray) -> np.ndarray:
+        if not self.K.shape[1]:  # linear: skip three products with empty factors
+            return np.zeros(self.dim)
+        return self.K @ self.sigma(self.S @ w)
+
+    def dF(self, w: np.ndarray) -> LinMap:
+        """Jacobian K diag(sigma'(S w)) S of F at w, as a dense LinMap on H."""
+        jac = self.K @ (self.dsigma(self.S @ w)[:, None] * self.S)
+        return LinMap(self.space_H, self.space_H, matrix=jac)
+
+    def sweep_matrices(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """([P; S], dt P K, [P^T; -dt K^T P^T]) with P = (I + dt A)^{-1}.
+
+        The stacked operands of :func:`forward_sweep` and
+        :func:`reverse_sweep` at step dt, built once per distinct dt.
+        """
+        key = float(dt)
+        if key not in self._sweeps:
+            p = self.solver.solve_step(dt, np.eye(self.dim))
+            pk = dt * (p @ self.K)
+            self._sweeps[key] = (np.vstack([p, self.S]), pk, np.vstack([p.T, -pk.T]))
+        return self._sweeps[key]
 
     def require_alpha(self) -> float:
         if self.alpha_cert is None:
@@ -154,44 +190,56 @@ def _check_step_size(plant: Plant, dt: float) -> None:
 
 
 def forward_sweep(
-    p: np.ndarray, dt: float, x0: np.ndarray, g_at: Callable, n: int
+    ps: np.ndarray, pk: np.ndarray, dt: float, x0: np.ndarray, phi_at: Callable, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward recursion x_{k+1} = P (x_k - dt g_k), g_k = g_at(k, x_k).
+    """Forward recursion x_{k+1} = P (x_k - dt K phi_k), phi_k = phi_at(k, S x_k).
 
-    The one loop over flow and quadrature nodes: with P = (I + dt A)^{-1}
-    and g the semilinear part F it is the IMEX flow; with g_k = J_k v it is
-    the discrete tangent step T_k = P (I - dt J_k). Returns the states
-    x_0..x_n and the trapezoid sum q of g_0..g_n with step dt.
+    The one loop over flow and quadrature nodes, with ``ps`` = [P; S] and
+    ``pk`` = dt P K from :meth:`Plant.sweep_matrices`: each node takes one
+    product with each. With phi = sigma it is the IMEX flow of F; with
+    phi_k(y) = D_k y, D_k = sigma'(S w_k) along a base trajectory, it is the
+    discrete tangent step T_k = P (I - dt K diag(D_k) S). Returns the states
+    x_0..x_n and the trapezoid sum of phi_0..phi_n with step dt, so the
+    quadrature of g_k = K phi_k is K times it.
     """
-    states = np.empty((n + 1, x0.shape[0]))
+    dim = x0.shape[0]
+    states = np.empty((n + 1, dim))
     states[0] = x0
-    q = np.zeros(x0.shape[0])
+    q = np.zeros(pk.shape[1])
     x = x0
     for k in range(n):
-        g = g_at(k, x)
-        q += (0.5 * dt if k == 0 else dt) * g
-        x = p @ (x - dt * g)
+        u = ps @ x
+        phi = phi_at(k, u[dim:])
+        q += (0.5 * dt if k == 0 else dt) * phi
+        x = u[:dim] - pk @ phi
         states[k + 1] = x
-    q += 0.5 * dt * g_at(n, x)
+    q += 0.5 * dt * phi_at(n, ps[dim:] @ x)
     return states, q
 
 
 def reverse_sweep(
-    pt: np.ndarray, dt: float, jac_at: Callable, psi: np.ndarray, lam: np.ndarray, n: int
+    pkt: np.ndarray, dt: float, K: np.ndarray, S: np.ndarray, D: np.ndarray,
+    psi: np.ndarray, lam: np.ndarray, n: int,
 ) -> np.ndarray:
-    """Exact transpose of :func:`forward_sweep` with g_k = J_k x_k, in reverse.
+    """Exact transpose of :func:`forward_sweep` with phi_k(y) = D_k y, in reverse.
 
-    ``pt`` is P^T and ``jac_at(k).rmatvec`` applies J_k^T. Returns the
-    cotangents r_0..r_n of x_0..x_n for the output psi . q + lam . x_n, so
-    psi . q + lam . x_n == x_0 . r_0 to roundoff. Callers pass psi and lam
-    in Gram-multiplied coordinates; the rows are in the same coordinates.
+    Each step applies T_k^T = P^T + S^T D_k (-dt K^T P^T), with ``pkt`` the
+    [P^T; -dt K^T P^T] of :meth:`Plant.sweep_matrices` and ``D`` the (n + 1, m)
+    slopes. ``psi`` and ``lam`` are vectors or (dim, c) blocks swept together.
+    Returns the cotangents r_0..r_n of x_0..x_n for the output
+    psi . K q + lam . x_n, so it equals x_0 . r_0 to roundoff, column by
+    column. Callers pass psi and lam in Gram-multiplied coordinates; the rows
+    are in the same coordinates.
     """
-    rows = np.empty((n + 1, psi.shape[0]))
-    r = lam + jac_at(n).rmatvec(0.5 * dt * psi)
+    dim, st = S.shape[1], S.T
+    d = D if psi.ndim == 1 else D[:, :, None]
+    kpsi = dt * (K.T @ psi)
+    rows = np.empty((n + 1,) + psi.shape)
+    r = lam + st @ (d[n] * (0.5 * kpsi))
     rows[n] = r
     for k in range(n - 1, -1, -1):
-        y = pt @ r
-        r = y + jac_at(k).rmatvec((0.5 * dt if k == 0 else dt) * psi - dt * y)
+        u = pkt @ r
+        r = u[:dim] + st @ (d[k] * ((kpsi if k else 0.5 * kpsi) + u[dim:]))
         rows[k] = r
     return rows
 
@@ -203,9 +251,9 @@ def flow(plant: Plant, w0: np.ndarray, T: float, dt: float) -> Trajectory:
     """
     _check_step_size(plant, dt)
     n = max(int(round(T / dt)), 0)
-    p, _ = plant.solver.dense_step_inverse(dt)
+    ps, pk, _ = plant.sweep_matrices(dt)
     states, _ = forward_sweep(
-        p, dt, np.asarray(w0, dtype=float), lambda k, w: plant.F(w), n
+        ps, pk, dt, np.asarray(w0, dtype=float), lambda k, y: plant.sigma(y), n
     )
     return Trajectory(dt * np.arange(n + 1), states)
 
@@ -214,14 +262,16 @@ def tangent_flow(plant: Plant, base: Trajectory, h: np.ndarray) -> Trajectory:
     """First-variation flow dv/dt + A v + dF(w(t)) v = 0 along ``base``.
 
     Same IMEX scheme and grid as the base trajectory: the dF term is frozen
-    at the stored base state of the step's left endpoint.
+    at the stored base state of the step's left endpoint. Slopes are taken
+    per node: a block as long as these flows would raise peak memory.
     """
-    p, _ = plant.solver.dense_step_inverse(base.dt)
-    states, _ = forward_sweep(
-        p, base.dt, np.asarray(h, dtype=float),
-        lambda k, v: plant.dF(base.states[k])(v), len(base) - 1,
+    ps, pk, _ = plant.sweep_matrices(base.dt)
+    S, states = plant.S, base.states
+    tangent, _ = forward_sweep(
+        ps, pk, base.dt, np.asarray(h, dtype=float),
+        lambda k, y: plant.dsigma(S @ states[k]) * y, len(base) - 1,
     )
-    return Trajectory(base.times.copy(), states)
+    return Trajectory(base.times.copy(), tangent)
 
 
 def adjoint_tangent_flow(plant: Plant, base: Trajectory, zeta: np.ndarray) -> Trajectory:
@@ -233,10 +283,11 @@ def adjoint_tangent_flow(plant: Plant, base: Trajectory, zeta: np.ndarray) -> Tr
     are indexed forward in time, states[-1] == zeta to roundoff.
     """
     gram = plant.space_H
-    _, pt = plant.solver.dense_step_inverse(base.dt)
+    _, _, pkt = plant.sweep_matrices(base.dt)
     rows = reverse_sweep(
-        pt, base.dt, lambda k: plant.dF(base.states[k]), np.zeros(plant.dim),
-        gram.apply_gram(np.asarray(zeta, dtype=float)), len(base) - 1,
+        pkt, base.dt, plant.K, plant.S, plant.dsigma(base.states @ plant.S.T),
+        np.zeros(plant.dim), gram.apply_gram(np.asarray(zeta, dtype=float)),
+        len(base) - 1,
     )
     return Trajectory(base.times.copy(), gram.solve_gram(rows.T).T)
 

@@ -10,7 +10,10 @@ quadrature of dF(T_t w) v(t) with v the tangent flow of the direction, and
 the adjoint of the differential is the exact discrete adjoint of those
 quadrature steps, so duality holds to roundoff. The base flow, the tangent
 quadrature and its adjoint run on the two sweep kernels of
-:mod:`forwardreg.evolution` (``forward_sweep`` and ``reverse_sweep``).
+:mod:`forwardreg.evolution` (``forward_sweep`` and ``reverse_sweep``). With
+F(w) = K sigma(S w), the slopes sigma'(S T_t w) of the whole base trajectory
+come from one vectorized call, and the adjoint sweeps any block of Z
+directions at once: the dim_Z columns of the feedback matrix take one sweep.
 
 The integral converges because the flow contracts at rate alpha and F is
 Lipschitz with F(0) = 0; the neglected tail beyond a horizon tau is below
@@ -211,11 +214,15 @@ class StateEvaluation:
             return
         self.tau = fmap.horizon(w_norm)
         self.nq = max(int(math.ceil(self.tau / fmap.dt_quad)), 1)
-        self._p, self._pt = plant.solver.dense_step_inverse(fmap.dt_quad)
+        self._ps, self._pk, self._pkt = plant.sweep_matrices(fmap.dt_quad)
         # trapezoid accumulation of Q = int F(T_t w) dt along the base flow
-        self.base_states, self.q = forward_sweep(
-            self._p, fmap.dt_quad, self.w, lambda k, x: plant.F(x), self.nq
+        self.base_states, qs = forward_sweep(
+            self._ps, self._pk, fmap.dt_quad, self.w,
+            lambda k, y: plant.sigma(y), self.nq,
         )
+        self.q = plant.K @ qs
+        # slopes sigma'(S x_k) at every base node: dF(x_k) = K diag(D_k) S
+        self._slopes = plant.dsigma(self.base_states @ plant.S.T)
 
     # -- primal evaluations -------------------------------------------------
 
@@ -226,11 +233,11 @@ class StateEvaluation:
         h = np.asarray(h, dtype=float)
         if self.nq == 0:
             return self.fmap.m_lin(h)
-        dF, base = self.plant.dF, self.base_states
-        _, qp = forward_sweep(
-            self._p, self.fmap.dt_quad, h, lambda k, v: dF(base[k])(v), self.nq
+        D = self._slopes
+        _, qs = forward_sweep(
+            self._ps, self._pk, self.fmap.dt_quad, h, lambda k, y: D[k] * y, self.nq
         )
-        return self.fmap.m_lin(h - qp)
+        return self.fmap.m_lin(h - self.plant.K @ qs)
 
     # -- adjoint evaluations ------------------------------------------------
 
@@ -239,15 +246,16 @@ class StateEvaluation:
 
         The reverse sweep of the tangent quadrature, started from psi = G_H
         M_lin* zeta; it runs in Gram-multiplied coordinates, so it needs no
-        Gram solves.
+        Gram solves. ``zeta`` is a vector or a (dim_Z, c) block of c
+        directions, swept together.
         """
         psi_t = self.fmap._mlin_t_gz @ np.asarray(zeta, dtype=float)
         if self.nq == 0:
             return psi_t
-        dF, base = self.plant.dF, self.base_states
+        plant = self.plant
         r = reverse_sweep(
-            self._pt, self.fmap.dt_quad, lambda k: dF(base[k]), psi_t,
-            np.zeros(self.plant.dim), self.nq,
+            self._pkt, self.fmap.dt_quad, plant.K, plant.S, self._slopes, psi_t,
+            np.zeros_like(psi_t), self.nq,
         )
         return psi_t - r[0]
 
@@ -255,7 +263,10 @@ class StateEvaluation:
         return self.plant.space_H.solve_gram(self._adjoint_gram_coords(zeta))
 
     def dM_adjoint_B(self, zeta: np.ndarray) -> np.ndarray:
-        """B* dM(w)* zeta, the feedback direction for integrator error zeta."""
+        """B* dM(w)* zeta, the feedback direction for integrator error zeta.
+
+        A (dim_Z, c) block of directions gives the (dim_U, c) block.
+        """
         gh = self._adjoint_gram_coords(zeta)
         return self.plant.space_U.solve_gram(self.fmap._b_mat.T @ gh)
 
@@ -271,21 +282,12 @@ def eval_dM(fmap: ForwardingMap, w: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def assemble_feedback_matrix(fmap: ForwardingMap, w: np.ndarray) -> np.ndarray:
-    """Dense (dim_U, dim_Z) matrix of z -> B* dM(w)* z, assembled columnwise.
+    """Dense (dim_U, dim_Z) matrix of z -> B* dM(w)* z.
 
-    One shared base trajectory, one adjoint sweep per Z basis vector; the
-    example plants keep dim_Z small, so this stays cheap. Used for the
-    coercivity constant and its uniform sampled check.
+    One base trajectory and one adjoint sweep of the whole Z basis as a
+    block. Used for the coercivity constant and its uniform sampled check.
     """
-    ev = StateEvaluation(fmap, w)
-    dim_z = fmap.dim_Z
-    if dim_z > 32:
-        warnings.warn(
-            f"columnwise feedback assembly over dim_Z = {dim_z} basis sweeps",
-            stacklevel=2,
-        )
-    cols = [ev.dM_adjoint_B(e) for e in np.eye(dim_z)]
-    return np.column_stack(cols)
+    return StateEvaluation(fmap, w).dM_adjoint_B(np.eye(fmap.dim_Z))
 
 
 def uniform_coercivity_check(

@@ -62,15 +62,12 @@ def make_linear_benchmark(
             break
     else:
         raise RuntimeError("could not draw a benchmark with full-rank CA^-1 B")
-    zero = np.zeros((n, n))
     return Plant(
         name="linear-benchmark",
         space_H=sp,
         space_U=su,
         space_Z=sz,
         A=LinMap(sp, sp, matrix=amat),
-        F=lambda w: np.zeros(n),
-        dF=lambda w: LinMap(sp, sp, matrix=zero),
         B=LinMap(su, sp, matrix=b),
         C=LinMap(sp, sz, matrix=c),
         alpha_cert=float(alpha),
@@ -89,8 +86,6 @@ def make_scalar_linear(a: float = 2.0, b: float = 1.0, c: float = 1.0) -> Plant:
         space_U=sp,
         space_Z=sp,
         A=LinMap(sp, sp, matrix=amat),
-        F=lambda w: np.zeros(1),
-        dF=lambda w: LinMap(sp, sp, matrix=np.zeros((1, 1))),
         B=LinMap(sp, sp, matrix=np.array([[b]])),
         C=LinMap(sp, sp, matrix=np.array([[c]])),
         alpha_cert=float(a),
@@ -205,26 +200,10 @@ def make_sine_gordon(**overrides) -> Plant:
     c_mat[0, 0] = 2.0 / h
     c_mat[0, 1] = -0.5 / h
 
-    def F(w):
-        theta = w[:n]
-        out = np.zeros(dim)
-        out[n:] = gamma * (np.sin(theta) - theta)
-        return out
-
-    def dF(w):
-        diag = gamma * (np.cos(w[:n]) - 1.0)
-
-        def matvec(hv):
-            out = np.zeros(dim)
-            out[n:] = diag * hv[:n]
-            return out
-
-        def rmatvec(r):
-            out = np.zeros(dim)
-            out[:n] = diag * r[n:]
-            return out
-
-        return LinMap(space_h, space_h, matvec=matvec, rmatvec=rmatvec)
+    # F(w) = gamma [0; sin(theta) - theta]: K = gamma [0; I], S = [I 0]
+    k_mat = np.zeros((dim, n))
+    k_mat[n:] = gamma * np.eye(n)
+    s_mat = np.eye(n, dim)
 
     return Plant(
         name="sine-gordon",
@@ -232,12 +211,14 @@ def make_sine_gordon(**overrides) -> Plant:
         space_U=space_u,
         space_Z=space_z,
         A=LinMap(space_h, space_h, matrix=amat),
-        F=F,
-        dF=dF,
         B=LinMap(space_u, space_h, matrix=b_mat),
         C=LinMap(space_h, space_z, matrix=c_mat),
         alpha_cert=alpha_cert,
         lip_F=2.0 * gamma / math.sqrt(lambda1_disc),
+        K=k_mat,
+        S=s_mat,
+        sigma=lambda v: np.sin(v) - v,
+        dsigma=lambda v: np.cos(v) - 1.0,
         meta={
             "params": params,
             "h": h,
@@ -334,22 +315,6 @@ def make_wilson_cowan(**overrides) -> Plant:
     b_mat[idx, np.arange(m)] = 1.0
     c_mat = b_mat.T.copy()
 
-    s, ds = params.s, params.ds
-
-    def F(w):
-        return kop @ (s(w) - sp0 * w)
-
-    def dF(w):
-        diag = ds(w) - sp0
-
-        def matvec(hv):
-            return kop @ (diag * hv)
-
-        def rmatvec(r):
-            return diag * (kop.T @ r)
-
-        return LinMap(space_h, space_h, matvec=matvec, rmatvec=rmatvec)
-
     feasible = params.feasible
     alpha_cert = float(params.alpha_gain - params.M_ks) if feasible else None
     if not feasible:
@@ -369,12 +334,15 @@ def make_wilson_cowan(**overrides) -> Plant:
         space_U=space_u,
         space_Z=space_z,
         A=LinMap(space_h, space_h, matrix=amat),
-        F=F,
-        dF=dF,
         B=LinMap(space_u, space_h, matrix=b_mat),
         C=LinMap(space_h, space_z, matrix=c_mat),
         alpha_cert=alpha_cert,
         lip_F=lip_f,
+        # F(w) = kop (s(w) - s'(0) w): K = kop, S = I
+        K=kop,
+        S=np.eye(n),
+        sigma=lambda v: params.s(v) - sp0 * v,
+        dsigma=lambda v: params.ds(v) - sp0,
         meta={
             "params": params,
             "h": h,

@@ -9,8 +9,6 @@ models.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -88,11 +86,9 @@ class SpaceSpec:
 
 
 class LinMap:
-    """Linear map between two spaces.
+    """Dense linear map between two spaces.
 
-    Either a dense ``matrix`` or a ``matvec`` callable must be given. For
-    matrix-free maps, ``rmatvec`` (plain transpose application) is required
-    before adjoints can be formed. Adjoints are always Gram-weighted:
+    ``rmatvec`` is the plain transpose. Adjoints are always Gram-weighted:
     ``L* = G_dom^{-1} L^T G_cod``.
     """
 
@@ -100,53 +96,29 @@ class LinMap:
         self,
         domain: SpaceSpec,
         codomain: SpaceSpec,
-        matrix: Optional[np.ndarray] = None,
-        matvec: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        rmatvec: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        matrix: np.ndarray,
         label: str = "",
     ):
-        if matrix is None and matvec is None:
-            raise ValueError("LinMap needs a matrix or a matvec")
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.shape != (codomain.dim, domain.dim):
-                raise ValueError(
-                    f"matrix shape {matrix.shape} does not match "
-                    f"({codomain.dim}, {domain.dim})"
-                )
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape != (codomain.dim, domain.dim):
+            raise ValueError(
+                f"matrix shape {matrix.shape} does not match "
+                f"({codomain.dim}, {domain.dim})"
+            )
         self.domain = domain
         self.codomain = codomain
         self.label = label
         self._matrix = matrix
-        self._matvec = matvec
-        self._rmatvec = rmatvec
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix @ x
-        return self._matvec(x)
+        return self._matrix @ x
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """Plain transpose application (no Gram weights)."""
-        if self._matrix is not None:
-            return self._matrix.T @ y
-        if self._rmatvec is None:
-            raise ValueError("matrix-free LinMap has no rmatvec; cannot transpose")
-        return self._rmatvec(y)
-
-    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
-        """Apply the Gram-weighted adjoint L* to a codomain vector."""
-        return self.domain.solve_gram(self.rmatvec(self.codomain.apply_gram(y)))
+        return self._matrix.T @ y
 
     def as_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            cols = [self._matvec(col) for col in np.eye(self.domain.dim)]
-            self._matrix = np.column_stack(cols)
         return self._matrix
-
-    @property
-    def shape(self):
-        return (self.codomain.dim, self.domain.dim)
 
     def __repr__(self) -> str:
         return f"LinMap({self.domain.dim} -> {self.codomain.dim}, label={self.label!r})"
@@ -154,16 +126,8 @@ class LinMap:
 
 def adjoint(m: LinMap) -> LinMap:
     """Gram-weighted adjoint as a LinMap from codomain to domain."""
-    if m._matrix is not None:
-        mat = m.domain.solve_gram(m.as_matrix().T @ m.codomain.gram)
-        return LinMap(m.codomain, m.domain, matrix=mat, label=m.label + "*")
-    return LinMap(
-        m.codomain,
-        m.domain,
-        matvec=m.adjoint_apply,
-        rmatvec=lambda x: m.codomain.apply_gram(m(m.domain.solve_gram(x))),
-        label=m.label + "*",
-    )
+    mat = m.domain.solve_gram(m.as_matrix().T @ m.codomain.gram)
+    return LinMap(m.codomain, m.domain, matrix=mat, label=m.label + "*")
 
 
 def weighted_singular_values(m: LinMap) -> np.ndarray:

@@ -363,6 +363,11 @@ BATTERY_DEFAULTS = {
     "oracle_dts": (1e-2, 5e-3, 2.5e-3),
 }
 
+# a sampled check on no sample keeps its start value (inf or 0), a pass
+SAMPLE_COUNT_KEYS = ("monotonicity_samples", "contraction_pairs", "decay_dirs",
+                     "funceq_samples", "duality_pairs", "dissipation_runs",
+                     "coercivity_samples")
+
 
 def _check_le(name, value, bound, note=""):
     return CheckResult(name, float(value), float(bound), bool(value <= bound), "le", note)
@@ -384,7 +389,8 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
 
     Every verdict is made here: the sampling helpers return the number they
     measure, and each check compares it with its bound from ``config``
-    (keys and defaults in ``BATTERY_DEFAULTS``; any other key is an error).
+    (keys and defaults in ``BATTERY_DEFAULTS``; any other key, or a sample
+    count in ``SAMPLE_COUNT_KEYS`` below 1, is an error).
     """
     cfg = dict(BATTERY_DEFAULTS)
     if config:
@@ -392,6 +398,9 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
         if unknown:
             raise ValueError(f"unknown battery key(s): {', '.join(unknown)}")
         cfg.update(config)
+    for key in SAMPLE_COUNT_KEYS:
+        if int(cfg[key]) < 1:
+            raise ValueError(f"battery key {key} must be >= 1, got {cfg[key]}")
     seed = int(cfg["seed"])
     radius = float(cfg["radius"])
     rng = np.random.default_rng(seed)

@@ -16,12 +16,14 @@ def make_scalar_plant(a=2.0, c=0.1):
         space_U=sp,
         space_Z=sp,
         A=LinMap(sp, sp, matrix=amat),
-        F=lambda w: c * w**3,
-        dF=lambda w: LinMap(sp, sp, matrix=np.array([[3 * c * float(w[0]) ** 2]])),
         B=LinMap(sp, sp, matrix=np.eye(1)),
         C=LinMap(sp, sp, matrix=np.eye(1)),
         alpha_cert=a,
         lip_F=0.0 if c == 0 else 3 * c * 4.0,  # valid on |w| <= 2
+        K=np.eye(1),
+        S=np.eye(1),
+        sigma=lambda x: c * x**3,
+        dsigma=lambda x: 3 * c * x**2,
     )
 
 
@@ -39,25 +41,19 @@ def make_random_plant(dim=6, seed=5, alpha=1.0, nl=0.2):
     linv = np.linalg.inv(l)
     amat = linv.T @ (alpha * np.eye(dim) + skew) @ l.T
     k = rng.standard_normal((dim, dim)) / dim
-
-    def F(w):
-        return nl * (k @ np.tanh(w))
-
-    def dF(w):
-        jac = nl * (k * (1.0 / np.cosh(w) ** 2)[None, :])
-        return LinMap(sp, sp, matrix=jac)
-
     return Plant(
         name="random-tanh",
         space_H=sp,
         space_U=sp,
         space_Z=sp,
         A=LinMap(sp, sp, matrix=amat),
-        F=F,
-        dF=dF,
         B=LinMap(sp, sp, matrix=np.eye(dim)),
         C=LinMap(sp, sp, matrix=np.eye(dim)),
         alpha_cert=None,
         lip_F=nl * np.linalg.norm(k, 2),
+        K=nl * k,
+        S=np.eye(dim),
+        sigma=np.tanh,
+        dsigma=lambda x: 1.0 / np.cosh(x) ** 2,
     )
 

@@ -1,11 +1,16 @@
 """The benchmark's tracer (perfbench/spans.py) still finds every name it wraps.
 
-The tracer wraps package functions by name from outside the package, so a
-rename in the package would otherwise surface only in a traced benchmark run.
+The tracer wraps package functions by name from outside the package, and
+plant.F/plant.dF on the plant cli.build_plant returns, so a rename or a Plant
+change in the package would otherwise surface only in a traced benchmark run.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from forwardreg import cli, forwarding
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,3 +37,24 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for (obj, attr), orig in originals.items():
         assert obj.__dict__[attr] is orig, attr
+
+
+def test_traced_plant_runs_the_forwarding_kernels():
+    # the tracer wraps plant.F and plant.dF on the plant cli.build_plant
+    # returns; the forwarding kernels must still run on that plant
+    config = SPANS.parent / "configs" / "wilson_cowan.ini"
+    tracer = load_spans().Tracer("test", "0")
+    try:
+        tracer.install()
+        cfg = cli.load_config(str(config))
+        plant = cli.build_plant(cfg)
+        for attr in ("F", "dF"):
+            assert hasattr(plant.__dict__.get(attr), "__wrapped__"), attr
+        fmap = cli.build_fmap(plant, cfg)
+        w = plant.space_H.sample_ball(np.random.default_rng(0), 1.0)
+        ev = forwarding.StateEvaluation(fmap, w)
+        assert ev.nq > 0
+        k = forwarding.assemble_feedback_matrix(fmap, w)
+        assert k.shape == (fmap.dim_Z, fmap.dim_Z) and np.all(np.isfinite(k))
+    finally:
+        tracer.uninstall()

@@ -314,6 +314,17 @@ def test_verify_unknown_key_exit_2(tmp_path, capsys):
     assert not (out / "verify.json").exists()
 
 
+def test_verify_zero_sample_count_exit_2(tmp_path, capsys):
+    # a check run on no sample must not read as a pass
+    path = write_config(tmp_path, SCALAR_INI + "\n    [verify]\n    dissipation_runs = 0\n")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "dissipation_runs" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert not (out / "verify.json").exists()
+
+
 # -- sweep ----------------------------------------------------------------------
 
 

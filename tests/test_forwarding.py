@@ -275,6 +275,24 @@ def test_feedback_matrix_shape():
     assert k.shape == (2, 2)
 
 
+@pytest.mark.parametrize(
+    "make_plant, dt_quad",
+    [(lambda: make_sine_gordon(N=60, gamma=0.05), 1.0),
+     (lambda: make_wilson_cowan(n=32), 2.5)],
+    ids=["sine_gordon", "wilson_cowan"],
+)
+def test_feedback_matrix_is_the_columnwise_adjoint(make_plant, dt_quad):
+    # one block sweep of the Z basis == one vector sweep per basis direction
+    plant = make_plant()
+    fmap = build_forwarding(plant, dt_quad=dt_quad, tail_tol=1e-4)
+    w = plant.space_H.sample_ball(np.random.default_rng(7), 1.0)
+    ev = StateEvaluation(fmap, w)
+    assert ev.nq > 1
+    cols = np.column_stack([ev.dM_adjoint_B(e) for e in np.eye(fmap.dim_Z)])
+    k = assemble_feedback_matrix(fmap, w)
+    np.testing.assert_allclose(k, cols, rtol=1e-12, atol=1e-12 * np.abs(cols).max())
+
+
 # -- functional equation ------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from forwardreg.evolution import Plant
 from forwardreg.forwarding import build_forwarding, functional_equation_residual
-from forwardreg.plants import make_linear_benchmark, make_sine_gordon
+from forwardreg.plants import make_linear_benchmark, make_scalar_linear, make_sine_gordon
 from forwardreg.regulator import Scenario, simulate
 from forwardreg.spaces import LinMap, SpaceSpec
 from forwardreg.verify import (
@@ -37,8 +37,6 @@ def rank_deficient_benchmark(dim=6, alpha=0.8, seed=1):
         space_U=s2,
         space_Z=s2,
         A=LinMap(sp, sp, matrix=amat),
-        F=lambda w: np.zeros(dim),
-        dF=lambda w: LinMap(sp, sp, matrix=np.zeros((dim, dim))),
         B=LinMap(s2, sp, matrix=b),
         C=LinMap(sp, s2, matrix=c),
         alpha_cert=alpha,
@@ -217,6 +215,18 @@ def test_battery_rejects_unknown_config_key():
         run_battery(plant, fmap, {"duality_pair": 5})
 
 
+@pytest.mark.parametrize("key", [
+    "monotonicity_samples", "contraction_pairs", "decay_dirs", "funceq_samples",
+    "duality_pairs", "dissipation_runs", "coercivity_samples",
+])
+def test_battery_rejects_zero_sample_count(key):
+    # with no sample a sampled check would read its start value as a pass
+    plant = make_scalar_linear()
+    fmap = build_forwarding(plant, dt_quad=0.01)
+    with pytest.raises(ValueError, match=key):
+        run_battery(plant, fmap, {key: 0})
+
+
 def test_battery_identity_plant_passes():
     # A = I, F = 0, B = C = I: the simplest feasible loop
     dim = 3
@@ -226,8 +236,6 @@ def test_battery_identity_plant_passes():
         name="identity",
         space_H=sp, space_U=sp, space_Z=sp,
         A=LinMap(sp, sp, matrix=eye),
-        F=lambda w: np.zeros(dim),
-        dF=lambda w: LinMap(sp, sp, matrix=np.zeros((dim, dim))),
         B=LinMap(sp, sp, matrix=eye),
         C=LinMap(sp, sp, matrix=eye),
         alpha_cert=1.0,
