@@ -18,7 +18,6 @@ from .evolution import (
     OperatorSolver,
     Plant,
     Trajectory,
-    apply_nonlinear_A,
     adjoint_tangent_flow,
     contraction_check,
     estimate_alpha,
@@ -30,14 +29,11 @@ from .forwarding import (
     StateEvaluation,
     assemble_feedback_matrix,
     build_forwarding,
-    eval_M,
-    eval_dM,
     functional_equation_residual,
     linear_forwarding,
     uniform_coercivity_check,
 )
 from .regulator import (
-    ClosedLoopState,
     EquilibriumResult,
     RegulationReport,
     RunResult,
@@ -45,7 +41,6 @@ from .regulator import (
     convergence_report,
     feedback,
     find_equilibrium,
-    lyapunov,
     simulate,
 )
 from .plants import (
@@ -76,17 +71,15 @@ __all__ = [
     # spaces
     "LinMap", "SpaceSpec", "adjoint", "weighted_singular_values",
     # evolution
-    "OperatorSolver", "Plant", "Trajectory", "apply_nonlinear_A",
-    "adjoint_tangent_flow", "contraction_check", "estimate_alpha", "flow",
-    "tangent_flow",
+    "OperatorSolver", "Plant", "Trajectory", "adjoint_tangent_flow",
+    "contraction_check", "estimate_alpha", "flow", "tangent_flow",
     # forwarding
     "ForwardingMap", "StateEvaluation", "assemble_feedback_matrix",
-    "build_forwarding", "eval_M", "eval_dM", "functional_equation_residual",
-    "linear_forwarding", "uniform_coercivity_check",
+    "build_forwarding", "functional_equation_residual", "linear_forwarding",
+    "uniform_coercivity_check",
     # regulator
-    "ClosedLoopState", "EquilibriumResult", "RegulationReport", "RunResult",
-    "Scenario", "convergence_report", "feedback", "find_equilibrium",
-    "lyapunov", "simulate",
+    "EquilibriumResult", "RegulationReport", "RunResult", "Scenario",
+    "convergence_report", "feedback", "find_equilibrium", "simulate",
     # plants
     "SineGordonParams", "WilsonCowanParams", "compute_M_ks",
     "make_linear_benchmark", "make_scalar_linear", "make_sine_gordon",

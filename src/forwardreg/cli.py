@@ -64,8 +64,24 @@ class RunConfig:
         return f"config_sha256={self.sha256} version={__version__} seed={self.seed}"
 
 
+# the keys each section reads, checked by load_config; [plant] keys depend on
+# its kind, and [verify] keys are checked against BATTERY_DEFAULTS by cmd_verify
+FORWARDING_KEYS = ("dt_quad", "tail_tol", "tau_max", "tau_extra")
+SCENARIO_KEYS = ("label", "y_ref", "d_norm", "w0_norm", "t", "dt", "t_budget",
+                 "fit_equilibrium", "report_window")
+SWEEP_KEYS = ("d_norms", "y_ref_norms", "dt", "t_budget", "res_tol", "workers")
+OUTPUT_KEYS = ("dir", "seed")
+
+
 def _section_dict(cp: configparser.ConfigParser, name: str) -> dict:
     return dict(cp[name]) if cp.has_section(name) else {}
+
+
+def _check_keys(section: str, keys, known) -> None:
+    """Reject the first key of ``section`` that is not in ``known``."""
+    for key in keys:
+        if key not in known:
+            raise ValueError(f"unknown [{section}] key {key!r}")
 
 
 def load_config(
@@ -79,6 +95,9 @@ def load_config(
     cp.read_string(text)
     if not cp.has_section("plant"):
         raise ValueError("config needs a [plant] section")
+    for name, known in (("forwarding", FORWARDING_KEYS), ("sweep", SWEEP_KEYS),
+                        ("output", OUTPUT_KEYS)):
+        _check_keys(name, _section_dict(cp, name), known)
 
     output = _section_dict(cp, "output")
     seed = int(output.get("seed", 0))
@@ -92,6 +111,7 @@ def load_config(
     scenarios = []
     for name in sorted(s for s in cp.sections() if s.startswith("scenario")):
         sc = dict(cp[name])
+        _check_keys(name, sc, SCENARIO_KEYS)
         sc.setdefault("label", name.split(".", 1)[1] if "." in name else name)
         scenarios.append(sc)
 
@@ -329,10 +349,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def _parse_verify_config(cfg: RunConfig) -> dict:
     """Type each [verify] value like its battery default; unknown keys fail."""
+    _check_keys("verify", cfg.verify, BATTERY_DEFAULTS)
     out = {}
     for key, raw in cfg.verify.items():
-        if key not in BATTERY_DEFAULTS:
-            raise ValueError(f"unknown [verify] key {key!r}")
         kind = type(BATTERY_DEFAULTS[key])
         out[key] = tuple(_floats(raw)) if kind is tuple else kind(raw)
     out.setdefault("seed", cfg.seed)
@@ -415,6 +434,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     dt = float(sweep.get("dt", 0.05))
     t_budget = float(sweep.get("t_budget", 100.0))
     res_tol = float(sweep.get("res_tol", 1e-4))
+    # the horizon rule of every cell's search, applied before any cell runs
+    Scenario(y_ref=np.zeros(1), T=t_budget, dt=dt)
 
     jobs = [
         (cfg.plant, cfg.forwarding, dn, yn, cfg.seed, dt, t_budget, res_tol)

@@ -36,7 +36,6 @@ __all__ = [
     "Plant",
     "Trajectory",
     "OperatorSolver",
-    "apply_nonlinear_A",
     "forward_sweep",
     "reverse_sweep",
     "flow",
@@ -167,17 +166,8 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
     def __len__(self) -> int:
         return len(self.times)
-
-
-def apply_nonlinear_A(plant: Plant, w: np.ndarray) -> np.ndarray:
-    """Full drift A w + F(w)."""
-    return plant.A(w) + plant.F(w)
 
 
 def _check_step_size(plant: Plant, dt: float) -> None:
@@ -314,7 +304,8 @@ def estimate_alpha(
         nd2 = space.inner(d, d)
         if nd2 <= 1e-28:
             continue
-        q = space.inner(apply_nonlinear_A(plant, w1) - apply_nonlinear_A(plant, w2), d) / nd2
+        drift = (plant.A(w1) + plant.F(w1)) - (plant.A(w2) + plant.F(w2))
+        q = space.inner(drift, d) / nd2
         worst = min(worst, q)
     return float(worst)
 

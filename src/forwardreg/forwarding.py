@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import Plant, apply_nonlinear_A, forward_sweep, reverse_sweep
+from .evolution import Plant, forward_sweep, reverse_sweep
 from .spaces import LinMap, weighted_singular_values
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
     "StateEvaluation",
     "build_forwarding",
     "linear_forwarding",
-    "eval_M",
-    "eval_dM",
     "assemble_feedback_matrix",
     "uniform_coercivity_check",
     "functional_equation_residual",
@@ -227,9 +225,11 @@ class StateEvaluation:
     # -- primal evaluations -------------------------------------------------
 
     def M(self) -> np.ndarray:
+        """Forwarding map M(w) = -C A^{-1} (w - Q(w))."""
         return self.fmap.m_lin(self.w - self.q)
 
     def dM(self, h: np.ndarray) -> np.ndarray:
+        """Differential dM(w) h along the base flow at w."""
         h = np.asarray(h, dtype=float)
         if self.nq == 0:
             return self.fmap.m_lin(h)
@@ -269,16 +269,6 @@ class StateEvaluation:
         """
         gh = self._adjoint_gram_coords(zeta)
         return self.plant.space_U.solve_gram(self.fmap._b_mat.T @ gh)
-
-
-def eval_M(fmap: ForwardingMap, w: np.ndarray) -> np.ndarray:
-    """Forwarding map M(w) = -CA^{-1}(w - Q(w))."""
-    return StateEvaluation(fmap, w).M()
-
-
-def eval_dM(fmap: ForwardingMap, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Differential dM(w) h along the base flow at w."""
-    return StateEvaluation(fmap, w).dM(h)
 
 
 def assemble_feedback_matrix(fmap: ForwardingMap, w: np.ndarray) -> np.ndarray:
@@ -323,7 +313,7 @@ def functional_equation_residual(fmap: ForwardingMap, w: np.ndarray) -> float:
     """
     w = np.asarray(w, dtype=float)
     plant = fmap.plant
-    drift = apply_nonlinear_A(plant, w)
-    num = plant.space_Z.norm(eval_dM(fmap, w, drift) + plant.C(w))
+    drift = plant.A(w) + plant.F(w)
+    num = plant.space_Z.norm(StateEvaluation(fmap, w).dM(drift) + plant.C(w))
     den = plant.space_Z.norm(plant.C(w)) + plant.space_H.norm(drift) + 1e-14
     return float(num / den)

@@ -27,13 +27,11 @@ from .evolution import Plant
 from .forwarding import ForwardingMap, StateEvaluation
 
 __all__ = [
-    "ClosedLoopState",
     "Scenario",
     "RunResult",
     "RegulationReport",
     "EquilibriumResult",
     "feedback",
-    "lyapunov",
     "simulate",
     "find_equilibrium",
     "convergence_report",
@@ -48,14 +46,8 @@ _TAIL_STEPS = 20
 # convergence_report calls a run Lyapunov-monotone when no step raises V by
 # more than this
 _JUMP_TOL = 0.0
-
-
-@dataclass
-class ClosedLoopState:
-    """Plant state plus output-integrator state."""
-
-    w: np.ndarray
-    z: np.ndarray
+# simulate stops a run once the H-norm of its state passes this
+_DIVERGENCE_GUARD = 1e6
 
 
 @dataclass
@@ -74,8 +66,12 @@ class Scenario:
     z0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.T <= 0 or self.dt <= 0:
-            raise ValueError("scenario needs T > 0 and dt > 0")
+        for name in ("T", "dt"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"scenario {name} must be finite and positive, got {value}"
+                )
         self.y_ref = np.atleast_1d(np.asarray(self.y_ref, dtype=float))
 
 
@@ -106,8 +102,6 @@ class RunResult:
 class RegulationReport:
     """Empirical convergence metrics of one closed-loop run."""
 
-    w_star: np.ndarray
-    z_star: np.ndarray
     final_output_error: float
     averaged_output_error: float
     fitted_rate: Optional[float]
@@ -132,23 +126,17 @@ def _require_feasible(fmap: ForwardingMap) -> None:
         )
 
 
-def feedback(fmap: ForwardingMap, state: ClosedLoopState) -> np.ndarray:
+def feedback(fmap: ForwardingMap, w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Control u = B* dM(w)* (z - M(w))."""
     _require_feasible(fmap)
-    ev = StateEvaluation(fmap, state.w)
-    return ev.dM_adjoint_B(state.z - ev.M())
+    ev = StateEvaluation(fmap, w)
+    return ev.dM_adjoint_B(z - ev.M())
 
 
 def _energy(fmap: ForwardingMap, w: np.ndarray, eta: np.ndarray) -> float:
     """V at plant state w and integrator error eta = z - M(w)."""
     space_h, space_z = fmap.plant.space_H, fmap.plant.space_Z
     return 0.5 * space_h.inner(w, w) + 0.5 * fmap.rho * space_z.inner(eta, eta)
-
-
-def lyapunov(fmap: ForwardingMap, state: ClosedLoopState) -> float:
-    """V = 1/2 ||w||_H^2 + (rho/2) ||z - M(w)||_Z^2."""
-    _require_feasible(fmap)
-    return _energy(fmap, state.w, state.z - StateEvaluation(fmap, state.w).M())
 
 
 def _prep_scenario(plant: Plant, scenario: Scenario):
@@ -181,17 +169,12 @@ def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
         z = z + dt * (y - y_ref)
 
 
-def simulate(
-    plant: Plant,
-    fmap: ForwardingMap,
-    scenario: Scenario,
-    divergence_guard: float = 1e6,
-) -> RunResult:
+def simulate(plant: Plant, fmap: ForwardingMap, scenario: Scenario) -> RunResult:
     """Integrate the closed loop over the scenario horizon.
 
     Deterministic: no randomness anywhere in the loop. Returns a truncated
-    result with ``diverged=True`` when the H-norm of the state passes the
-    guard or stops being finite.
+    result with ``diverged=True`` when the H-norm of the state passes 1e6
+    or V stops being finite.
     """
     if plant is not fmap.plant:
         raise ValueError("fmap was built for a different plant")
@@ -214,7 +197,7 @@ def simulate(
     for k, (w, z, m, u, y) in enumerate(states):
         w_hist[k], z_hist[k], y_hist[k], u_hist[k], m_hist[k] = w, z, y, u, m
         v_hist[k] = _energy(fmap, w, z - m)
-        if not np.isfinite(v_hist[k]) or space_h.norm(w) > divergence_guard:
+        if not np.isfinite(v_hist[k]) or space_h.norm(w) > _DIVERGENCE_GUARD:
             diverged = True
             break
 
@@ -283,7 +266,7 @@ def find_equilibrium(
 
     w_star = np.mean(tail_w, axis=0)
     z_star = np.mean(tail_z, axis=0)
-    u_star = feedback(fmap, ClosedLoopState(w_star, z_star))
+    u_star = feedback(fmap, w_star, z_star)
     drift = -(plant.A(w_star) + plant.F(w_star)) + plant.B(u_star)
     if d_vec is not None:
         drift = drift + d_vec
@@ -352,8 +335,6 @@ def convergence_report(
     jumps = np.diff(result.v)
     max_jump = float(jumps.max()) if jumps.size else 0.0
     return RegulationReport(
-        w_star=w_star,
-        z_star=z_star,
         final_output_error=final_err,
         averaged_output_error=averaged,
         fitted_rate=fitted,

@@ -88,8 +88,7 @@ class SpaceSpec:
 class LinMap:
     """Dense linear map between two spaces.
 
-    ``rmatvec`` is the plain transpose. Adjoints are always Gram-weighted:
-    ``L* = G_dom^{-1} L^T G_cod``.
+    Adjoints are always Gram-weighted: ``L* = G_dom^{-1} L^T G_cod``.
     """
 
     def __init__(
@@ -112,10 +111,6 @@ class LinMap:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self._matrix @ x
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """Plain transpose application (no Gram weights)."""
-        return self._matrix.T @ y
 
     def as_matrix(self) -> np.ndarray:
         return self._matrix

@@ -26,8 +26,6 @@ from .evolution import (
 from .forwarding import (
     ForwardingMap,
     StateEvaluation,
-    eval_dM,
-    eval_M,
     functional_equation_residual,
     uniform_coercivity_check,
 )
@@ -162,7 +160,6 @@ class FDCheckTable:
     eps: tuple
     errors: tuple
     orders: tuple
-    direction_norm: float
 
 
 def fd_check_dM(
@@ -175,12 +172,14 @@ def fd_check_dM(
     eps_ladder = tuple(eps_ladder)
     if any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-    dm = eval_dM(fmap, w, h)
+    dm = StateEvaluation(fmap, w).dM(h)
     space_z = fmap.plant.space_Z
     scale = max(space_z.norm(dm), 1e-14)
     errors = []
     for eps in eps_ladder:
-        quotient = (eval_M(fmap, w + eps * h) - eval_M(fmap, w - eps * h)) / (2 * eps)
+        plus = StateEvaluation(fmap, w + eps * h).M()
+        minus = StateEvaluation(fmap, w - eps * h).M()
+        quotient = (plus - minus) / (2 * eps)
         errors.append(space_z.norm(quotient - dm) / scale)
     orders = []
     for (e0, e1), (x0, x1) in zip(zip(errors, errors[1:]), zip(eps_ladder, eps_ladder[1:])):
@@ -188,28 +187,24 @@ def fd_check_dM(
             orders.append(float(np.log(e0 / e1) / np.log(x0 / x1)))
         else:
             orders.append(float("nan"))
-    return FDCheckTable(
-        eps=eps_ladder,
-        errors=tuple(errors),
-        orders=tuple(orders),
-        direction_norm=float(space_z.norm(dm)),
-    )
+    return FDCheckTable(eps=eps_ladder, errors=tuple(errors), orders=tuple(orders))
 
 
 # -- sampling helpers ---------------------------------------------------------
 
+_SMOOTH_PASSES = 2
+_SMOOTH_STEP = 0.5
 
-def smooth_sample(
-    plant: Plant, rng: np.random.Generator, radius: float, passes: int = 2, s: float = 0.5
-) -> np.ndarray:
-    """Random state pushed through a few implicit steps to damp rough modes.
 
-    (I + s A)^{-passes} is a smoothing filter for the discretized operators
-    used here; rescaling restores the requested H-norm.
+def smooth_sample(plant: Plant, rng: np.random.Generator, radius: float) -> np.ndarray:
+    """Random state pushed through two implicit steps to damp rough modes.
+
+    (I + A/2)^{-2} is a smoothing filter for the discretized operators used
+    here; rescaling restores the requested H-norm.
     """
     w = plant.space_H.sample_ball(rng, radius)
-    for _ in range(passes):
-        w = plant.solver.solve_step(s, w)
+    for _ in range(_SMOOTH_PASSES):
+        w = plant.solver.solve_step(_SMOOTH_STEP, w)
     nrm = plant.space_H.norm(w)
     if nrm > 0:
         w = w * (radius / nrm) * float(rng.uniform(0.2, 1.0))
@@ -334,13 +329,13 @@ class VerificationReport:
     def failures(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         doc = {
             "overall": self.overall,
             "checks": {c.name: c.as_dict() for c in self.checks},
             "tables": self.tables,
         }
-        return json.dumps(doc, indent=indent, sort_keys=True, default=float)
+        return json.dumps(doc, indent=2, sort_keys=True, default=float)
 
 
 BATTERY_DEFAULTS = {
@@ -459,7 +454,7 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
                                   "le", "not runnable: no contraction certificate"))
 
     # forwarding map at the origin
-    m0 = space_z.norm(eval_M(fmap, np.zeros(plant.dim)))
+    m0 = space_z.norm(StateEvaluation(fmap, np.zeros(plant.dim)).M())
     checks.append(_check_le("forwarding_zero", m0, 1e-12))
 
     # functional equation on smooth sampled states

@@ -23,8 +23,6 @@ from forwardreg import (
     convergence_report,
     dense_linear_oracle,
     dissipation_constant,
-    eval_M,
-    eval_dM,
     fd_check_dM,
     find_equilibrium,
     functional_equation_residual,
@@ -70,7 +68,7 @@ def test_criterion_1_linear_oracle_equivalence(capfd):
     for _ in range(5):
         w = plant.space_H.sample_ball(rng, 2.0)
         ref = oracle.m_matrix @ w
-        num = plant.space_Z.norm(eval_M(fmap, w) - ref)
+        num = plant.space_Z.norm(StateEvaluation(fmap, w).M() - ref)
         m_err = max(m_err, num / max(plant.space_Z.norm(ref), 1e-14))
 
     w0 = plant.space_H.sample_ball(rng, 1.0)
@@ -97,7 +95,7 @@ def test_criterion_1_linear_oracle_equivalence(capfd):
     ok = (m_err <= 1e-8 and min(orders) >= 0.9 and eq_dev <= 1e-8
           and eq.output_residual <= 1e-8 and elapsed < 10.0)
     _report(capfd, 1, "linear-oracle-equivalence", ok,
-            f"eval_M={m_err:.1e} orders={orders[0]:.2f},{orders[1]:.2f} "
+            f"M={m_err:.1e} orders={orders[0]:.2f},{orders[1]:.2f} "
             f"eq={eq_dev:.1e} out={eq.output_residual:.1e} t={elapsed:.1f}s")
     # measured: 1.4e-15, orders 0.95/0.97, eq 1.1e-09, out 5.4e-11, 1.3 s
     assert m_err <= 1e-8
@@ -174,8 +172,9 @@ def test_criterion_4_differential_consistency(sine_gordon, capfd):
         (sine_gordon, f_sg, w, h),
     ):
         zeta = 0.7 * np.ones(plant.space_Z.dim)
-        lhs = plant.space_Z.inner(eval_dM(fmap, ws, hs), zeta)
-        rhs = plant.space_H.inner(hs, StateEvaluation(fmap, ws).dM_adjoint(zeta))
+        ev = StateEvaluation(fmap, ws)
+        lhs = plant.space_Z.inner(ev.dM(hs), zeta)
+        rhs = plant.space_H.inner(hs, ev.dM_adjoint(zeta))
         dual = max(dual, abs(lhs - rhs) / max(abs(lhs), 1e-14))
 
     ok = bool(tab_scalar.errors[-1] <= 1e-4 and tab_sg.errors[-1] <= 1e-3

@@ -115,6 +115,49 @@ def test_main_bad_inputs_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# section -> (command that reads it, stray key, SCALAR_INI line, its stand-in)
+STRAY_KEYS = {
+    "forwarding": ("gains", "tail_tl", "dt_quad = 0.01\n",
+                   "dt_quad = 0.01\n    tail_tl = 1e-9\n"),
+    "scenario.1": ("simulate", "t_bugdet", "t_budget = 400\n", "t_bugdet = 400\n"),
+    "sweep": ("sweep", "res_tl", "[output]\n",
+              "[sweep]\n    res_tl = 1e-6\n\n    [output]\n"),
+    "output": ("gains", "dri", "seed = 0\n", "seed = 0\n    dri = elsewhere\n"),
+}
+
+
+@pytest.mark.parametrize("section", sorted(STRAY_KEYS))
+def test_unknown_section_key_exit_2(tmp_path, capsys, section):
+    # a misspelt key must not fall back to its default silently
+    command, key, old, new = STRAY_KEYS[section]
+    assert SCALAR_INI.count(old) == 1
+    path = write_config(tmp_path, SCALAR_INI.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+    assert f"unknown [{section}] key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+CONFIG_FILES = sorted((CONFIG_DIR.parent / "perfbench" / "configs").glob("*.ini")) \
+    + sorted(CONFIG_DIR.glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES,
+                         ids=[f"{p.parent.name}/{p.name}" for p in CONFIG_FILES])
+def test_config_lint(path):
+    # every shipped and benchmark config passes the key checks; nothing runs
+    cfg = cli.load_config(str(path))
+    cli._parse_verify_config(cfg)
+
+
+def test_package_exports_resolve():
+    import forwardreg
+
+    missing = [name for name in forwardreg.__all__ if not hasattr(forwardreg, name)]
+    assert not missing
+    assert len(set(forwardreg.__all__)) == len(forwardreg.__all__)
+
+
 # -- gains ----------------------------------------------------------------------
 
 
@@ -226,6 +269,17 @@ def test_simulate_no_scenarios_exit_2(tmp_path):
         tmp_path, "[plant]\nkind = scalar_linear\n\n[forwarding]\ndt_quad = 0.01\n"
     )
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_simulate_non_finite_horizon_exit_2(tmp_path, capsys):
+    # an infinite or NaN horizon is an invalid config, not a divergence
+    for value in ("inf", "nan"):
+        path = write_config(tmp_path, SCALAR_INI.replace("t = 150", f"t = {value}"))
+        out = tmp_path / value
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario T must be finite and positive, got {value}" in err
+        assert not list(out.glob("scenario_*"))
 
 
 # -- verify ---------------------------------------------------------------------
@@ -390,6 +444,24 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert cli.main(["sweep", "--config", path, "--out", str(parallel),
                      "--workers", "2"]) == 0
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+
+def test_sweep_bad_horizon_exit_2(tmp_path, capsys):
+    # checked before any cell runs, so no grid of NaN rows reads as a result
+    for line in ("t_budget = inf", "dt = 0"):
+        body = SCALAR_INI + f"""
+    [sweep]
+    d_norms = 0, 0.05
+    y_ref_norms = 0, 0.1
+    {line}
+    """
+        path = write_config(tmp_path, body)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "must be finite and positive" in captured.err
+        assert "sweep:" not in captured.out
+        assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_infeasible_exit_2(tmp_path):

@@ -8,7 +8,6 @@ from forwardreg.evolution import (
     OperatorSolver,
     Plant,
     adjoint_tangent_flow,
-    apply_nonlinear_A,
     contraction_check,
     estimate_alpha,
     flow,
@@ -43,7 +42,7 @@ def test_flow_matches_bernoulli_closed_form():
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         traj = flow(p, np.array([1.0]), 0.5, dt)
-        errs.append(abs(traj.final[0] - wT_exact))
+        errs.append(abs(traj.states[-1, 0] - wT_exact))
     # first-order scheme: error halves with dt
     assert errs[0] < 5e-3
     order1 = np.log2(errs[0] / errs[1])
@@ -62,7 +61,7 @@ def test_trajectory_grid():
 def test_apply_nonlinear_A():
     p = make_scalar_plant(a=2.0, c=0.1)
     w = np.array([2.0])
-    assert apply_nonlinear_A(p, w)[0] == pytest.approx(2.0 * 2.0 + 0.1 * 8.0)
+    assert (p.A(w) + p.F(w))[0] == pytest.approx(2.0 * 2.0 + 0.1 * 8.0)
 
 
 def test_tangent_flow_matches_finite_difference():
@@ -76,8 +75,8 @@ def test_tangent_flow_matches_finite_difference():
     eps = 1e-6
     fp = flow(p, w0 + eps * h, T, dt)
     fm = flow(p, w0 - eps * h, T, dt)
-    fd = (fp.final - fm.final) / (2 * eps)
-    np.testing.assert_allclose(v.final, fd, atol=1e-7)
+    fd = (fp.states[-1] - fm.states[-1]) / (2 * eps)
+    np.testing.assert_allclose(v.states[-1], fd, atol=1e-7)
 
 
 def test_adjoint_tangent_duality_exact():
@@ -92,7 +91,7 @@ def test_adjoint_tangent_duality_exact():
         zeta = rng.standard_normal(p.dim)
         v = tangent_flow(p, base, h)
         r = adjoint_tangent_flow(p, base, zeta)
-        lhs = p.space_H.inner(v.final, zeta)
+        lhs = p.space_H.inner(v.states[-1], zeta)
         rhs = p.space_H.inner(h, r.states[0])
         assert lhs == pytest.approx(rhs, rel=1e-10)
 

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from forwardreg.evolution import apply_nonlinear_A, flow
+from forwardreg.evolution import flow
 from forwardreg.forwarding import (
     StateEvaluation,
     assemble_feedback_matrix,
     build_forwarding,
-    eval_M,
-    eval_dM,
     functional_equation_residual,
     linear_forwarding,
     uniform_coercivity_check,
@@ -46,12 +44,12 @@ def test_linear_forwarding_round_trip():
         np.testing.assert_allclose(-m(p.A(w)), p.C(w), rtol=1e-10, atol=1e-12)
 
 
-# -- eval_M ------------------------------------------------------------------
+# -- M -----------------------------------------------------------------------
 
 
 def test_eval_M_zero_state():
     fmap = build_forwarding(make_scalar_plant(), dt_quad=0.01)
-    assert eval_M(fmap, np.zeros(1))[0] == 0.0
+    assert StateEvaluation(fmap, np.zeros(1)).M()[0] == 0.0
 
 
 def test_eval_M_linear_plant():
@@ -61,7 +59,9 @@ def test_eval_M_linear_plant():
     rng = np.random.default_rng(1)
     for _ in range(5):
         w = rng.standard_normal(6)
-        np.testing.assert_allclose(eval_M(fmap, w), m(w), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            StateEvaluation(fmap, w).M(), m(w), rtol=1e-12, atol=1e-14
+        )
 
 
 def test_eval_M_scalar_closed_form():
@@ -69,7 +69,7 @@ def test_eval_M_scalar_closed_form():
     # the first-order flow inside the quadrature converges at ~0.015*dt_quad
     M_exact = -0.49190807168893447
     fmap = build_forwarding(make_scalar_plant(), dt_quad=4e-4, tail_tol=1e-9)
-    got = eval_M(fmap, np.array([1.0]))[0]
+    got = StateEvaluation(fmap, np.array([1.0])).M()[0]
     assert got == pytest.approx(M_exact, rel=1e-5)
 
 
@@ -80,7 +80,8 @@ def test_eval_M_refinement_agreement():
     tau = coarse.horizon(1.0)
     fine = build_forwarding(p, dt_quad=5e-5, tail_tol=1e-8, tau_extra=tau)
     w = np.array([1.0])
-    assert eval_M(coarse, w)[0] == pytest.approx(eval_M(fine, w)[0], rel=1e-5)
+    got = StateEvaluation(coarse, w).M()[0]
+    assert got == pytest.approx(StateEvaluation(fine, w).M()[0], rel=1e-5)
 
 
 def test_integral_formula_consistency():
@@ -118,13 +119,15 @@ def test_base_trajectory_is_the_plant_flow(make_plant, dt_quad):
     assert np.array_equal(traj.states, ev.base_states)
 
 
-# -- eval_dM -----------------------------------------------------------------
+# -- dM ----------------------------------------------------------------------
 
 
 def test_eval_dM_zero_direction():
     fmap = make_random_fmap()
     w = np.ones(6) * 0.4
-    np.testing.assert_allclose(eval_dM(fmap, w, np.zeros(6)), 0.0, atol=1e-14)
+    np.testing.assert_allclose(
+        StateEvaluation(fmap, w).dM(np.zeros(6)), 0.0, atol=1e-14
+    )
 
 
 def test_eval_dM_at_origin_is_linear_part():
@@ -132,7 +135,7 @@ def test_eval_dM_at_origin_is_linear_part():
     rng = np.random.default_rng(3)
     h = rng.standard_normal(6)
     np.testing.assert_allclose(
-        eval_dM(fmap, np.zeros(6), h), fmap.m_lin(h), rtol=1e-12
+        StateEvaluation(fmap, np.zeros(6)).dM(h), fmap.m_lin(h), rtol=1e-12
     )
 
 
@@ -142,8 +145,9 @@ def test_eval_dM_linearity():
     w = fmap.plant.space_H.sample_ball(rng, 0.8)
     h1 = rng.standard_normal(6)
     h2 = rng.standard_normal(6)
-    lhs = eval_dM(fmap, w, 2.0 * h1 - 3.0 * h2)
-    rhs = 2.0 * eval_dM(fmap, w, h1) - 3.0 * eval_dM(fmap, w, h2)
+    ev = StateEvaluation(fmap, w)
+    lhs = ev.dM(2.0 * h1 - 3.0 * h2)
+    rhs = 2.0 * ev.dM(h1) - 3.0 * ev.dM(h2)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
 
 
@@ -152,8 +156,10 @@ def test_eval_dM_matches_finite_difference_scalar():
     w = np.array([0.7])
     h = np.array([1.0])
     eps = 1e-4
-    fd = (eval_M(fmap, w + eps * h) - eval_M(fmap, w - eps * h)) / (2 * eps)
-    got = eval_dM(fmap, w, h)
+    fd = (
+        StateEvaluation(fmap, w + eps * h).M() - StateEvaluation(fmap, w - eps * h).M()
+    ) / (2 * eps)
+    got = StateEvaluation(fmap, w).dM(h)
     assert got[0] == pytest.approx(fd[0], rel=1e-4)
 
 
@@ -169,8 +175,9 @@ def test_dM_adjoint_duality():
         w = p.space_H.sample_ball(rng, 1.0)
         h = rng.standard_normal(p.dim)
         zeta = rng.standard_normal(p.space_Z.dim)
-        lhs = p.space_Z.inner(eval_dM(fmap, w, h), zeta)
-        rhs = p.space_H.inner(h, StateEvaluation(fmap, w).dM_adjoint(zeta))
+        ev = StateEvaluation(fmap, w)
+        lhs = p.space_Z.inner(ev.dM(h), zeta)
+        rhs = p.space_H.inner(h, ev.dM_adjoint(zeta))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -206,8 +213,8 @@ def test_shared_evaluation_consistency():
     ev = StateEvaluation(fmap, w)
     h = rng.standard_normal(6)
     zeta = rng.standard_normal(6)
-    np.testing.assert_allclose(ev.M(), eval_M(fmap, w), rtol=1e-14)
-    np.testing.assert_allclose(ev.dM(h), eval_dM(fmap, w, h), rtol=1e-14)
+    np.testing.assert_allclose(ev.M(), StateEvaluation(fmap, w).M(), rtol=1e-14)
+    np.testing.assert_allclose(ev.dM(h), StateEvaluation(fmap, w).dM(h), rtol=1e-14)
     np.testing.assert_allclose(
         ev.dM_adjoint_B(zeta), StateEvaluation(fmap, w).dM_adjoint_B(zeta), rtol=1e-14
     )
@@ -324,8 +331,13 @@ def test_functional_equation_scalar_refines():
 
 
 def test_drift_helper_used_by_residual():
+    # the residual applies dM(w) to the full drift A w + F(w) = 2.1 at w = 1
     p = make_scalar_plant(a=2.0, c=0.1)
-    assert apply_nonlinear_A(p, np.array([1.0]))[0] == pytest.approx(2.1)
+    fmap = build_forwarding(p, dt_quad=0.01, tail_tol=1e-8)
+    w = np.array([1.0])
+    num = abs(StateEvaluation(fmap, w).dM(np.array([2.1]))[0] + 1.0)
+    expect = num / (1.0 + 2.1 + 1e-14)
+    assert functional_equation_residual(fmap, w) == pytest.approx(expect, rel=1e-12)
 
 
 # -- horizon ------------------------------------------------------------------

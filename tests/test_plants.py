@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from forwardreg.evolution import apply_nonlinear_A, estimate_alpha
+from forwardreg.evolution import estimate_alpha
 from forwardreg.forwarding import linear_forwarding
 from forwardreg.plants import (
     SineGordonParams,
@@ -89,7 +89,7 @@ def test_sine_gordon_drift_structure():
     theta = rng.standard_normal(n)
     zeta = rng.standard_normal(n)
     w = np.concatenate([theta, zeta])
-    aw = apply_nonlinear_A(plant, w)
+    aw = plant.A(w) + plant.F(w)
     # first block: -zeta exactly; second: D2 theta + gamma sin(theta) + xi zeta
     assert np.allclose(aw[:n], -zeta)
     params = plant.meta["params"]
@@ -132,17 +132,6 @@ def test_sine_gordon_df_matches_finite_differences():
     step = 1e-6
     fd = (plant.F(w + step * h) - plant.F(w - step * h)) / (2 * step)
     assert np.allclose(plant.dF(w)(h), fd, atol=1e-8)
-
-
-def test_sine_gordon_df_rmatvec_duality():
-    plant = make_sine_gordon(N=15)
-    rng = np.random.default_rng(9)
-    w = rng.standard_normal(plant.dim)
-    jac = plant.dF(w)
-    for _ in range(4):
-        a = rng.standard_normal(plant.dim)
-        b = rng.standard_normal(plant.dim)
-        assert b @ jac(a) == pytest.approx(jac.rmatvec(b) @ a, rel=1e-12, abs=1e-12)
 
 
 def test_sine_gordon_lipschitz_bound_holds_on_samples():
@@ -227,7 +216,7 @@ def test_wilson_cowan_drift_and_nonlinearity():
     h = wc.meta["h"]
     kop = 0.1 * h * np.ones((8, 8))
     expect = 0.3 * w + kop @ np.tanh(w)  # A w + F(w) collapses the split
-    assert np.allclose(apply_nonlinear_A(wc, w), expect)
+    assert np.allclose(wc.A(w) + wc.F(w), expect)
 
 
 def test_wilson_cowan_df_matches_finite_differences():
@@ -238,8 +227,6 @@ def test_wilson_cowan_df_matches_finite_differences():
     step = 1e-6
     fd = (wc.F(w + step * h) - wc.F(w - step * h)) / (2 * step)
     assert np.allclose(wc.dF(w)(h), fd, atol=1e-9)
-    r = rng.standard_normal(12)
-    assert r @ wc.dF(w)(h) == pytest.approx(wc.dF(w).rmatvec(r) @ h, rel=1e-12)
 
 
 def test_wilson_cowan_lipschitz_bound_holds_on_samples():

@@ -4,12 +4,11 @@ import pytest
 from forwardreg.forwarding import StateEvaluation, build_forwarding
 from forwardreg.plants import make_scalar_linear
 from forwardreg.regulator import (
-    ClosedLoopState,
+    _DIVERGENCE_GUARD,
     Scenario,
     convergence_report,
     feedback,
     find_equilibrium,
-    lyapunov,
     simulate,
 )
 
@@ -37,6 +36,10 @@ def test_scenario_rejects_bad_horizon():
         Scenario(y_ref=np.zeros(1), T=0.0, dt=0.1)
     with pytest.raises(ValueError):
         Scenario(y_ref=np.zeros(1), T=1.0, dt=-0.1)
+    # a non-finite horizon or step is named, not left to the step count
+    for T, dt in ((np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Scenario(y_ref=np.zeros(1), T=T, dt=dt)
 
 
 def test_simulate_rejects_mismatched_reference(unit_loop):
@@ -51,7 +54,7 @@ def test_simulate_rejects_mismatched_reference(unit_loop):
 def test_feedback_hand_value(unit_loop):
     # A = 2, B = C = 1: M(1) = -1/2, so u = (-1/2)(0 - (-1/2)) = -1/4
     plant, fmap = unit_loop
-    u = feedback(fmap, ClosedLoopState(np.array([1.0]), np.array([0.0])))
+    u = feedback(fmap, np.array([1.0]), np.array([0.0]))
     assert u[0] == pytest.approx(-0.25, abs=1e-12)
 
 
@@ -59,14 +62,14 @@ def test_feedback_vanishes_on_manifold(unit_loop):
     plant, fmap = unit_loop
     w = np.array([0.7])
     z = StateEvaluation(fmap, w).M()
-    u = feedback(fmap, ClosedLoopState(w, z))
+    u = feedback(fmap, w, z)
     assert abs(u[0]) < 1e-14
 
 
 def test_feedback_at_origin_is_linear_gain(unit_loop):
     plant, fmap = unit_loop
     zeta = np.array([0.8])
-    u = feedback(fmap, ClosedLoopState(np.zeros(1), zeta))
+    u = feedback(fmap, np.zeros(1), zeta)
     # u = B*(-C A^{-1})* zeta = (-1/2) * 0.8
     assert u[0] == pytest.approx(-0.4, abs=1e-12)
 
@@ -76,19 +79,25 @@ def test_feedback_requires_feasible_map():
     fmap = build_forwarding(plant, dt_quad=0.01)
     assert not fmap.feasible
     with pytest.raises(ValueError):
-        feedback(fmap, ClosedLoopState(np.ones(1), np.zeros(1)))
+        feedback(fmap, np.ones(1), np.zeros(1))
+
+
+def lyapunov_at(fmap, w, z):
+    """V at (w, z): the first value of a one-step run started there."""
+    sc = Scenario(y_ref=np.zeros(1), T=0.1, dt=0.1, w0=w, z0=z)
+    return simulate(fmap.plant, fmap, sc).v[0]
 
 
 def test_lyapunov_hand_values(unit_loop):
     plant, fmap = unit_loop
-    assert lyapunov(fmap, ClosedLoopState(np.zeros(1), np.zeros(1))) == 0.0
-    state = ClosedLoopState(np.array([1.0]), np.array([0.0]))
+    assert lyapunov_at(fmap, np.zeros(1), np.zeros(1)) == 0.0
+    w, z = np.array([1.0]), np.array([0.0])
     # derived rho is 1 here: V = 1/2 + (1/2)(1/2)^2
-    assert lyapunov(fmap, state) == pytest.approx(0.625, abs=1e-12)
+    assert lyapunov_at(fmap, w, z) == pytest.approx(0.625, abs=1e-12)
     # with rho forced to 4: V = 1/2 + 2 (1/2)^2 = 1.0
     fmap_rho4 = build_forwarding(plant, dt_quad=0.01)
     fmap_rho4.rho = 4.0
-    assert lyapunov(fmap_rho4, state) == pytest.approx(1.0, abs=1e-12)
+    assert lyapunov_at(fmap_rho4, w, z) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lyapunov_dominates_state_energy(unit_loop):
@@ -97,8 +106,7 @@ def test_lyapunov_dominates_state_energy(unit_loop):
     for _ in range(10):
         w = rng.standard_normal(1)
         z = rng.standard_normal(1)
-        v = lyapunov(fmap, ClosedLoopState(w, z))
-        assert v >= 0.5 * w[0] ** 2 - 1e-15
+        assert lyapunov_at(fmap, w, z) >= 0.5 * w[0] ** 2 - 1e-15
 
 
 # -- simulate -----------------------------------------------------------------
@@ -149,9 +157,13 @@ def test_simulate_divergence_guard_truncates(fast_loop):
 
 def test_simulate_guard_threshold_respected(unit_loop):
     plant, fmap = unit_loop
-    sc = Scenario(y_ref=np.zeros(1), T=5.0, dt=0.1, w0=np.array([1.0]))
-    r = simulate(plant, fmap, sc, divergence_guard=1e-4)
+    # a start past the guard is cut at once; one inside it runs to the end
+    w0 = np.array([1.5 * _DIVERGENCE_GUARD])
+    r = simulate(plant, fmap, Scenario(y_ref=np.zeros(1), T=5.0, dt=0.1, w0=w0))
     assert r.diverged and len(r) == 1
+    w0 = np.array([0.5 * _DIVERGENCE_GUARD])
+    r = simulate(plant, fmap, Scenario(y_ref=np.zeros(1), T=5.0, dt=0.1, w0=w0))
+    assert not r.diverged and len(r) == 51
 
 
 # -- equilibria ---------------------------------------------------------------
