@@ -8,12 +8,7 @@ verification battery for the standing assumptions.
 
 __version__ = "0.1.0"
 
-from .spaces import (
-    LinMap,
-    SpaceSpec,
-    adjoint,
-    weighted_singular_values,
-)
+from .spaces import SpaceSpec, adjoint, weighted_singular_values
 from .evolution import (
     OperatorSolver,
     Plant,
@@ -69,7 +64,7 @@ from .verify import (
 __all__ = [
     "__version__",
     # spaces
-    "LinMap", "SpaceSpec", "adjoint", "weighted_singular_values",
+    "SpaceSpec", "adjoint", "weighted_singular_values",
     # evolution
     "OperatorSolver", "Plant", "Trajectory", "adjoint_tangent_flow",
     "contraction_check", "estimate_alpha", "flow", "tangent_flow",

@@ -31,7 +31,6 @@ from .plants import (
     make_wilson_cowan,
 )
 from .regulator import Scenario, convergence_report, find_equilibrium, simulate
-from .spaces import LinMap
 from .verify import BATTERY_DEFAULTS, run_battery, smooth_sample
 
 __all__ = ["RunConfig", "load_config", "cmd_gains", "cmd_simulate", "cmd_verify",
@@ -66,6 +65,12 @@ class RunConfig:
 
 # the keys each section reads, checked by load_config; [plant] keys depend on
 # its kind, and [verify] keys are checked against BATTERY_DEFAULTS by cmd_verify
+PLANT_KEYS = {
+    "sine_gordon": ("kind", "n", "l", "xi", "gamma", "window"),
+    "wilson_cowan": ("kind", "n", "alpha_gain", "kernel"),
+    "linear_benchmark": ("kind", "dim", "alpha", "seed", "dim_out", "rank_deficient"),
+    "scalar_linear": ("kind", "a", "b", "c"),
+}
 FORWARDING_KEYS = ("dt_quad", "tail_tol", "tau_max", "tau_extra")
 SCENARIO_KEYS = ("label", "y_ref", "d_norm", "w0_norm", "t", "dt", "t_budget",
                  "fit_equilibrium", "report_window")
@@ -95,6 +100,11 @@ def load_config(
     cp.read_string(text)
     if not cp.has_section("plant"):
         raise ValueError("config needs a [plant] section")
+    plant = dict(cp["plant"])
+    kind = plant.get("kind", "").strip()
+    if kind not in PLANT_KEYS:
+        raise ValueError(f"unknown plant kind {kind!r}")
+    _check_keys("plant", plant, PLANT_KEYS[kind])
     for name, known in (("forwarding", FORWARDING_KEYS), ("sweep", SWEEP_KEYS),
                         ("output", OUTPUT_KEYS)):
         _check_keys(name, _section_dict(cp, name), known)
@@ -117,7 +127,7 @@ def load_config(
 
     digest = hashlib.sha256(f"{text}\nseed={seed}".encode()).hexdigest()[:16]
     return RunConfig(
-        plant=_section_dict(cp, "plant"),
+        plant=plant,
         forwarding=_section_dict(cp, "forwarding"),
         scenarios=scenarios,
         verify=_section_dict(cp, "verify"),
@@ -163,12 +173,10 @@ def build_plant(cfg: RunConfig) -> Plant:
         if p.get("rank_deficient", "").lower() in ("1", "true", "yes"):
             # negative-control variant: duplicate an output row so CA^-1 B
             # loses rank and the battery must detect lambda = 0
-            cmat = plant.C.as_matrix().copy()
-            if cmat.shape[0] > 1:
-                cmat[-1] = cmat[0]
+            if plant.C.shape[0] > 1:
+                plant.C[-1] = plant.C[0]
             else:
-                cmat[:] = 0.0
-            plant.C = LinMap(plant.space_H, plant.space_Z, matrix=cmat)
+                plant.C[:] = 0.0
         return plant
     if kind == "scalar_linear":
         return make_scalar_linear(
@@ -209,6 +217,16 @@ def _write_json(path: Path, tag: str, doc: dict) -> None:
     doc = dict(doc)
     doc["meta"] = tag
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n")
+
+
+def _scenario_horizons(sc: dict) -> tuple[float, float, float]:
+    """(t, dt, t_budget) of a scenario section, each finite and positive."""
+    t, dt = float(sc.get("t", 10.0)), float(sc.get("dt", 0.05))
+    t_budget = float(sc.get("t_budget", t))
+    for name, value in (("T", t), ("dt", dt), ("t_budget", t_budget)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"scenario {name} must be finite and positive, got {value}")
+    return t, dt, t_budget
 
 
 def _scenario_vectors(plant: Plant, sc: dict, seed: int, index: int):
@@ -265,6 +283,8 @@ def cmd_gains(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Run each scenario; write a trajectory CSV and a report JSON apiece."""
+    # every scenario's horizons are checked before the first one runs
+    horizons = [_scenario_horizons(sc) for sc in cfg.scenarios]
     plant = build_plant(cfg)
     fmap = build_fmap(plant, cfg)
     if not fmap.feasible:
@@ -276,25 +296,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
     cfg.outdir.mkdir(parents=True, exist_ok=True)
 
     any_diverged = False
-    for index, sc in enumerate(cfg.scenarios):
+    for index, (sc, (t, dt, t_budget)) in enumerate(zip(cfg.scenarios, horizons)):
         label = sc.get("label", str(index))
         y_ref, d, w0 = _scenario_vectors(plant, sc, cfg.seed, index)
-        scenario = Scenario(
-            y_ref=y_ref,
-            T=float(sc.get("t", 10.0)),
-            dt=float(sc.get("dt", 0.05)),
-            d=d,
-            w0=w0,
-        )
+        scenario = Scenario(y_ref=y_ref, T=t, dt=dt, d=d, w0=w0)
         run = simulate(plant, fmap, scenario)
 
         w_star = z_star = None
         eq_doc = None
         if not run.diverged and sc.get("fit_equilibrium", "true").lower() != "false":
             w_star, z_star, eq = find_equilibrium(
-                plant, fmap, d, y_ref,
-                dt=scenario.dt,
-                t_budget=float(sc.get("t_budget", scenario.T)),
+                plant, fmap, d, y_ref, dt=dt, t_budget=t_budget
             )
             eq_doc = asdict(eq)
 

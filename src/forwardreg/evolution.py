@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .spaces import LinMap, SpaceSpec
+from .spaces import SpaceSpec
 
 __all__ = [
     "Plant",
@@ -77,8 +77,11 @@ class OperatorSolver:
 class Plant:
     """Semilinear plant dw/dt + A w + F(w) = B u, y = C w, F(w) = K sigma(S w).
 
-    The semilinear part is structured: ``K`` is (dim, m), ``S`` is (m, dim)
-    and ``sigma``/``dsigma`` are an elementwise function on R^m and its
+    ``A`` (dim, dim), ``B`` (dim, dim_U) and ``C`` (dim_Z, dim) are float
+    matrices (``plant.A @ w``), shape-checked once; the geometry of H, U and
+    Z lives only in ``space_H``, ``space_U`` and ``space_Z``. The semilinear
+    part is structured: ``K`` is (dim, m), ``S`` is (m, dim) and
+    ``sigma``/``dsigma`` are an elementwise function on R^m and its
     derivative, with sigma(0) = 0. A linear plant passes none of them
     (m = 0). ``alpha_cert`` is the certified monotonicity margin of
     A + dF(.) in the H product, or None when the construction could not
@@ -91,9 +94,9 @@ class Plant:
     space_H: SpaceSpec
     space_U: SpaceSpec
     space_Z: SpaceSpec
-    A: LinMap
-    B: LinMap
-    C: LinMap
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
     solver: OperatorSolver = field(init=False)
     alpha_cert: Optional[float]
     lip_F: float
@@ -105,6 +108,12 @@ class Plant:
 
     def __post_init__(self):
         dim = self.space_H.dim
+        for name, shape in (("A", (dim, dim)), ("B", (dim, self.space_U.dim)),
+                            ("C", (self.space_Z.dim, dim))):
+            mat = np.asarray(getattr(self, name), dtype=float)
+            if mat.shape != shape:
+                raise ValueError(f"{name} must be {shape}, got {mat.shape}")
+            setattr(self, name, mat)
         if self.K is None:
             self.K, self.S = np.zeros((dim, 0)), np.zeros((0, dim))
             self.sigma = self.dsigma = np.zeros_like
@@ -117,7 +126,7 @@ class Plant:
             )
         if np.any(self.sigma(np.zeros(m)) != 0.0):
             raise ValueError("sigma(0) must be 0")
-        self.solver = OperatorSolver(self.A.as_matrix())
+        self.solver = OperatorSolver(self.A)
         self._sweeps: dict = {}
 
     @property
@@ -129,10 +138,9 @@ class Plant:
             return np.zeros(self.dim)
         return self.K @ self.sigma(self.S @ w)
 
-    def dF(self, w: np.ndarray) -> LinMap:
-        """Jacobian K diag(sigma'(S w)) S of F at w, as a dense LinMap on H."""
-        jac = self.K @ (self.dsigma(self.S @ w)[:, None] * self.S)
-        return LinMap(self.space_H, self.space_H, matrix=jac)
+    def dF(self, w: np.ndarray) -> np.ndarray:
+        """Dense Jacobian K diag(sigma'(S w)) S of F at w."""
+        return self.K @ (self.dsigma(self.S @ w)[:, None] * self.S)
 
     def sweep_matrices(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """([P; S], dt P K, [P^T; -dt K^T P^T]) with P = (I + dt A)^{-1}.
@@ -304,7 +312,7 @@ def estimate_alpha(
         nd2 = space.inner(d, d)
         if nd2 <= 1e-28:
             continue
-        drift = (plant.A(w1) + plant.F(w1)) - (plant.A(w2) + plant.F(w2))
+        drift = (plant.A @ w1 + plant.F(w1)) - (plant.A @ w2 + plant.F(w2))
         q = space.inner(drift, d) / nd2
         worst = min(worst, q)
     return float(worst)

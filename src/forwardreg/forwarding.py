@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .evolution import Plant, forward_sweep, reverse_sweep
-from .spaces import LinMap, weighted_singular_values
+from .spaces import weighted_singular_values
 
 __all__ = [
     "ForwardingMap",
@@ -46,14 +46,12 @@ __all__ = [
 _RANK_EPS = 1e-8
 
 
-def linear_forwarding(plant: Plant) -> LinMap:
-    """The linear part -C A^{-1} as a dense map H -> Z.
+def linear_forwarding(plant: Plant) -> np.ndarray:
+    """The linear part -C A^{-1}, the (dim_Z, dim) matrix of a map H -> Z.
 
     Assembled with dim(Z) transposed solves: C A^{-1} = (A^{-T} C^T)^T.
     """
-    c_mat = plant.C.as_matrix()
-    x = plant.solver.solve_a(c_mat.T, transpose=True)
-    return LinMap(plant.space_H, plant.space_Z, matrix=-x.T, label="M_lin")
+    return -plant.solver.solve_a(plant.C.T, transpose=True).T
 
 
 class ForwardingMap:
@@ -65,7 +63,7 @@ class ForwardingMap:
 
     Attributes
     ----------
-    m_lin : LinMap
+    m_lin : (dim_Z, dim) array
         The linear part -C A^{-1}.
     tau_max : float
         Ceiling on the per-evaluation quadrature horizon.
@@ -93,22 +91,18 @@ class ForwardingMap:
         self.tau_max = float(tau_max)
         self.tau_extra = float(tau_extra)
 
+        space_h, space_u, space_z = plant.space_H, plant.space_U, plant.space_Z
         self.m_lin = linear_forwarding(plant)
-        self.ca_inv_norm = float(weighted_singular_values(self.m_lin)[0])
+        self.ca_inv_norm = float(weighted_singular_values(self.m_lin, space_h, space_z)[0])
         # Gram-multiplied pieces reused by every adjoint evaluation:
         # psi_tilde = G_H M_lin* zeta = M_lin^T G_Z zeta
-        self._mlin_t_gz = np.ascontiguousarray(
-            self.m_lin.as_matrix().T @ plant.space_Z.gram
-        )
-        self._b_mat = plant.B.as_matrix()
+        self._mlin_t_gz = np.ascontiguousarray(self.m_lin.T @ space_z.gram)
 
-        svals_b = weighted_singular_values(plant.B)
+        svals_b = weighted_singular_values(plant.B, space_u, space_h)
         self.b_norm = float(svals_b[0]) if svals_b.size else 0.0
 
         k0 = assemble_feedback_matrix(self, np.zeros(plant.dim))
-        svals = weighted_singular_values(
-            LinMap(plant.space_Z, plant.space_U, matrix=k0)
-        )
+        svals = weighted_singular_values(k0, space_z, space_u)
         smax = float(svals[0]) if svals.size else 0.0
         smin = float(svals[-1]) if svals.size else 0.0
         self.lam = smin**2
@@ -117,7 +111,7 @@ class ForwardingMap:
         # stiffness of the explicit integrator update: spectral radius of the
         # eta-block M B K; the z-step is only stable for dt well below
         # 2 / loop_gain, so simulation drivers clamp their dt with this
-        eta_block = self.m_lin.as_matrix() @ self._b_mat @ k0
+        eta_block = self.m_lin @ plant.B @ k0
         eigs = np.linalg.eigvals(eta_block) if eta_block.size else np.zeros(0)
         self.loop_gain = float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
@@ -226,18 +220,18 @@ class StateEvaluation:
 
     def M(self) -> np.ndarray:
         """Forwarding map M(w) = -C A^{-1} (w - Q(w))."""
-        return self.fmap.m_lin(self.w - self.q)
+        return self.fmap.m_lin @ (self.w - self.q)
 
     def dM(self, h: np.ndarray) -> np.ndarray:
         """Differential dM(w) h along the base flow at w."""
         h = np.asarray(h, dtype=float)
         if self.nq == 0:
-            return self.fmap.m_lin(h)
+            return self.fmap.m_lin @ h
         D = self._slopes
         _, qs = forward_sweep(
             self._ps, self._pk, self.fmap.dt_quad, h, lambda k, y: D[k] * y, self.nq
         )
-        return self.fmap.m_lin(h - self.plant.K @ qs)
+        return self.fmap.m_lin @ (h - self.plant.K @ qs)
 
     # -- adjoint evaluations ------------------------------------------------
 
@@ -268,7 +262,7 @@ class StateEvaluation:
         A (dim_Z, c) block of directions gives the (dim_U, c) block.
         """
         gh = self._adjoint_gram_coords(zeta)
-        return self.plant.space_U.solve_gram(self.fmap._b_mat.T @ gh)
+        return self.plant.space_U.solve_gram(self.plant.B.T @ gh)
 
 
 def assemble_feedback_matrix(fmap: ForwardingMap, w: np.ndarray) -> np.ndarray:
@@ -296,9 +290,7 @@ def uniform_coercivity_check(
     for _ in range(n_samples):
         w = space.sample_ball(rng, radius) if radius > 0 else np.zeros(space.dim)
         k_mat = assemble_feedback_matrix(fmap, w)
-        svals = weighted_singular_values(
-            LinMap(fmap.plant.space_Z, fmap.plant.space_U, matrix=k_mat)
-        )
+        svals = weighted_singular_values(k_mat, fmap.plant.space_Z, fmap.plant.space_U)
         smin = float(svals[-1]) if svals.size else 0.0
         worst = min(worst, smin**2)
     return float(worst)
@@ -313,7 +305,8 @@ def functional_equation_residual(fmap: ForwardingMap, w: np.ndarray) -> float:
     """
     w = np.asarray(w, dtype=float)
     plant = fmap.plant
-    drift = plant.A(w) + plant.F(w)
-    num = plant.space_Z.norm(StateEvaluation(fmap, w).dM(drift) + plant.C(w))
-    den = plant.space_Z.norm(plant.C(w)) + plant.space_H.norm(drift) + 1e-14
+    drift = plant.A @ w + plant.F(w)
+    cw = plant.C @ w
+    num = plant.space_Z.norm(StateEvaluation(fmap, w).dM(drift) + cw)
+    den = plant.space_Z.norm(cw) + plant.space_H.norm(drift) + 1e-14
     return float(num / den)

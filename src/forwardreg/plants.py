@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 
 from .evolution import Plant
-from .spaces import LinMap, SpaceSpec
+from .spaces import SpaceSpec
 
 __all__ = [
     "SineGordonParams",
@@ -67,9 +67,9 @@ def make_linear_benchmark(
         space_H=sp,
         space_U=su,
         space_Z=sz,
-        A=LinMap(sp, sp, matrix=amat),
-        B=LinMap(su, sp, matrix=b),
-        C=LinMap(sp, sz, matrix=c),
+        A=amat,
+        B=b,
+        C=c,
         alpha_cert=float(alpha),
         lip_F=0.0,
         meta={"seed": seed, "attempts": attempt + 1},
@@ -79,15 +79,14 @@ def make_linear_benchmark(
 def make_scalar_linear(a: float = 2.0, b: float = 1.0, c: float = 1.0) -> Plant:
     """Scalar plant dw/dt + a w = b u, y = c w, with alpha = a."""
     sp = SpaceSpec(1, np.eye(1), "H")
-    amat = np.array([[a]])
     return Plant(
         name="scalar-linear",
         space_H=sp,
         space_U=sp,
         space_Z=sp,
-        A=LinMap(sp, sp, matrix=amat),
-        B=LinMap(sp, sp, matrix=np.array([[b]])),
-        C=LinMap(sp, sp, matrix=np.array([[c]])),
+        A=np.array([[a]]),
+        B=np.array([[b]]),
+        C=np.array([[c]]),
         alpha_cert=float(a),
         lip_F=0.0,
     )
@@ -210,9 +209,9 @@ def make_sine_gordon(**overrides) -> Plant:
         space_H=space_h,
         space_U=space_u,
         space_Z=space_z,
-        A=LinMap(space_h, space_h, matrix=amat),
-        B=LinMap(space_u, space_h, matrix=b_mat),
-        C=LinMap(space_h, space_z, matrix=c_mat),
+        A=amat,
+        B=b_mat,
+        C=c_mat,
         alpha_cert=alpha_cert,
         lip_F=2.0 * gamma / math.sqrt(lambda1_disc),
         K=k_mat,
@@ -239,22 +238,24 @@ def _tanh_ds(v):
     return 1.0 / np.cosh(v) ** 2
 
 
+# the field's saturating nonlinearity s = tanh has s(0) = 0, derivative
+# _tanh_ds and derivative bound _L_S; control and output act on _WC_WINDOW
+_L_S = 1.0
+_WC_WINDOW = (0.3, 0.7)
+
+
 @dataclass
 class WilsonCowanParams:
     """Nonlocal scalar field on Omega = (0, 1), midpoint grid.
 
-    ``kernel`` is a constant or a callable k(x, nu); ``s`` the saturating
-    nonlinearity with derivative ``ds``, derivative bound ``L_s`` and
-    s(0) = 0. M_ks is the quadrature of |k * L_s|^2 over Omega x Omega.
+    ``kernel`` is the constant value of the kernel k(x, nu). M_ks is the
+    quadrature of |k * L_s|^2 over Omega x Omega, with L_s = 1 the
+    derivative bound of s = tanh.
     """
 
     n: int = 32
     alpha_gain: float = 0.05
-    kernel: object = 0.1
-    s: Callable = np.tanh
-    ds: Callable = _tanh_ds
-    L_s: float = 1.0
-    control_window: tuple[float, float] = (0.3, 0.7)
+    kernel: float = 0.1
     M_ks: float = field(init=False)
     x: np.ndarray = field(init=False)
     h: float = field(init=False)
@@ -267,11 +268,7 @@ class WilsonCowanParams:
             raise ValueError("alpha_gain must be positive")
         self.h = 1.0 / self.n
         self.x = (np.arange(self.n) + 0.5) * self.h
-        if callable(self.kernel):
-            xx, yy = np.meshgrid(self.x, self.x, indexing="ij")
-            self.kernel_values = np.asarray(self.kernel(xx, yy), dtype=float)
-        else:
-            self.kernel_values = np.full((self.n, self.n), float(self.kernel))
+        self.kernel_values = np.full((self.n, self.n), float(self.kernel))
         self.M_ks = compute_M_ks(self)
 
     @property
@@ -289,7 +286,7 @@ def compute_M_ks(params: WilsonCowanParams) -> float:
     The derivative bound L_s replaces the pointwise s'(nu), which
     upper-bounds every reading of that factor.
     """
-    return float(params.h**2 * np.sum((params.kernel_values * params.L_s) ** 2))
+    return float(params.h**2 * np.sum((params.kernel_values * _L_S) ** 2))
 
 
 def make_wilson_cowan(**overrides) -> Plant:
@@ -300,11 +297,11 @@ def make_wilson_cowan(**overrides) -> Plant:
     params = WilsonCowanParams(**overrides)
     n, h = params.n, params.h
     kop = params.kernel_values * h  # midpoint quadrature of the kernel integral
-    sp0 = float(params.ds(0.0))
+    sp0 = float(_tanh_ds(0.0))
     amat = params.alpha_gain * np.eye(n) + sp0 * kop
     space_h = SpaceSpec(n, h * np.eye(n), "H")
 
-    a_win, b_win = params.control_window
+    a_win, b_win = _WC_WINDOW
     idx = np.nonzero((params.x > a_win) & (params.x < b_win))[0]
     if idx.size == 0:
         raise ValueError("control window contains no grid points")
@@ -325,24 +322,24 @@ def make_wilson_cowan(**overrides) -> Plant:
         )
     # Hilbert-Schmidt bound on the kernel operator times the worst slope
     # deviation of s from its slope at 0
-    hs_norm = math.sqrt(params.M_ks) / params.L_s if params.L_s > 0 else 0.0
-    lip_f = hs_norm * (params.L_s + abs(sp0))
+    hs_norm = math.sqrt(params.M_ks) / _L_S
+    lip_f = hs_norm * (_L_S + abs(sp0))
 
-    plant = Plant(
+    return Plant(
         name="wilson-cowan",
         space_H=space_h,
         space_U=space_u,
         space_Z=space_z,
-        A=LinMap(space_h, space_h, matrix=amat),
-        B=LinMap(space_u, space_h, matrix=b_mat),
-        C=LinMap(space_h, space_z, matrix=c_mat),
+        A=amat,
+        B=b_mat,
+        C=c_mat,
         alpha_cert=alpha_cert,
         lip_F=lip_f,
         # F(w) = kop (s(w) - s'(0) w): K = kop, S = I
         K=kop,
         S=np.eye(n),
-        sigma=lambda v: params.s(v) - sp0 * v,
-        dsigma=lambda v: params.ds(v) - sp0,
+        sigma=lambda v: np.tanh(v) - sp0 * v,
+        dsigma=lambda v: _tanh_ds(v) - sp0,
         meta={
             "params": params,
             "h": h,
@@ -352,4 +349,3 @@ def make_wilson_cowan(**overrides) -> Plant:
             "global_ok": params.global_ok and feasible,
         },
     )
-    return plant

@@ -162,9 +162,9 @@ def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
         ev = StateEvaluation(fmap, w)
         m = ev.M()
         u = ev.dM_adjoint_B(z - m)
-        y = plant.C(w)
+        y = plant.C @ w
         yield w, z, m, u, y
-        forcing = plant.B(u) if d is None else plant.B(u) + d
+        forcing = plant.B @ u if d is None else plant.B @ u + d
         w = plant.solver.solve_step(dt, w - dt * plant.F(w) + dt * forcing)
         z = z + dt * (y - y_ref)
 
@@ -267,14 +267,14 @@ def find_equilibrium(
     w_star = np.mean(tail_w, axis=0)
     z_star = np.mean(tail_z, axis=0)
     u_star = feedback(fmap, w_star, z_star)
-    drift = -(plant.A(w_star) + plant.F(w_star)) + plant.B(u_star)
+    drift = -(plant.A @ w_star + plant.F(w_star)) + plant.B @ u_star
     if d_vec is not None:
         drift = drift + d_vec
     res = EquilibriumResult(
         converged=converged,
         t_reached=k * dt,
         drift_residual=space_h.norm(drift),
-        output_residual=space_z.norm(plant.C(w_star) - y_ref),
+        output_residual=space_z.norm(plant.C @ w_star - y_ref),
         iterations=k,
     )
     return w_star, z_star, res

@@ -105,9 +105,7 @@ def dense_linear_oracle(
     probe = plant.F(0.7 * np.ones(n))
     if plant.lip_F != 0.0 or np.any(probe != 0.0):
         raise ValueError("oracle needs a linear plant (F = 0)")
-    amat = plant.A.as_matrix()
-    cmat = plant.C.as_matrix()
-    bmat = plant.B.as_matrix()
+    amat, bmat, cmat = plant.A, plant.B, plant.C
     m = -sla.solve(amat.T, cmat.T).T
     gz = plant.space_Z.gram
     k = plant.space_U.solve_gram(bmat.T @ (m.T @ gz))
@@ -155,6 +153,18 @@ def dense_linear_oracle(
 # -- finite-difference differential check -------------------------------------
 
 
+def _check_ladder(name: str, values: Sequence[float], min_len: int) -> tuple:
+    """``values`` as a tuple, refused unless positive and strictly decreasing."""
+    values = tuple(float(v) for v in values)
+    if (len(values) < min_len or any(v <= 0 for v in values)
+            or any(a <= b for a, b in zip(values, values[1:]))):
+        raise ValueError(
+            f"{name} needs at least {min_len} positive, strictly decreasing "
+            f"values, got {values}"
+        )
+    return values
+
+
 @dataclass
 class FDCheckTable:
     eps: tuple
@@ -169,9 +179,7 @@ def fd_check_dM(
     eps_ladder: Sequence[float] = (1e-3, 1e-4),
 ) -> FDCheckTable:
     """Central-difference quotients of M against dM along one direction."""
-    eps_ladder = tuple(eps_ladder)
-    if any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
+    eps_ladder = _check_ladder("eps_ladder", eps_ladder, 1)
     dm = StateEvaluation(fmap, w).dM(h)
     space_z = fmap.plant.space_Z
     scale = max(space_z.norm(dm), 1e-14)
@@ -364,6 +372,24 @@ SAMPLE_COUNT_KEYS = ("monotonicity_samples", "contraction_pairs", "decay_dirs",
                      "coercivity_samples")
 
 
+def _battery_config(config: Optional[dict]) -> dict:
+    """``config`` over ``BATTERY_DEFAULTS``. An unknown key, a sample count
+    below 1 or a bad ``fd_eps``/``oracle_dts`` ladder raises naming the key."""
+    cfg = dict(BATTERY_DEFAULTS)
+    if config:
+        unknown = sorted(set(config) - set(BATTERY_DEFAULTS))
+        if unknown:
+            raise ValueError(f"unknown battery key(s): {', '.join(unknown)}")
+        cfg.update(config)
+    for key in SAMPLE_COUNT_KEYS:
+        if int(cfg[key]) < 1:
+            raise ValueError(f"battery key {key} must be >= 1, got {cfg[key]}")
+    # an FD error needs one step, an observed order two
+    cfg["fd_eps"] = _check_ladder("battery key fd_eps", cfg["fd_eps"], 1)
+    cfg["oracle_dts"] = _check_ladder("battery key oracle_dts", cfg["oracle_dts"], 2)
+    return cfg
+
+
 def _check_le(name, value, bound, note=""):
     return CheckResult(name, float(value), float(bound), bool(value <= bound), "le", note)
 
@@ -384,18 +410,10 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
 
     Every verdict is made here: the sampling helpers return the number they
     measure, and each check compares it with its bound from ``config``
-    (keys and defaults in ``BATTERY_DEFAULTS``; any other key, or a sample
-    count in ``SAMPLE_COUNT_KEYS`` below 1, is an error).
+    (keys and defaults in ``BATTERY_DEFAULTS``; an invalid config is refused
+    before any check runs, see :func:`_battery_config`).
     """
-    cfg = dict(BATTERY_DEFAULTS)
-    if config:
-        unknown = sorted(set(config) - set(BATTERY_DEFAULTS))
-        if unknown:
-            raise ValueError(f"unknown battery key(s): {', '.join(unknown)}")
-        cfg.update(config)
-    for key in SAMPLE_COUNT_KEYS:
-        if int(cfg[key]) < 1:
-            raise ValueError(f"battery key {key} must be >= 1, got {cfg[key]}")
+    cfg = _battery_config(config)
     seed = int(cfg["seed"])
     radius = float(cfg["radius"])
     rng = np.random.default_rng(seed)
@@ -561,7 +579,7 @@ def _oracle_checks(plant, fmap, cfg, tables, rng):
         return [CheckResult("oracle_equilibrium", float("nan"), 0.0, False, "le",
                             oracle.note)]
 
-    m_err = np.max(np.abs(oracle.m_matrix - fmap.m_lin.as_matrix()))
+    m_err = np.max(np.abs(oracle.m_matrix - fmap.m_lin))
     m_scale = max(np.max(np.abs(oracle.m_matrix)), 1e-14)
     out.append(_check_le("oracle_forwarding_map", m_err / m_scale, 1e-10))
     out.append(_check_le("oracle_abscissa", oracle.spectral_abscissa, 0.0,
@@ -578,7 +596,7 @@ def _oracle_checks(plant, fmap, cfg, tables, rng):
     out.append(_check_le("oracle_equilibrium", eq_err, 1e-8,
                          f"converged={res.converged}"))
 
-    dts = tuple(cfg["oracle_dts"])
+    dts = cfg["oracle_dts"]
     t_span = 1.0
     w0 = plant.space_H.sample_ball(rng, 1.0)
     z0 = rng.standard_normal(dim_z)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from forwardreg.evolution import Plant
-from forwardreg.spaces import LinMap, SpaceSpec
+from forwardreg.spaces import SpaceSpec
 
 
 def make_scalar_plant(a=2.0, c=0.1):
@@ -15,9 +15,9 @@ def make_scalar_plant(a=2.0, c=0.1):
         space_H=sp,
         space_U=sp,
         space_Z=sp,
-        A=LinMap(sp, sp, matrix=amat),
-        B=LinMap(sp, sp, matrix=np.eye(1)),
-        C=LinMap(sp, sp, matrix=np.eye(1)),
+        A=amat,
+        B=np.eye(1),
+        C=np.eye(1),
         alpha_cert=a,
         lip_F=0.0 if c == 0 else 3 * c * 4.0,  # valid on |w| <= 2
         K=np.eye(1),
@@ -46,9 +46,9 @@ def make_random_plant(dim=6, seed=5, alpha=1.0, nl=0.2):
         space_H=sp,
         space_U=sp,
         space_Z=sp,
-        A=LinMap(sp, sp, matrix=amat),
-        B=LinMap(sp, sp, matrix=np.eye(dim)),
-        C=LinMap(sp, sp, matrix=np.eye(dim)),
+        A=amat,
+        B=np.eye(dim),
+        C=np.eye(dim),
         alpha_cert=None,
         lip_F=nl * np.linalg.norm(k, 2),
         K=nl * k,

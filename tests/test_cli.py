@@ -12,7 +12,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from forwardreg import cli
+from forwardreg import cli, verify
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -138,6 +138,20 @@ def test_unknown_section_key_exit_2(tmp_path, capsys, section):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", sorted(cli.PLANT_KEYS))
+def test_unknown_plant_key_exit_2(tmp_path, capsys, kind):
+    # [plant] keys depend on the kind: each kind takes its own keys only
+    known = "".join(f"{key} = 1\n" for key in cli.PLANT_KEYS[kind] if key != "kind")
+    head = f"[plant]\nkind = {kind}\n"
+    tail = "\n[forwarding]\ndt_quad = 0.05\n"
+    cli.load_config(write_config(tmp_path, head + known + tail, name="known.ini"))
+    path = write_config(tmp_path, head + "aa = 5.0\n" + tail)
+    out = tmp_path / "out"
+    assert cli.main(["gains", "--config", path, "--out", str(out)]) == 2
+    assert "unknown [plant] key 'aa'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 CONFIG_FILES = sorted((CONFIG_DIR.parent / "perfbench" / "configs").glob("*.ini")) \
     + sorted(CONFIG_DIR.glob("*.ini"))
 
@@ -145,9 +159,12 @@ CONFIG_FILES = sorted((CONFIG_DIR.parent / "perfbench" / "configs").glob("*.ini"
 @pytest.mark.parametrize("path", CONFIG_FILES,
                          ids=[f"{p.parent.name}/{p.name}" for p in CONFIG_FILES])
 def test_config_lint(path):
-    # every shipped and benchmark config passes the key checks; nothing runs
+    # every shipped and benchmark config passes the key, horizon and ladder
+    # checks; nothing runs
     cfg = cli.load_config(str(path))
-    cli._parse_verify_config(cfg)
+    verify._battery_config(cli._parse_verify_config(cfg))
+    for sc in cfg.scenarios:
+        cli._scenario_horizons(sc)
 
 
 def test_package_exports_resolve():
@@ -282,6 +299,23 @@ def test_simulate_non_finite_horizon_exit_2(tmp_path, capsys):
         assert not list(out.glob("scenario_*"))
 
 
+def test_simulate_bad_t_budget_exit_2_before_any_scenario(tmp_path, capsys):
+    # the second scenario's search budget is refused before the first runs
+    body = SCALAR_INI.replace("t = 150", "t = 1") + """
+    [scenario.2]
+    y_ref = 0.1
+    t = 1
+    t_budget = inf
+    """
+    path = write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "scenario t_budget must be finite and positive, got inf" in captured.err
+    assert "scenario 1" not in captured.out
+    assert not list(out.glob("scenario_*"))
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -375,6 +409,17 @@ def test_verify_zero_sample_count_exit_2(tmp_path, capsys):
     assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "dissipation_runs" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert not (out / "verify.json").exists()
+
+
+def test_verify_bad_ladder_exit_2(tmp_path, capsys):
+    # an observed order needs two step sizes; refused before any check runs
+    path = write_config(tmp_path, SCALAR_INI + "\n    [verify]\n    oracle_dts = 0.01\n")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "oracle_dts" in captured.err
     assert "PASS" not in captured.out and "FAIL" not in captured.out
     assert not (out / "verify.json").exists()
 

@@ -15,7 +15,7 @@ from forwardreg.evolution import (
     reverse_sweep,
     tangent_flow,
 )
-from forwardreg.spaces import LinMap, SpaceSpec
+from forwardreg.spaces import SpaceSpec
 from helpers import make_random_plant, make_scalar_plant
 
 
@@ -61,7 +61,7 @@ def test_trajectory_grid():
 def test_apply_nonlinear_A():
     p = make_scalar_plant(a=2.0, c=0.1)
     w = np.array([2.0])
-    assert (p.A(w) + p.F(w))[0] == pytest.approx(2.0 * 2.0 + 0.1 * 8.0)
+    assert (p.A @ w + p.F(w))[0] == pytest.approx(2.0 * 2.0 + 0.1 * 8.0)
 
 
 def test_tangent_flow_matches_finite_difference():
@@ -151,14 +151,31 @@ def test_contraction_check_fails_for_expansive():
         space_H=sp,
         space_U=sp,
         space_Z=sp,
-        A=LinMap(sp, sp, matrix=amat),
-        B=LinMap(sp, sp, matrix=np.eye(1)),
-        C=LinMap(sp, sp, matrix=np.eye(1)),
+        A=amat,
+        B=np.eye(1),
+        C=np.eye(1),
         alpha_cert=1.0,
         lip_F=0.0,
     )
     ratio = contraction_check(p, np.array([1.0]), np.array([0.0]), T=1.0, dt=0.01)
     assert ratio > 1.05
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_plant_refuses_misshaped_operator(name):
+    # dim 2, dim_U 1, dim_Z 3: each operator has one right shape
+    ops = {"A": np.eye(2), "B": np.ones((2, 1)), "C": np.ones((3, 2))}
+    ops[name] = np.ones((4, 4))
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        Plant(
+            name="misshaped",
+            space_H=SpaceSpec(2, np.eye(2)),
+            space_U=SpaceSpec(1, np.eye(1)),
+            space_Z=SpaceSpec(3, np.eye(3)),
+            alpha_cert=1.0,
+            lip_F=0.0,
+            **ops,
+        )
 
 
 def test_solver_transpose_consistency():

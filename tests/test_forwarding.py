@@ -13,7 +13,7 @@ from forwardreg.forwarding import (
     uniform_coercivity_check,
 )
 from forwardreg.plants import make_linear_benchmark, make_sine_gordon, make_wilson_cowan
-from forwardreg.spaces import LinMap, adjoint
+from forwardreg.spaces import adjoint
 from helpers import make_random_plant, make_scalar_plant
 
 
@@ -30,8 +30,9 @@ def test_linear_forwarding_scalar():
     # 1x1 algebra: M_lin = -C/A = -1/2
     p = make_scalar_plant(a=2.0, c=0.1)
     m = linear_forwarding(p)
-    assert m(np.array([1.0]))[0] == pytest.approx(-0.5, rel=1e-14)
-    assert m(np.zeros(1))[0] == 0.0
+    assert m.shape == (1, 1)
+    assert (m @ np.array([1.0]))[0] == pytest.approx(-0.5, rel=1e-14)
+    assert (m @ np.zeros(1))[0] == 0.0
 
 
 def test_linear_forwarding_round_trip():
@@ -41,7 +42,7 @@ def test_linear_forwarding_round_trip():
     rng = np.random.default_rng(0)
     for _ in range(5):
         w = rng.standard_normal(5)
-        np.testing.assert_allclose(-m(p.A(w)), p.C(w), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(-m @ (p.A @ w), p.C @ w, rtol=1e-10, atol=1e-12)
 
 
 # -- M -----------------------------------------------------------------------
@@ -60,7 +61,7 @@ def test_eval_M_linear_plant():
     for _ in range(5):
         w = rng.standard_normal(6)
         np.testing.assert_allclose(
-            StateEvaluation(fmap, w).M(), m(w), rtol=1e-12, atol=1e-14
+            StateEvaluation(fmap, w).M(), m @ w, rtol=1e-12, atol=1e-14
         )
 
 
@@ -135,7 +136,7 @@ def test_eval_dM_at_origin_is_linear_part():
     rng = np.random.default_rng(3)
     h = rng.standard_normal(6)
     np.testing.assert_allclose(
-        StateEvaluation(fmap, np.zeros(6)).dM(h), fmap.m_lin(h), rtol=1e-12
+        StateEvaluation(fmap, np.zeros(6)).dM(h), fmap.m_lin @ h, rtol=1e-12
     )
 
 
@@ -193,13 +194,13 @@ def test_dM_adjoint_B_at_origin():
     # dF(0) = 0 case: B* M_lin* zeta via the dense adjoint composition
     p = make_linear_benchmark(6, alpha=0.8, seed=8, dim_out=2)
     fmap = build_forwarding(p, dt_quad=0.05)
-    bstar = adjoint(p.B)
-    mstar = adjoint(fmap.m_lin)
+    bstar = adjoint(p.B, p.space_U, p.space_H)
+    mstar = adjoint(fmap.m_lin, p.space_H, p.space_Z)
     rng = np.random.default_rng(9)
     zeta = rng.standard_normal(2)
     np.testing.assert_allclose(
         StateEvaluation(fmap, np.zeros(6)).dM_adjoint_B(zeta),
-        bstar(mstar(zeta)),
+        bstar @ (mstar @ zeta),
         rtol=1e-11,
         atol=1e-13,
     )
@@ -252,9 +253,7 @@ def test_gain_formulas_small_alpha():
 def test_rank_deficient_output_infeasible():
     p = make_linear_benchmark(5, alpha=0.8, seed=3, dim_out=2)
     # second output row duplicates the first: CA^{-1}B loses rank
-    c = p.C.as_matrix().copy()
-    c[1] = c[0]
-    p.C = LinMap(p.space_H, p.space_Z, matrix=c)
+    p.C[1] = p.C[0]
     fmap = build_forwarding(p, dt_quad=0.05)
     assert not fmap.range_ok
     assert not fmap.feasible

@@ -28,8 +28,7 @@ def test_benchmark_monotonicity_is_exactly_alpha():
 
 def test_benchmark_core_full_rank():
     p = make_linear_benchmark(20, alpha=0.5, seed=0)
-    amat = p.A.as_matrix()
-    core = p.C.as_matrix() @ np.linalg.solve(amat, p.B.as_matrix())
+    core = p.C @ np.linalg.solve(p.A, p.B)
     svals = np.linalg.svd(core, compute_uv=False)
     assert svals[-1] > 1e-6 * svals[0]
 
@@ -89,7 +88,7 @@ def test_sine_gordon_drift_structure():
     theta = rng.standard_normal(n)
     zeta = rng.standard_normal(n)
     w = np.concatenate([theta, zeta])
-    aw = plant.A(w) + plant.F(w)
+    aw = plant.A @ w + plant.F(w)
     # first block: -zeta exactly; second: D2 theta + gamma sin(theta) + xi zeta
     assert np.allclose(aw[:n], -zeta)
     params = plant.meta["params"]
@@ -107,7 +106,7 @@ def test_sine_gordon_trace_accuracy_and_order():
         x = plant.meta["x"]
         w = np.zeros(plant.dim)
         w[:n] = np.sin(x)  # theta'(0) = 1
-        errs.append(abs(plant.C(w)[0] - 1.0))
+        errs.append(abs((plant.C @ w)[0] - 1.0))
     assert errs[1] < 1e-3
     order = np.log2(errs[0] / errs[1])
     assert order > 1.7
@@ -120,7 +119,7 @@ def test_sine_gordon_control_adjoint_closed_form():
     rng = np.random.default_rng(4)
     w = rng.standard_normal(plant.dim)
     theta, zeta = w[:n], w[n:]
-    bstar = adjoint(plant.B)(w)
+    bstar = adjoint(plant.B, plant.space_U, plant.space_H) @ w
     assert np.allclose(bstar, (zeta + eps * theta)[idx], atol=1e-12)
 
 
@@ -131,7 +130,7 @@ def test_sine_gordon_df_matches_finite_differences():
     h = rng.standard_normal(plant.dim)
     step = 1e-6
     fd = (plant.F(w + step * h) - plant.F(w - step * h)) / (2 * step)
-    assert np.allclose(plant.dF(w)(h), fd, atol=1e-8)
+    assert np.allclose(plant.dF(w) @ h, fd, atol=1e-8)
 
 
 def test_sine_gordon_lipschitz_bound_holds_on_samples():
@@ -155,7 +154,7 @@ def test_sine_gordon_trace_gain_stable_under_refinement():
     vals = []
     for n in (50, 100, 200):
         plant = make_sine_gordon(N=n)
-        sv = weighted_singular_values(linear_forwarding(plant))
+        sv = weighted_singular_values(linear_forwarding(plant), plant.space_H, plant.space_Z)
         vals.append(sv[0])
     d1 = abs(vals[1] - vals[0])
     d2 = abs(vals[2] - vals[1])
@@ -172,15 +171,6 @@ def test_mks_constant_kernel_exact():
     assert p.M_ks == pytest.approx(0.01, abs=1e-14)
     assert compute_M_ks(WilsonCowanParams(n=64, kernel=0.1)) == pytest.approx(0.01, abs=1e-14)
     assert compute_M_ks(WilsonCowanParams(n=16, kernel=0.0)) == 0.0
-
-
-def test_mks_callable_kernel_converges_under_refinement():
-    def k(x, y):
-        return 0.1 * np.exp(-((x - y) ** 2))
-
-    vals = [compute_M_ks(WilsonCowanParams(n=n, kernel=k)) for n in (16, 32, 64)]
-    assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
-    assert abs(vals[2] - vals[1]) / vals[2] < 0.01
 
 
 def test_wilson_cowan_certificate_and_flags():
@@ -200,12 +190,12 @@ def test_wilson_cowan_window_restriction():
     assert idx[0] == 10 and idx[-1] == 21 and idx.size == 12
     rng = np.random.default_rng(1)
     w = rng.standard_normal(32)
-    assert np.array_equal(wc.C(w), w[idx])
+    assert np.array_equal(wc.C @ w, w[idx])
     u = rng.standard_normal(idx.size)
-    bw = wc.B(u)
+    bw = wc.B @ u
     assert np.array_equal(bw[idx], u) and np.count_nonzero(bw) == idx.size
     # matching grams make B* a plain restriction too
-    assert np.allclose(adjoint(wc.B)(w), w[idx])
+    assert np.allclose(adjoint(wc.B, wc.space_U, wc.space_H) @ w, w[idx])
 
 
 def test_wilson_cowan_drift_and_nonlinearity():
@@ -216,7 +206,7 @@ def test_wilson_cowan_drift_and_nonlinearity():
     h = wc.meta["h"]
     kop = 0.1 * h * np.ones((8, 8))
     expect = 0.3 * w + kop @ np.tanh(w)  # A w + F(w) collapses the split
-    assert np.allclose(wc.A(w) + wc.F(w), expect)
+    assert np.allclose(wc.A @ w + wc.F(w), expect)
 
 
 def test_wilson_cowan_df_matches_finite_differences():
@@ -226,7 +216,7 @@ def test_wilson_cowan_df_matches_finite_differences():
     h = rng.standard_normal(12)
     step = 1e-6
     fd = (wc.F(w + step * h) - wc.F(w - step * h)) / (2 * step)
-    assert np.allclose(wc.dF(w)(h), fd, atol=1e-9)
+    assert np.allclose(wc.dF(w) @ h, fd, atol=1e-9)
 
 
 def test_wilson_cowan_lipschitz_bound_holds_on_samples():

@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from forwardreg import verify
 from forwardreg.evolution import Plant
 from forwardreg.forwarding import build_forwarding, functional_equation_residual
 from forwardreg.plants import make_linear_benchmark, make_scalar_linear, make_sine_gordon
 from forwardreg.regulator import Scenario, simulate
-from forwardreg.spaces import LinMap, SpaceSpec
+from forwardreg.spaces import SpaceSpec
 from forwardreg.verify import (
     dense_linear_oracle,
     dissipation_constant,
@@ -36,9 +37,9 @@ def rank_deficient_benchmark(dim=6, alpha=0.8, seed=1):
         space_H=sp,
         space_U=s2,
         space_Z=s2,
-        A=LinMap(sp, sp, matrix=amat),
-        B=LinMap(s2, sp, matrix=b),
-        C=LinMap(sp, s2, matrix=c),
+        A=amat,
+        B=b,
+        C=c,
         alpha_cert=alpha,
         lip_F=0.0,
     )
@@ -180,8 +181,8 @@ def test_smooth_sample_damps_rough_modes():
     rng = np.random.default_rng(6)
     raw = plant.space_H.sample_sphere(rng)
     smoothed = smooth_sample(plant, np.random.default_rng(6), 1.0)
-    ratio_raw = plant.space_H.norm(plant.A(raw)) / plant.space_H.norm(raw)
-    ratio_smooth = plant.space_H.norm(plant.A(smoothed)) / plant.space_H.norm(smoothed)
+    ratio_raw = plant.space_H.norm(plant.A @ raw) / plant.space_H.norm(raw)
+    ratio_smooth = plant.space_H.norm(plant.A @ smoothed) / plant.space_H.norm(smoothed)
     assert ratio_smooth < ratio_raw
 
 
@@ -226,6 +227,28 @@ def test_battery_rejects_zero_sample_count(key):
         run_battery(plant, fmap, {key: 0})
 
 
+@pytest.mark.parametrize("key, ladder", [
+    ("fd_eps", ()),
+    ("fd_eps", (1e-4, 1e-3)),
+    ("fd_eps", (1e-3, -1e-4)),
+    ("oracle_dts", (1e-2,)),
+    ("oracle_dts", (5e-3, 1e-2)),
+    ("oracle_dts", (1e-2, 0.0)),
+])
+def test_battery_rejects_bad_ladder_before_any_check(monkeypatch, key, ladder):
+    # a ladder must be positive, strictly decreasing and long enough for an
+    # FD error (fd_eps) or an observed order (oracle_dts), checked up front
+    plant = make_scalar_linear()
+    fmap = build_forwarding(plant, dt_quad=0.01)
+
+    def first_check(*args, **kwargs):
+        raise AssertionError("a check ran before the config was refused")
+
+    monkeypatch.setattr(verify, "estimate_alpha", first_check)
+    with pytest.raises(ValueError, match=key):
+        run_battery(plant, fmap, {key: ladder})
+
+
 def test_battery_identity_plant_passes():
     # A = I, F = 0, B = C = I: the simplest feasible loop
     dim = 3
@@ -234,9 +257,9 @@ def test_battery_identity_plant_passes():
     plant = Plant(
         name="identity",
         space_H=sp, space_U=sp, space_Z=sp,
-        A=LinMap(sp, sp, matrix=eye),
-        B=LinMap(sp, sp, matrix=eye),
-        C=LinMap(sp, sp, matrix=eye),
+        A=eye,
+        B=eye,
+        C=eye,
         alpha_cert=1.0,
         lip_F=0.0,
     )
