@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .evolution import Plant
-from .forwarding import ForwardingMap, StateEvaluation, build_forwarding
+from .forwarding import ForwardingMap, build_forwarding
 from .plants import (
     make_linear_benchmark,
     make_scalar_linear,
@@ -47,7 +47,7 @@ EXIT_DIVERGED = 3
 
 @dataclass
 class RunConfig:
-    """Parsed configuration: plant, forwarding, scenarios, toggles, output."""
+    """Typed configuration: plant, forwarding, scenarios, toggles, output."""
 
     plant: dict
     forwarding: dict
@@ -63,30 +63,83 @@ class RunConfig:
         return f"config_sha256={self.sha256} version={__version__} seed={self.seed}"
 
 
-# the keys each section reads, checked by load_config; [plant] keys depend on
-# its kind, and [verify] keys are checked against BATTERY_DEFAULTS by cmd_verify
-PLANT_KEYS = {
-    "sine_gordon": ("kind", "n", "l", "xi", "gamma", "window"),
-    "wilson_cowan": ("kind", "n", "alpha_gain", "kernel"),
-    "linear_benchmark": ("kind", "dim", "alpha", "seed", "dim_out", "rank_deficient"),
-    "scalar_linear": ("kind", "a", "b", "c"),
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.replace(";", ",").split(",") if x.strip())
+
+
+def _ranged(rule: str, ok, many: bool = False):
+    """A converter of one float, or of a comma list of floats when ``many``,
+    that refuses any value failing ``ok``; the message reads 'must be rule'."""
+    def convert(text: str):
+        values = _floats(text) if many else (float(text),)
+        if not all(ok(v) for v in values):
+            raise ValueError(f"must be {rule}")
+        return values if many else values[0]
+    return convert
+
+
+def _bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("must be one of " + ", ".join(
+            configparser.ConfigParser.BOOLEAN_STATES)) from None
+
+
+def _pair(text: str) -> tuple:
+    values = _floats(text)
+    if len(values) != 2:
+        raise ValueError(f"needs 2 values, got {len(values)}")
+    return values
+
+
+_positive = _ranged("finite and positive", lambda v: math.isfinite(v) and v > 0)
+_norm = _ranged("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+_norms = _ranged("finite and >= 0", lambda v: math.isfinite(v) and v >= 0, many=True)
+_finites = _ranged("finite", math.isfinite, many=True)
+
+# [plant] kind -> (constructor, {key: (constructor keyword, converter)}); the
+# constructors own every default, and rank_deficient is the CLI's own key
+PLANTS = {
+    "sine_gordon": (make_sine_gordon, {
+        "n": ("N", int), "l": ("L", float), "xi": ("xi", float),
+        "gamma": ("gamma", float), "window": ("control_window", _pair)}),
+    "wilson_cowan": (make_wilson_cowan, {
+        "n": ("n", int), "alpha_gain": ("alpha_gain", float),
+        "kernel": ("kernel", float)}),
+    "linear_benchmark": (make_linear_benchmark, {
+        "dim": ("n", int), "alpha": ("alpha", float), "seed": ("seed", int),
+        "dim_out": ("dim_out", int), "rank_deficient": (None, _bool)}),
+    "scalar_linear": (make_scalar_linear, {
+        "a": ("a", float), "b": ("b", float), "c": ("c", float)}),
 }
-FORWARDING_KEYS = ("dt_quad", "tail_tol", "tau_max", "tau_extra")
-SCENARIO_KEYS = ("label", "y_ref", "d_norm", "w0_norm", "t", "dt", "t_budget",
-                 "fit_equilibrium", "report_window")
-SWEEP_KEYS = ("d_norms", "y_ref_norms", "dt", "t_budget", "res_tol", "workers")
-OUTPUT_KEYS = ("dir", "seed")
+# {key: converter} of every other section; [scenario.*] sections share one
+SECTIONS = {
+    "forwarding": {"dt_quad": float, "tail_tol": float, "tau_max": float,
+                   "tau_extra": float},
+    "sweep": {"d_norms": _norms, "y_ref_norms": _finites, "dt": _positive,
+              "t_budget": _positive, "res_tol": float, "workers": int},
+    "output": {"dir": str, "seed": int},
+    "verify": {key: _floats if isinstance(value, tuple) else type(value)
+               for key, value in BATTERY_DEFAULTS.items()},
+}
+SCENARIO = {"label": str, "y_ref": _finites, "d_norm": _norm, "w0_norm": _norm,
+            "t": _positive, "dt": _positive, "t_budget": _positive,
+            "fit_equilibrium": _bool, "report_window": _positive}
 
 
-def _section_dict(cp: configparser.ConfigParser, name: str) -> dict:
-    return dict(cp[name]) if cp.has_section(name) else {}
-
-
-def _check_keys(section: str, keys, known) -> None:
-    """Reject the first key of ``section`` that is not in ``known``."""
-    for key in keys:
-        if key not in known:
+def _convert(section: str, raw, table: dict) -> dict:
+    """Each value of ``raw`` converted by ``table``; an unknown key or a value
+    its converter refuses raises a ValueError naming ``[section] key``."""
+    out = {}
+    for key, text in raw.items():
+        if key not in table:
             raise ValueError(f"unknown [{section}] key {key!r}")
+        try:
+            out[key] = table[key](text)
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {key} = {text!r}: {exc}") from None
+    return out
 
 
 def load_config(
@@ -101,102 +154,57 @@ def load_config(
     if not cp.has_section("plant"):
         raise ValueError("config needs a [plant] section")
     plant = dict(cp["plant"])
-    kind = plant.get("kind", "").strip()
-    if kind not in PLANT_KEYS:
+    kind = plant.pop("kind", "")
+    if kind not in PLANTS:
         raise ValueError(f"unknown plant kind {kind!r}")
-    _check_keys("plant", plant, PLANT_KEYS[kind])
-    for name, known in (("forwarding", FORWARDING_KEYS), ("sweep", SWEEP_KEYS),
-                        ("output", OUTPUT_KEYS)):
-        _check_keys(name, _section_dict(cp, name), known)
-
-    output = _section_dict(cp, "output")
-    seed = int(output.get("seed", 0))
-    if seed_override is not None:
-        seed = seed_override
-    outdir = Path(out_override or output.get("dir", "out"))
-    workers = int(_section_dict(cp, "sweep").get("workers", 1))
-    if workers_override is not None:
-        workers = workers_override
-
+    keys = PLANTS[kind][1]
+    plant = {"kind": kind, **_convert(
+        "plant", plant, {key: convert for key, (_, convert) in keys.items()})}
+    sections = {name: _convert(name, cp[name] if cp.has_section(name) else {}, table)
+                for name, table in SECTIONS.items()}
     scenarios = []
     for name in sorted(s for s in cp.sections() if s.startswith("scenario")):
-        sc = dict(cp[name])
-        _check_keys(name, sc, SCENARIO_KEYS)
+        sc = _convert(name, cp[name], SCENARIO)
         sc.setdefault("label", name.split(".", 1)[1] if "." in name else name)
         scenarios.append(sc)
 
+    output = sections["output"]
+    seed = output.get("seed", 0) if seed_override is None else seed_override
+    workers = sections["sweep"].get("workers", 1)
+    if workers_override is not None:
+        workers = workers_override
     digest = hashlib.sha256(f"{text}\nseed={seed}".encode()).hexdigest()[:16]
     return RunConfig(
         plant=plant,
-        forwarding=_section_dict(cp, "forwarding"),
+        forwarding=sections["forwarding"],
         scenarios=scenarios,
-        verify=_section_dict(cp, "verify"),
-        sweep=_section_dict(cp, "sweep"),
-        outdir=outdir,
+        verify=sections["verify"],
+        sweep=sections["sweep"],
+        outdir=Path(out_override or output.get("dir", "out")),
         seed=seed,
         workers=workers,
         sha256=digest,
     )
 
 
-def _floats(text: str) -> list:
-    return [float(x) for x in str(text).replace(";", ",").split(",") if x.strip()]
-
-
 def build_plant(cfg: RunConfig) -> Plant:
-    p = cfg.plant
-    kind = p.get("kind", "").strip()
-    if kind == "sine_gordon":
-        kwargs = dict(
-            N=int(p.get("n", 200)),
-            L=float(p.get("l", math.pi)),
-            xi=float(p.get("xi", 2.0)),
-            gamma=float(p.get("gamma", 0.05)),
-        )
-        if "window" in p:
-            lo, hi = _floats(p["window"])
-            kwargs["control_window"] = (lo, hi)
-        return make_sine_gordon(**kwargs)
-    if kind == "wilson_cowan":
-        return make_wilson_cowan(
-            n=int(p.get("n", 32)),
-            alpha_gain=float(p.get("alpha_gain", 0.05)),
-            kernel=float(p.get("kernel", 0.1)),
-        )
-    if kind == "linear_benchmark":
-        plant = make_linear_benchmark(
-            n=int(p.get("dim", 20)),
-            alpha=float(p.get("alpha", 0.5)),
-            seed=int(p.get("seed", 0)),
-            dim_out=int(p.get("dim_out", 2)),
-        )
-        if p.get("rank_deficient", "").lower() in ("1", "true", "yes"):
-            # negative-control variant: duplicate an output row so CA^-1 B
-            # loses rank and the battery must detect lambda = 0
-            if plant.C.shape[0] > 1:
-                plant.C[-1] = plant.C[0]
-            else:
-                plant.C[:] = 0.0
-        return plant
-    if kind == "scalar_linear":
-        return make_scalar_linear(
-            float(p.get("a", 2.0)), float(p.get("b", 1.0)), float(p.get("c", 1.0))
-        )
-    raise ValueError(f"unknown plant kind {kind!r}")
+    make, keys = PLANTS[cfg.plant["kind"]]
+    plant = make(**{keys[key][0]: value for key, value in cfg.plant.items()
+                    if key != "kind" and keys[key][0]})
+    if cfg.plant.get("rank_deficient"):
+        # negative-control variant: duplicate an output row so CA^-1 B
+        # loses rank and the battery must detect lambda = 0
+        if plant.C.shape[0] > 1:
+            plant.C[-1] = plant.C[0]
+        else:
+            plant.C[:] = 0.0
+    return plant
 
 
 def build_fmap(plant: Plant, cfg: RunConfig) -> ForwardingMap:
-    f = cfg.forwarding
-    if "dt_quad" not in f:
+    if "dt_quad" not in cfg.forwarding:
         raise ValueError("config needs dt_quad in [forwarding]")
-    kwargs = dict(dt_quad=float(f["dt_quad"]))
-    if "tail_tol" in f:
-        kwargs["tail_tol"] = float(f["tail_tol"])
-    if "tau_max" in f:
-        kwargs["tau_max"] = float(f["tau_max"])
-    if "tau_extra" in f:
-        kwargs["tau_extra"] = float(f["tau_extra"])
-    return build_forwarding(plant, **kwargs)
+    return build_forwarding(plant, **cfg.forwarding)
 
 
 # -- artifact helpers ---------------------------------------------------------
@@ -219,20 +227,18 @@ def _write_json(path: Path, tag: str, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n")
 
 
-def _scenario_horizons(sc: dict) -> tuple[float, float, float]:
-    """(t, dt, t_budget) of a scenario section, each finite and positive."""
-    t, dt = float(sc.get("t", 10.0)), float(sc.get("dt", 0.05))
-    t_budget = float(sc.get("t_budget", t))
-    for name, value in (("T", t), ("dt", dt), ("t_budget", t_budget)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"scenario {name} must be finite and positive, got {value}")
-    return t, dt, t_budget
+def _sample(plant: Plant, rng, norm: float):
+    """A seeded smooth state of H-norm ``norm``; None when ``norm`` is 0."""
+    if norm == 0:
+        return None
+    x = smooth_sample(plant, rng, 1.0)
+    return x * (norm / plant.space_H.norm(x))
 
 
 def _scenario_vectors(plant: Plant, sc: dict, seed: int, index: int):
     """Materialize (y_ref, d, w0) from a scenario section."""
     dim_z = plant.space_Z.dim
-    vals = _floats(sc.get("y_ref", "0"))
+    vals = sc.get("y_ref", (0.0,))
     if len(vals) == 1:
         y_ref = np.full(dim_z, vals[0])
     elif len(vals) == dim_z:
@@ -241,16 +247,8 @@ def _scenario_vectors(plant: Plant, sc: dict, seed: int, index: int):
         raise ValueError(f"y_ref needs 1 or {dim_z} values, got {len(vals)}")
 
     rng = np.random.default_rng(seed + 1000 * index)
-    d = None
-    d_norm = float(sc.get("d_norm", 0.0))
-    if d_norm > 0:
-        d = smooth_sample(plant, rng, 1.0)
-        d = d * (d_norm / plant.space_H.norm(d))
-    w0 = None
-    w0_norm = float(sc.get("w0_norm", 0.0))
-    if w0_norm > 0:
-        w0 = smooth_sample(plant, rng, 1.0)
-        w0 = w0 * (w0_norm / plant.space_H.norm(w0))
+    d = _sample(plant, rng, sc.get("d_norm", 0.0))
+    w0 = _sample(plant, rng, sc.get("w0_norm", 0.0))
     return y_ref, d, w0
 
 
@@ -283,8 +281,6 @@ def cmd_gains(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Run each scenario; write a trajectory CSV and a report JSON apiece."""
-    # every scenario's horizons are checked before the first one runs
-    horizons = [_scenario_horizons(sc) for sc in cfg.scenarios]
     plant = build_plant(cfg)
     fmap = build_fmap(plant, cfg)
     if not fmap.feasible:
@@ -296,19 +292,28 @@ def cmd_simulate(cfg: RunConfig) -> int:
     cfg.outdir.mkdir(parents=True, exist_ok=True)
 
     any_diverged = False
-    for index, (sc, (t, dt, t_budget)) in enumerate(zip(cfg.scenarios, horizons)):
-        label = sc.get("label", str(index))
+    for index, sc in enumerate(cfg.scenarios):
+        label = sc["label"]
+        t, dt = sc.get("t", 10.0), sc.get("dt", 0.05)
         y_ref, d, w0 = _scenario_vectors(plant, sc, cfg.seed, index)
-        scenario = Scenario(y_ref=y_ref, T=t, dt=dt, d=d, w0=w0)
-        run = simulate(plant, fmap, scenario)
+        run = simulate(plant, fmap, Scenario(y_ref=y_ref, T=t, dt=dt, d=d, w0=w0))
 
-        w_star = z_star = None
-        eq_doc = None
-        if not run.diverged and sc.get("fit_equilibrium", "true").lower() != "false":
+        doc = {"label": label, "aborted": run.diverged, "steps": len(run) - 1}
+        rep = None
+        if not run.diverged and sc.get("fit_equilibrium", True):
             w_star, z_star, eq = find_equilibrium(
-                plant, fmap, d, y_ref, dt=dt, t_budget=t_budget
+                plant, fmap, d, y_ref, dt=dt, t_budget=sc.get("t_budget", t)
             )
-            eq_doc = asdict(eq)
+            rep = convergence_report(run, fmap, w_star, z_star,
+                                     window=sc.get("report_window", 1.0 / fmap.kappa))
+            doc.update(
+                final_output_error=rep.final_output_error,
+                averaged_output_error=rep.averaged_output_error,
+                fitted_rate=rep.fitted_rate,
+                lyapunov_monotone=rep.lyapunov_monotone,
+                max_lyapunov_jump=rep.max_lyapunov_jump,
+                equilibrium=asdict(eq),
+            )
 
         space_h, space_z = plant.space_H, plant.space_Z
         header = (
@@ -318,39 +323,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
             + [f"u_{i}" for i in range(plant.space_U.dim)]
             + ["V", "eta_norm"]
         )
-        if w_star is not None:
+        if rep is not None:
             header += ["dev_rho", "dev_flat"]
-            eta_star = z_star - StateEvaluation(fmap, w_star).M()
         rows = []
         for k in range(len(run)):
-            eta = run.z[k] - run.m[k]
             row = (
                 [run.times[k], space_h.norm(run.w[k])]
                 + list(run.z[k]) + list(run.y[k]) + list(run.u[k])
-                + [run.v[k], space_z.norm(eta)]
+                + [run.v[k], space_z.norm(run.z[k] - run.m[k])]
             )
-            if w_star is not None:
-                dw = run.w[k] - w_star
-                deta = eta - eta_star
-                row.append(np.sqrt(space_h.inner(dw, dw)
-                                   + fmap.rho * space_z.inner(deta, deta)))
-                dz = run.z[k] - z_star
-                row.append(np.sqrt(space_h.inner(dw, dw) + space_z.inner(dz, dz)))
+            if rep is not None:
+                dw, dz = run.w[k] - w_star, run.z[k] - z_star
+                row += [rep.deviation[k],
+                        np.sqrt(space_h.inner(dw, dw) + space_z.inner(dz, dz))]
             rows.append(row)
         _write_csv(cfg.outdir / f"scenario_{label}.csv", cfg.tag(), header, rows)
-
-        doc = {"label": label, "aborted": run.diverged, "steps": len(run) - 1}
-        if w_star is not None:
-            window = float(sc.get("report_window", 1.0 / fmap.kappa))
-            rep = convergence_report(run, fmap, w_star, z_star, window=window)
-            doc.update(
-                final_output_error=rep.final_output_error,
-                averaged_output_error=rep.averaged_output_error,
-                fitted_rate=rep.fitted_rate,
-                lyapunov_monotone=rep.lyapunov_monotone,
-                max_lyapunov_jump=rep.max_lyapunov_jump,
-                equilibrium=eq_doc,
-            )
         _write_json(cfg.outdir / f"scenario_{label}_report.json", cfg.tag(), doc)
         state = "DIVERGED" if run.diverged else "ok"
         print(f"scenario {label}: {state}, steps={len(run) - 1}")
@@ -359,23 +346,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_DIVERGED if any_diverged else EXIT_OK
 
 
-def _parse_verify_config(cfg: RunConfig) -> dict:
-    """Type each [verify] value like its battery default; unknown keys fail."""
-    _check_keys("verify", cfg.verify, BATTERY_DEFAULTS)
-    out = {}
-    for key, raw in cfg.verify.items():
-        kind = type(BATTERY_DEFAULTS[key])
-        out[key] = tuple(_floats(raw)) if kind is tuple else kind(raw)
-    out.setdefault("seed", cfg.seed)
-    return out
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     """Run the check battery; exit 0 iff every mandatory check passes."""
-    battery_cfg = _parse_verify_config(cfg)
     plant = build_plant(cfg)
     fmap = build_fmap(plant, cfg)
-    report = run_battery(plant, fmap, battery_cfg)
+    report = run_battery(plant, fmap, {"seed": cfg.seed, **cfg.verify})
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     (cfg.outdir / "verify.json").write_text(report.to_json() + "\n")
     for c in report.checks:
@@ -386,28 +361,20 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _sweep_cell(args):
-    """One (||d||, ||y_ref||) grid cell as a row dict.
+    """One (||d||, ||y_ref||) grid cell of ``(cfg, d_norm, y_norm)`` as a row dict.
 
     A numerical or configuration failure of the cell gives a NaN row; any
     other exception is a programming error and propagates.
     """
-    plant_cfg, fwd_cfg, d_norm, y_norm, seed, dt, t_budget, res_tol = args
-    cfg = RunConfig(
-        plant=plant_cfg, forwarding=fwd_cfg, scenarios=[], verify={}, sweep={},
-        outdir=Path("."), seed=seed, workers=1, sha256="",
-    )
+    cfg, d_norm, y_norm = args
+    dt, t_budget = cfg.sweep.get("dt", 0.05), cfg.sweep.get("t_budget", 100.0)
     try:
         plant = build_plant(cfg)
         fmap = build_fmap(plant, cfg)
-        dim_z = plant.space_Z.dim
-        rng = np.random.default_rng(seed)
-        y_dir = np.ones(dim_z)
+        y_dir = np.ones(plant.space_Z.dim)
         y_dir /= plant.space_Z.norm(y_dir)
         y_ref = y_norm * y_dir
-        d = None
-        if d_norm > 0:
-            d = smooth_sample(plant, rng, 1.0)
-            d = d * (d_norm / plant.space_H.norm(d))
+        d = _sample(plant, np.random.default_rng(cfg.seed), d_norm)
         ws, zs, eq = find_equilibrium(plant, fmap, d, y_ref, dt=dt, t_budget=t_budget)
         rate = float("nan")
         avg = float("nan")
@@ -417,7 +384,7 @@ def _sweep_cell(args):
             rep = convergence_report(run, fmap, ws, zs, window=1.0 / fmap.kappa)
             rate = rep.fitted_rate if rep.fitted_rate is not None else float("nan")
             avg = rep.averaged_output_error
-        success = eq.converged and eq.output_residual <= res_tol
+        success = eq.converged and eq.output_residual <= cfg.sweep.get("res_tol", 1e-4)
         return {
             "d_norm": d_norm, "y_ref_norm": y_norm, "success": int(success),
             "converged": int(eq.converged), "drift_residual": eq.drift_residual,
@@ -435,24 +402,13 @@ def _sweep_cell(args):
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """Explore the (||d||, ||y_ref||) grid; per-cell failures never abort."""
-    sweep = cfg.sweep
     plant = build_plant(cfg)
     fmap = build_fmap(plant, cfg)
     if not fmap.feasible:
         print("infeasible configuration: closed loop undefined", file=sys.stderr)
         return EXIT_INFEASIBLE
-    d_norms = _floats(sweep.get("d_norms", "0"))
-    y_norms = _floats(sweep.get("y_ref_norms", "0"))
-    dt = float(sweep.get("dt", 0.05))
-    t_budget = float(sweep.get("t_budget", 100.0))
-    res_tol = float(sweep.get("res_tol", 1e-4))
-    # the horizon rule of every cell's search, applied before any cell runs
-    Scenario(y_ref=np.zeros(1), T=t_budget, dt=dt)
-
-    jobs = [
-        (cfg.plant, cfg.forwarding, dn, yn, cfg.seed, dt, t_budget, res_tol)
-        for dn in d_norms for yn in y_norms
-    ]
+    jobs = [(cfg, dn, yn) for dn in cfg.sweep.get("d_norms", (0.0,))
+            for yn in cfg.sweep.get("y_ref_norms", (0.0,))]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_sweep_cell, jobs))

@@ -170,16 +170,20 @@ def build_forwarding(
 
     ``tau_max`` defaults to 40/alpha when the plant has a contraction
     certificate; plants without one must pass it explicitly (the horizon
-    then always sits at the ceiling).
+    then always sits at the ceiling). ``dt_quad``, ``tail_tol`` and ``tau_max`` must be finite and positive,
+    ``tau_extra`` finite and >= 0.
     """
-    if dt_quad <= 0:
-        raise ValueError("dt_quad must be positive")
     if tau_max is None:
         if plant.alpha_cert is None or plant.alpha_cert <= 0:
             raise ValueError(
                 "tau_max must be given for plants without a contraction certificate"
             )
         tau_max = 40.0 / plant.alpha_cert
+    for name, value in (("dt_quad", dt_quad), ("tail_tol", tail_tol), ("tau_max", tau_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not (math.isfinite(tau_extra) and tau_extra >= 0):
+        raise ValueError(f"tau_extra must be finite and >= 0, got {tau_extra}")
     return ForwardingMap(plant, dt_quad, tail_tol, tau_max, tau_extra)
 
 

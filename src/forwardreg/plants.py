@@ -262,8 +262,9 @@ class WilsonCowanParams:
     kernel_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 grid points")
+        if self.n < 3:
+            raise ValueError(f"need at least 3 grid points: a coarser midpoint grid "
+                             f"has no point inside the control window {_WC_WINDOW}")
         if self.alpha_gain <= 0:
             raise ValueError("alpha_gain must be positive")
         self.h = 1.0 / self.n

@@ -100,13 +100,17 @@ class RunResult:
 
 @dataclass
 class RegulationReport:
-    """Empirical convergence metrics of one closed-loop run."""
+    """Empirical convergence metrics of one closed-loop run.
+
+    ``deviation[k]`` is ||[w_k - w*, eta_k - eta*]||_rho at the k-th sample.
+    """
 
     final_output_error: float
     averaged_output_error: float
     fitted_rate: Optional[float]
     lyapunov_monotone: bool
     max_lyapunov_jump: float
+    deviation: np.ndarray
 
 
 @dataclass
@@ -340,4 +344,5 @@ def convergence_report(
         fitted_rate=fitted,
         lyapunov_monotone=bool(max_jump <= _JUMP_TOL),
         max_lyapunov_jump=max_jump,
+        deviation=dev,
     )

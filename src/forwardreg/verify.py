@@ -367,9 +367,9 @@ BATTERY_DEFAULTS = {
 }
 
 # a sampled check on no sample keeps its start value (inf or 0), a pass
-SAMPLE_COUNT_KEYS = ("monotonicity_samples", "contraction_pairs", "decay_dirs",
-                     "funceq_samples", "duality_pairs", "dissipation_runs",
-                     "coercivity_samples")
+SAMPLE_COUNTS = ("monotonicity_samples", "contraction_pairs", "decay_dirs",
+                 "funceq_samples", "duality_pairs", "dissipation_runs",
+                 "coercivity_samples")
 
 
 def _battery_config(config: Optional[dict]) -> dict:
@@ -381,7 +381,7 @@ def _battery_config(config: Optional[dict]) -> dict:
         if unknown:
             raise ValueError(f"unknown battery key(s): {', '.join(unknown)}")
         cfg.update(config)
-    for key in SAMPLE_COUNT_KEYS:
+    for key in SAMPLE_COUNTS:
         if int(cfg[key]) < 1:
             raise ValueError(f"battery key {key} must be >= 1, got {cfg[key]}")
     # an FD error needs one step, an observed order two

@@ -75,10 +75,10 @@ def test_load_config_sections_and_scenarios(tmp_path):
     )
     cfg = cli.load_config(path)
     assert cfg.plant["kind"] == "scalar_linear"
-    assert cfg.forwarding["dt_quad"] == "0.02"
+    assert cfg.forwarding["dt_quad"] == 0.02
     # scenario sections come back sorted by section name, labelled by suffix
     assert [sc["label"] for sc in cfg.scenarios] == ["a", "b"]
-    assert cfg.scenarios[0]["y_ref"] == "0.2"
+    assert cfg.scenarios[0]["y_ref"] == (0.2,)
     assert cfg.seed == 7
     assert cfg.workers == 3
     assert cfg.outdir.name == "somewhere"
@@ -138,10 +138,11 @@ def test_unknown_section_key_exit_2(tmp_path, capsys, section):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", sorted(cli.PLANT_KEYS))
+@pytest.mark.parametrize("kind", sorted(cli.PLANTS))
 def test_unknown_plant_key_exit_2(tmp_path, capsys, kind):
     # [plant] keys depend on the kind: each kind takes its own keys only
-    known = "".join(f"{key} = 1\n" for key in cli.PLANT_KEYS[kind] if key != "kind")
+    known = "".join(f"{key} = {'0.5, 2' if key == 'window' else 1}\n"
+                    for key in cli.PLANTS[kind][1])
     head = f"[plant]\nkind = {kind}\n"
     tail = "\n[forwarding]\ndt_quad = 0.05\n"
     cli.load_config(write_config(tmp_path, head + known + tail, name="known.ini"))
@@ -152,6 +153,59 @@ def test_unknown_plant_key_exit_2(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+SWEEP_INI = SCALAR_INI + """
+    [sweep]
+    d_norms = 0, 0.05
+    y_ref_norms = 0, 0.1
+    """
+
+# case -> (command, SWEEP_INI line, its bad stand-in, what the error names)
+BAD_VALUES = {
+    "plant_n": ("gains", "kind = scalar_linear\n    a = 2\n    b = 1\n    c = 1\n",
+                "kind = sine_gordon\n    n = abc\n", "[plant] n = 'abc'"),
+    "sweep_t_budget": ("sweep", "y_ref_norms = 0, 0.1\n",
+                       "y_ref_norms = 0, 0.1\n    t_budget = inf\n",
+                       "[sweep] t_budget = 'inf': must be finite and positive"),
+    "d_norms": ("sweep", "d_norms = 0, 0.05\n", "d_norms = nan\n",
+                "[sweep] d_norms = 'nan': must be finite and >= 0"),
+    "y_ref_norms": ("sweep", "y_ref_norms = 0, 0.1\n", "y_ref_norms = inf\n",
+                    "[sweep] y_ref_norms = 'inf': must be finite"),
+    "report_window": ("simulate", "t_budget = 400\n",
+                      "t_budget = 400\n    report_window = -3\n",
+                      "[scenario.1] report_window = '-3': must be finite and positive"),
+    "d_norm": ("simulate", "d_norm = 0.05\n", "d_norm = -0.05\n",
+               "[scenario.1] d_norm = '-0.05': must be finite and >= 0"),
+    "fit_equilibrium": ("simulate", "t_budget = 400\n",
+                        "t_budget = 400\n    fit_equilibrium = maybe\n",
+                        "[scenario.1] fit_equilibrium = 'maybe'"),
+    "tail_tol": ("simulate", "dt_quad = 0.01\n", "dt_quad = 0.01\n    tail_tol = 0\n",
+                 "tail_tol must be finite and positive, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_invalid_value_exit_2_before_anything_runs(tmp_path, capsys, case):
+    # a value outside its range is an invalid config, never a NaN row, a
+    # skipped option or a late divergence
+    command, old, new, named = BAD_VALUES[case]
+    assert SWEEP_INI.count(old) == 1
+    path = write_config(tmp_path, SWEEP_INI.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_readme_config_builds(tmp_path):
+    # the README's example config is a working one
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = cli.load_config(write_config(tmp_path, block))
+    assert cli.build_fmap(cli.build_plant(cfg), cfg).feasible
+
+
 CONFIG_FILES = sorted((CONFIG_DIR.parent / "perfbench" / "configs").glob("*.ini")) \
     + sorted(CONFIG_DIR.glob("*.ini"))
 
@@ -159,12 +213,9 @@ CONFIG_FILES = sorted((CONFIG_DIR.parent / "perfbench" / "configs").glob("*.ini"
 @pytest.mark.parametrize("path", CONFIG_FILES,
                          ids=[f"{p.parent.name}/{p.name}" for p in CONFIG_FILES])
 def test_config_lint(path):
-    # every shipped and benchmark config passes the key, horizon and ladder
-    # checks; nothing runs
-    cfg = cli.load_config(str(path))
-    verify._battery_config(cli._parse_verify_config(cfg))
-    for sc in cfg.scenarios:
-        cli._scenario_horizons(sc)
+    # every shipped and benchmark config passes the key, type, range and
+    # ladder checks; nothing runs
+    verify._battery_config(cli.load_config(str(path)).verify)
 
 
 def test_package_exports_resolve():
@@ -281,6 +332,17 @@ def test_simulate_divergence_exit_3(tmp_path, capsys):
     assert rep["aborted"] is True
 
 
+@pytest.mark.parametrize("value", ["no", "OFF"])
+def test_simulate_fit_equilibrium_off(tmp_path, value):
+    # every configparser boolean spelling of false skips the equilibrium fit
+    path = write_config(tmp_path, SCALAR_INI.replace(
+        "t_budget = 400\n", f"t_budget = 400\n    fit_equilibrium = {value}\n"))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert "dev_rho" not in (out / "scenario_1.csv").read_text().splitlines()[1]
+    assert "equilibrium" not in json.loads((out / "scenario_1_report.json").read_text())
+
+
 def test_simulate_no_scenarios_exit_2(tmp_path):
     path = write_config(
         tmp_path, "[plant]\nkind = scalar_linear\n\n[forwarding]\ndt_quad = 0.01\n"
@@ -295,7 +357,7 @@ def test_simulate_non_finite_horizon_exit_2(tmp_path, capsys):
         out = tmp_path / value
         assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"scenario T must be finite and positive, got {value}" in err
+        assert f"[scenario.1] t = '{value}': must be finite and positive" in err
         assert not list(out.glob("scenario_*"))
 
 
@@ -311,7 +373,7 @@ def test_simulate_bad_t_budget_exit_2_before_any_scenario(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert "scenario t_budget must be finite and positive, got inf" in captured.err
+    assert "[scenario.2] t_budget = 'inf': must be finite and positive" in captured.err
     assert "scenario 1" not in captured.out
     assert not list(out.glob("scenario_*"))
 
@@ -534,13 +596,13 @@ def test_sweep_cell_catches_only_numerical_failures(tmp_path, monkeypatch):
         cli.cmd_sweep(cfg)
 
 
-def test_sweep_cell_diverged_search_is_a_nan_row():
+def test_sweep_cell_diverged_search_is_a_nan_row(tmp_path):
     # scalar a = b = c = 2 at dt = 1: the explicit z-step is unstable and the
     # equilibrium search overflows long before its budget
-    plant_cfg = {"kind": "scalar_linear", "a": "2", "b": "2", "c": "2"}
-    args = (plant_cfg, {"dt_quad": "0.01"}, 0.0, 0.3, 0, 1.0, 20000.0, 1e-4)
+    path = write_config(tmp_path, "[plant]\nkind = scalar_linear\na = 2\nb = 2\nc = 2\n"
+                        "[forwarding]\ndt_quad = 0.01\n[sweep]\ndt = 1.0\nt_budget = 20000\n")
     with np.errstate(over="ignore", invalid="ignore"):
-        row = cli._sweep_cell(args)
+        row = cli._sweep_cell((cli.load_config(path), 0.0, 0.3))
     assert row["success"] == 0 and row["converged"] == 0
     assert np.isnan(row["drift_residual"]) and np.isnan(row["t_reached"])
 

@@ -23,6 +23,16 @@ def make_random_fmap(**kw):
     return build_forwarding(p, dt_quad=0.02, tail_tol=1e-8)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("dt_quad", 0.0), ("dt_quad", np.nan), ("tail_tol", 0.0), ("tail_tol", np.inf),
+    ("tau_max", -1.0), ("tau_max", np.nan), ("tau_extra", -1000.0), ("tau_extra", np.inf),
+])
+def test_build_forwarding_refuses_bad_horizon(name, value):
+    kwargs = {"dt_quad": 0.01, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+        build_forwarding(make_scalar_plant(), **kwargs)
+
+
 # -- linear part -------------------------------------------------------------
 
 

@@ -173,6 +173,13 @@ def test_mks_constant_kernel_exact():
     assert compute_M_ks(WilsonCowanParams(n=16, kernel=0.0)) == 0.0
 
 
+def test_wilson_cowan_refuses_grid_without_window_point():
+    # the midpoints 0.25 and 0.75 of a 2-point grid miss the window (0.3, 0.7)
+    with pytest.raises(ValueError, match=r"\(0\.3, 0\.7\)"):
+        WilsonCowanParams(n=2)
+    assert make_wilson_cowan(n=3).meta["window_idx"].size == 1
+
+
 def test_wilson_cowan_certificate_and_flags():
     wc = make_wilson_cowan()
     assert wc.alpha_cert == pytest.approx(0.04)
