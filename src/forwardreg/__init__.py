@@ -36,6 +36,8 @@ from .regulator import (
     convergence_report,
     feedback,
     find_equilibrium,
+    find_equilibrium_along,
+    find_equilibrium_recorded,
     simulate,
 )
 from .plants import (
@@ -74,7 +76,8 @@ __all__ = [
     "uniform_coercivity_check",
     # regulator
     "EquilibriumResult", "RegulationReport", "RunResult", "Scenario",
-    "convergence_report", "feedback", "find_equilibrium", "simulate",
+    "convergence_report", "feedback", "find_equilibrium", "find_equilibrium_along",
+    "find_equilibrium_recorded", "simulate",
     # plants
     "SineGordonParams", "WilsonCowanParams", "compute_M_ks",
     "make_linear_benchmark", "make_scalar_linear", "make_sine_gordon",

@@ -30,7 +30,13 @@ from .plants import (
     make_sine_gordon,
     make_wilson_cowan,
 )
-from .regulator import Scenario, convergence_report, find_equilibrium, simulate
+from .regulator import (
+    Scenario,
+    convergence_report,
+    find_equilibrium_along,
+    find_equilibrium_recorded,
+    simulate,
+)
 from .verify import BATTERY_DEFAULTS, run_battery, smooth_sample
 
 __all__ = ["RunConfig", "load_config", "cmd_gains", "cmd_simulate", "cmd_verify",
@@ -301,9 +307,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         doc = {"label": label, "aborted": run.diverged, "steps": len(run) - 1}
         rep = None
         if not run.diverged and sc.get("fit_equilibrium", True):
-            w_star, z_star, eq = find_equilibrium(
-                plant, fmap, d, y_ref, dt=dt, t_budget=sc.get("t_budget", t)
-            )
+            w_star, z_star, eq = find_equilibrium_along(
+                run, fmap, t_budget=sc.get("t_budget", t))
             rep = convergence_report(run, fmap, w_star, z_star,
                                      window=sc.get("report_window", 1.0 / fmap.kappa))
             doc.update(
@@ -375,12 +380,11 @@ def _sweep_cell(args):
         y_dir /= plant.space_Z.norm(y_dir)
         y_ref = y_norm * y_dir
         d = _sample(plant, np.random.default_rng(cfg.seed), d_norm)
-        ws, zs, eq = find_equilibrium(plant, fmap, d, y_ref, dt=dt, t_budget=t_budget)
+        ws, zs, eq, run = find_equilibrium_recorded(
+            plant, fmap, d, y_ref, dt=dt, t_budget=t_budget)
         rate = float("nan")
         avg = float("nan")
         if eq.converged:
-            sc = Scenario(y_ref=y_ref, T=eq.t_reached, dt=dt, d=d)
-            run = simulate(plant, fmap, sc)
             rep = convergence_report(run, fmap, ws, zs, window=1.0 / fmap.kappa)
             rate = rep.fitted_rate if rep.fitted_rate is not None else float("nan")
             avg = rep.averaged_output_error

@@ -31,6 +31,15 @@ __all__ = [
 ]
 
 
+def _check_finite(positive: bool = False, **params) -> None:
+    """Raise a ValueError naming the first of ``params`` that is not finite,
+    or not > 0 when ``positive``."""
+    for name, value in params.items():
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            rule = "finite and positive" if positive else "finite"
+            raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 # -- linear benchmark ---------------------------------------------------------
 
 
@@ -43,8 +52,9 @@ def make_linear_benchmark(
     monotonicity constant is exactly alpha. Seeds whose C A^{-1} B is close
     to rank-deficient are redrawn.
     """
-    if n < 1 or alpha <= 0:
-        raise ValueError("need n >= 1 and alpha > 0")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_finite(alpha=alpha, positive=True)
     dim_out = min(dim_out, n)
     sp = SpaceSpec(n, np.eye(n), "H")
     su = SpaceSpec(dim_out, np.eye(dim_out), "U")
@@ -78,6 +88,7 @@ def make_linear_benchmark(
 
 def make_scalar_linear(a: float = 2.0, b: float = 1.0, c: float = 1.0) -> Plant:
     """Scalar plant dw/dt + a w = b u, y = c w, with alpha = a."""
+    _check_finite(a=a, b=b, c=c)
     sp = SpaceSpec(1, np.eye(1), "H")
     return Plant(
         name="scalar-linear",
@@ -117,8 +128,7 @@ class SineGordonParams:
     def __post_init__(self):
         if self.N < 3:
             raise ValueError("need at least 3 interior grid points")
-        if self.xi <= 0 or self.gamma <= 0 or self.L <= 0:
-            raise ValueError("xi, gamma, L must be positive")
+        _check_finite(xi=self.xi, gamma=self.gamma, L=self.L, positive=True)
         if self.control_window is None:
             self.control_window = (0.2 * self.L, 0.8 * self.L)
         a, b = self.control_window
@@ -265,8 +275,8 @@ class WilsonCowanParams:
         if self.n < 3:
             raise ValueError(f"need at least 3 grid points: a coarser midpoint grid "
                              f"has no point inside the control window {_WC_WINDOW}")
-        if self.alpha_gain <= 0:
-            raise ValueError("alpha_gain must be positive")
+        _check_finite(alpha_gain=self.alpha_gain, positive=True)
+        _check_finite(kernel=self.kernel)
         self.h = 1.0 / self.n
         self.x = (np.arange(self.n) + 0.5) * self.h
         self.kernel_values = np.full((self.n, self.n), float(self.kernel))

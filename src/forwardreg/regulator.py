@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
@@ -34,6 +34,8 @@ __all__ = [
     "feedback",
     "simulate",
     "find_equilibrium",
+    "find_equilibrium_recorded",
+    "find_equilibrium_along",
     "convergence_report",
 ]
 
@@ -173,22 +175,16 @@ def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
         z = z + dt * (y - y_ref)
 
 
-def simulate(plant: Plant, fmap: ForwardingMap, scenario: Scenario) -> RunResult:
-    """Integrate the closed loop over the scenario horizon.
+def _record(fmap: ForwardingMap, states, scenario: Scenario, n: int) -> RunResult:
+    """The recording loop: states 0..n of ``states`` with V at each.
 
-    Deterministic: no randomness anywhere in the loop. Returns a truncated
-    result with ``diverged=True`` when the H-norm of the state passes 1e6
-    or V stops being finite.
+    Stops at the first state whose V is not finite or whose H-norm passes
+    the divergence guard, and returns the run up to that state.
     """
-    if plant is not fmap.plant:
-        raise ValueError("fmap was built for a different plant")
-    _require_feasible(fmap)
-    w0, z0, d, y_ref, n = _prep_scenario(plant, scenario)
-    dt = scenario.dt
-
+    plant = fmap.plant
     space_h, space_z = plant.space_H, plant.space_Z
     dim_u = plant.space_U.dim
-    times = dt * np.arange(n + 1)
+    times = scenario.dt * np.arange(n + 1)
     w_hist = np.empty((n + 1, plant.dim))
     z_hist = np.empty((n + 1, space_z.dim))
     y_hist = np.empty((n + 1, space_z.dim))
@@ -197,8 +193,7 @@ def simulate(plant: Plant, fmap: ForwardingMap, scenario: Scenario) -> RunResult
     v_hist = np.empty(n + 1)
 
     diverged = False
-    states = islice(_closed_loop(plant, fmap, w0, z0, d, y_ref, dt), n + 1)
-    for k, (w, z, m, u, y) in enumerate(states):
+    for k, (w, z, m, u, y) in enumerate(islice(states, n + 1)):
         w_hist[k], z_hist[k], y_hist[k], u_hist[k], m_hist[k] = w, z, y, u, m
         v_hist[k] = _energy(fmap, w, z - m)
         if not np.isfinite(v_hist[k]) or space_h.norm(w) > _DIVERGENCE_GUARD:
@@ -217,6 +212,67 @@ def simulate(plant: Plant, fmap: ForwardingMap, scenario: Scenario) -> RunResult
         diverged=diverged,
         scenario=scenario,
     )
+
+
+def _search(plant, fmap, states, d, y_ref, dt, n):
+    """The stagnation rule over states 1..n of a run from the origin.
+
+    ``states`` yields the states from state 1 on. Every 50 states the mean
+    drift speed is checked; the search stops once it is at most 1e-10 and
+    returns the mean of the last 20 states with its residuals. Memory is the
+    20-state tail, whatever the budget.
+    """
+    space_h, space_z = plant.space_H, plant.space_Z
+    tail_w = deque(maxlen=_TAIL_STEPS)
+    tail_z = deque(maxlen=_TAIL_STEPS)
+    w_mark, z_mark = np.zeros(plant.dim), np.zeros(space_z.dim)
+    converged = False
+    for k, (w, z, _, _, _) in enumerate(islice(states, n), start=1):
+        tail_w.append(w)
+        tail_z.append(z)
+        if k % _CHECK_EVERY == 0:
+            speed = (
+                space_h.norm(w - w_mark) + space_z.norm(z - z_mark)
+            ) / (_CHECK_EVERY * dt)
+            if speed <= _STAG_TOL:
+                converged = True
+                break
+            w_mark, z_mark = w, z
+            if not np.isfinite(space_h.norm(w)):
+                raise FloatingPointError(
+                    f"equilibrium search diverged: the state is not finite at "
+                    f"step {k} (t = {k * dt:.6g})"
+                )
+
+    w_star = np.mean(tail_w, axis=0)
+    z_star = np.mean(tail_z, axis=0)
+    u_star = feedback(fmap, w_star, z_star)
+    drift = -(plant.A @ w_star + plant.F(w_star)) + plant.B @ u_star
+    if d is not None:
+        drift = drift + d
+    res = EquilibriumResult(
+        converged=converged,
+        t_reached=k * dt,
+        drift_residual=space_h.norm(drift),
+        output_residual=space_z.norm(plant.C @ w_star - y_ref),
+        iterations=k,
+    )
+    return w_star, z_star, res
+
+
+def simulate(plant: Plant, fmap: ForwardingMap, scenario: Scenario) -> RunResult:
+    """Integrate the closed loop over the scenario horizon.
+
+    Deterministic: no randomness anywhere in the loop. Returns a truncated
+    result with ``diverged=True`` when the H-norm of the state passes 1e6
+    or V stops being finite.
+    """
+    if plant is not fmap.plant:
+        raise ValueError("fmap was built for a different plant")
+    _require_feasible(fmap)
+    w0, z0, d, y_ref, n = _prep_scenario(plant, scenario)
+    states = _closed_loop(plant, fmap, w0, z0, d, y_ref, scenario.dt)
+    return _record(fmap, states, scenario, n)
 
 
 def find_equilibrium(
@@ -238,50 +294,84 @@ def find_equilibrium(
     returns ``converged=False``; per the local theory this can simply mean
     (d, y_ref) are too large for the basin. A run whose state is no longer
     finite at a check raises FloatingPointError naming the step.
+
+    The search records nothing: its memory is the 20-state tail, whatever
+    the budget. :func:`find_equilibrium_recorded` also returns the run the
+    search visited, and :func:`find_equilibrium_along` reads the states of
+    a run that starts at the origin; both give this function's results.
     """
     _require_feasible(fmap)
-    y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
-    scenario = Scenario(y_ref=y_ref, T=t_budget, dt=dt, d=d)
-    w0, z0, d_vec, y_ref, n = _prep_scenario(plant, scenario)
-    space_h, space_z = plant.space_H, plant.space_Z
-
-    tail_w = deque(maxlen=_TAIL_STEPS)
-    tail_z = deque(maxlen=_TAIL_STEPS)
-    w_mark, z_mark = w0, z0
-    converged = False
+    budget = Scenario(y_ref=y_ref, T=t_budget, dt=dt, d=d)
+    w0, z0, d, y_ref, n = _prep_scenario(plant, budget)
     # states 1..n: the origin itself is never part of the tail
-    states = islice(_closed_loop(plant, fmap, w0, z0, d_vec, y_ref, dt), 1, n + 1)
-    for k, (w, z, _, _, _) in enumerate(states, start=1):
-        tail_w.append(w)
-        tail_z.append(z)
-        if k % _CHECK_EVERY == 0:
-            speed = (
-                space_h.norm(w - w_mark) + space_z.norm(z - z_mark)
-            ) / (_CHECK_EVERY * dt)
-            if speed <= _STAG_TOL:
-                converged = True
-                break
-            w_mark, z_mark = w, z
-            if not np.isfinite(space_h.norm(w)):
-                raise FloatingPointError(
-                    f"equilibrium search diverged: the state is not finite at "
-                    f"step {k} (t = {k * dt:.6g})"
-                )
+    states = islice(_closed_loop(plant, fmap, w0, z0, d, y_ref, dt), 1, None)
+    return _search(plant, fmap, states, d, y_ref, dt, n)
 
-    w_star = np.mean(tail_w, axis=0)
-    z_star = np.mean(tail_z, axis=0)
-    u_star = feedback(fmap, w_star, z_star)
-    drift = -(plant.A @ w_star + plant.F(w_star)) + plant.B @ u_star
-    if d_vec is not None:
-        drift = drift + d_vec
-    res = EquilibriumResult(
-        converged=converged,
-        t_reached=k * dt,
-        drift_residual=space_h.norm(drift),
-        output_residual=space_z.norm(plant.C @ w_star - y_ref),
-        iterations=k,
-    )
-    return w_star, z_star, res
+
+def find_equilibrium_recorded(
+    plant: Plant,
+    fmap: ForwardingMap,
+    d: Optional[np.ndarray],
+    y_ref: np.ndarray,
+    *,
+    dt: float,
+    t_budget: float,
+) -> tuple[np.ndarray, np.ndarray, EquilibriumResult, Optional[RunResult]]:
+    """:func:`find_equilibrium`, plus the run of the states it visited.
+
+    Returns ``(w*, z*, result, run)``. For a converged search ``run`` is
+    ``simulate`` over ``[0, result.t_reached]`` from the origin, bitwise,
+    built from copies of the states the search already stepped through; it
+    is None otherwise. The copies take ``t_budget / dt`` rows for the
+    duration of the call.
+    """
+    _require_feasible(fmap)
+    budget = Scenario(y_ref=y_ref, T=t_budget, dt=dt, d=d)
+    w0, z0, d, y_ref, n = _prep_scenario(plant, budget)
+    rows = [np.empty((n + 1, dim)) for dim in
+            (w0.size, z0.size, z0.size, plant.space_U.dim, z0.size)]
+
+    def visited():
+        w_rows, z_rows, m_rows, u_rows, y_rows = rows
+        states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
+        for k, state in enumerate(states):
+            w_rows[k], z_rows[k], m_rows[k], u_rows[k], y_rows[k] = state
+            yield state
+
+    w_star, z_star, res = _search(
+        plant, fmap, islice(visited(), 1, None), d, y_ref, dt, n)
+    run = None
+    if res.converged:
+        k = res.iterations
+        scenario = Scenario(y_ref=y_ref, T=res.t_reached, dt=dt, d=d)
+        run = _record(fmap, zip(*(r[:k + 1] for r in rows)), scenario, k)
+    return w_star, z_star, res, run
+
+
+def find_equilibrium_along(
+    run: RunResult, fmap: ForwardingMap, *, t_budget: float
+) -> tuple[np.ndarray, np.ndarray, EquilibriumResult]:
+    """:func:`find_equilibrium` for the scenario of ``run``, reading its states.
+
+    Gives ``find_equilibrium(fmap.plant, fmap, d, y_ref, dt=dt,
+    t_budget=t_budget)`` for the run's ``d``, ``y_ref`` and ``dt``. When the
+    run starts at the origin, its states 1..n are the search's own, so the
+    search reads them and steps on from the run's last state only when its
+    budget runs past the run. A run that starts elsewhere gets a search of
+    its own.
+    """
+    sc = run.scenario
+    plant = fmap.plant
+    if np.any(run.w[0]) or np.any(run.z[0]):
+        return find_equilibrium(plant, fmap, sc.d, sc.y_ref, dt=sc.dt,
+                                t_budget=t_budget)
+    _require_feasible(fmap)
+    budget = Scenario(y_ref=sc.y_ref, T=t_budget, dt=sc.dt, d=sc.d)
+    _, _, d, y_ref, n = _prep_scenario(plant, budget)
+    recorded = zip(run.w[1:], run.z[1:], run.m[1:], run.u[1:], run.y[1:])
+    onward = _closed_loop(plant, fmap, run.w[-1], run.z[-1], d, y_ref, sc.dt)
+    states = chain(recorded, islice(onward, 1, None))
+    return _search(plant, fmap, states, d, y_ref, sc.dt, n)
 
 
 def convergence_report(

@@ -1,5 +1,6 @@
 """End-to-end tests for the batch front end: config parsing, artifacts, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -12,7 +13,8 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from forwardreg import cli, verify
+from forwardreg import cli, forwarding, verify
+from forwardreg.regulator import Scenario, convergence_report, find_equilibrium, simulate
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -194,6 +196,24 @@ def test_invalid_value_exit_2_before_anything_runs(tmp_path, capsys, case):
     assert cli.main([command, "--config", path, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert named in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, key, rule", [
+    ("scalar_linear", "a", "finite"),
+    ("linear_benchmark", "alpha", "finite and positive"),
+    ("sine_gordon", "gamma", "finite and positive"),
+    ("wilson_cowan", "kernel", "finite"),
+])
+def test_non_finite_plant_parameter_exit_2(tmp_path, capsys, kind, key, rule):
+    # the plant constructor names the parameter; NaN passes a `<= 0` check
+    path = write_config(tmp_path, f"[plant]\nkind = {kind}\n{key} = nan\n\n"
+                                  "[forwarding]\ndt_quad = 0.01\n")
+    out = tmp_path / "out"
+    assert cli.main(["gains", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"{key} must be {rule}, got nan" in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -584,14 +604,14 @@ def test_sweep_cell_catches_only_numerical_failures(tmp_path, monkeypatch):
         tmp_path, "[plant]\nkind = scalar_linear\n\n[forwarding]\ndt_quad = 0.01\n"
     )
     cfg = cli.load_config(path, str(tmp_path / "out"), None, 1)
-    monkeypatch.setattr(cli, "find_equilibrium",
+    monkeypatch.setattr(cli, "find_equilibrium_recorded",
                         Mock(side_effect=np.linalg.LinAlgError("singular matrix")))
     assert cli.cmd_sweep(cfg) == 0
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     row = dict(zip(lines[1].split(","), map(float, lines[2].split(","))))
     assert row["success"] == 0 and np.isnan(row["drift_residual"])
     # a programming error is not a failed cell
-    monkeypatch.setattr(cli, "find_equilibrium", Mock(side_effect=TypeError("bug")))
+    monkeypatch.setattr(cli, "find_equilibrium_recorded", Mock(side_effect=TypeError("bug")))
     with pytest.raises(TypeError):
         cli.cmd_sweep(cfg)
 
@@ -605,6 +625,111 @@ def test_sweep_cell_diverged_search_is_a_nan_row(tmp_path):
         row = cli._sweep_cell((cli.load_config(path), 0.0, 0.3))
     assert row["success"] == 0 and row["converged"] == 0
     assert np.isnan(row["drift_residual"]) and np.isnan(row["t_reached"])
+
+
+# -- each closed-loop state is evaluated once -----------------------------------
+
+# a small nonlinear plant whose search converges at step 150 (t = 75)
+NONLINEAR_INI = """\
+    [plant]
+    kind = sine_gordon
+    n = 12
+    gamma = 0.05
+
+    [forwarding]
+    dt_quad = 1.0
+    tail_tol = 1e-4
+
+    [scenario.1]
+    y_ref = 0.01
+    d_norm = 0.01
+    t = 100
+    dt = 0.5
+    t_budget = 1500
+
+    [sweep]
+    dt = 0.5
+    t_budget = 1200
+    """
+
+
+def count_evaluations(monkeypatch):
+    calls = []
+    init = forwarding.StateEvaluation.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(forwarding.StateEvaluation, "__init__", counted)
+    return calls
+
+
+def test_converged_sweep_cell_evaluates_each_state_once(tmp_path, monkeypatch):
+    cfg = cli.load_config(write_config(tmp_path, NONLINEAR_INI))
+    calls = count_evaluations(monkeypatch)
+    row = cli._sweep_cell((cfg, 0.01, 0.01))
+    monkeypatch.undo()
+    assert row["converged"] == 1
+    iterations = round(row["t_reached"] / 0.5)
+    # states 0..k, plus the map build, the residual at the tail mean and
+    # M(w*) in the report; a re-simulation would double the count
+    assert len(calls) <= iterations + 4
+
+    # bitwise the row of the old two passes: a search, then a run over
+    # [0, t_reached] for the report
+    plant = cli.build_plant(cfg)
+    fmap = cli.build_fmap(plant, cfg)
+    d = cli._sample(plant, np.random.default_rng(cfg.seed), 0.01)
+    y_ref = np.array([0.01])
+    ws, zs, eq = find_equilibrium(plant, fmap, d, y_ref, dt=0.5, t_budget=1200)
+    run = simulate(plant, fmap, Scenario(y_ref=y_ref, T=eq.t_reached, dt=0.5, d=d))
+    rep = convergence_report(run, fmap, ws, zs, window=1.0 / fmap.kappa)
+    assert (row["drift_residual"], row["output_residual"], row["t_reached"]) == \
+        (eq.drift_residual, eq.output_residual, eq.t_reached)
+    assert (row["fitted_rate"], row["averaged_output_error"]) == \
+        (rep.fitted_rate, rep.averaged_output_error)
+
+
+@pytest.mark.parametrize("t, w0_norm", [(100, 0), (40, 0), (40, 0.02)],
+                         ids=["search_inside_horizon", "search_past_horizon",
+                              "off_origin"])
+def test_scenario_evaluates_each_state_once(tmp_path, monkeypatch, t, w0_norm):
+    body = NONLINEAR_INI.replace("t = 100", f"t = {t}\n    w0_norm = {w0_norm}")
+    cfg = cli.load_config(write_config(tmp_path, body), str(tmp_path / "out"))
+    calls = count_evaluations(monkeypatch)
+    assert cli.cmd_simulate(cfg) == 0
+    monkeypatch.undo()
+    doc = json.loads((tmp_path / "out" / "scenario_1_report.json").read_text())
+    n, k = doc["steps"], doc["equilibrium"]["iterations"]
+    if w0_norm == 0:
+        # states 0..max(n, k), plus the map build, the run's last state when
+        # the search steps on past it, the residual and M(w*)
+        assert len(calls) <= max(n, k) + 5
+    else:
+        # a run off the origin shares no state with the search
+        assert len(calls) > n + k
+
+    # bitwise the report of the old two passes: the run, then a search of
+    # its own from the origin
+    plant = cli.build_plant(cfg)
+    fmap = cli.build_fmap(plant, cfg)
+    y_ref, d, w0 = cli._scenario_vectors(plant, cfg.scenarios[0], cfg.seed, 0)
+    run = simulate(plant, fmap, Scenario(y_ref=y_ref, T=t, dt=0.5, d=d, w0=w0))
+    ws, zs, eq = find_equilibrium(plant, fmap, d, y_ref, dt=0.5, t_budget=1500)
+    rep = convergence_report(run, fmap, ws, zs, window=1.0 / fmap.kappa)
+    assert doc["equilibrium"] == dataclasses.asdict(eq)
+    for key in ("final_output_error", "averaged_output_error", "fitted_rate",
+                "lyapunov_monotone", "max_lyapunov_jump"):
+        assert doc[key] == getattr(rep, key), key
+    lines = (tmp_path / "out" / "scenario_1.csv").read_text().splitlines()
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    header = lines[1].split(",")
+    dev_flat = [np.sqrt(plant.space_H.inner(w - ws, w - ws)
+                        + plant.space_Z.inner(z - zs, z - zs))
+                for w, z in zip(run.w, run.z)]
+    assert np.array_equal(table[:, header.index("dev_rho")], rep.deviation)
+    assert np.array_equal(table[:, header.index("dev_flat")], dev_flat)
 
 
 def test_main_arithmetic_error_exit_3(tmp_path, monkeypatch, capsys):

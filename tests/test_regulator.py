@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from forwardreg.forwarding import StateEvaluation, build_forwarding
-from forwardreg.plants import make_scalar_linear
+from forwardreg.plants import make_linear_benchmark, make_scalar_linear
 from forwardreg.regulator import (
     _DIVERGENCE_GUARD,
     Scenario,
@@ -221,6 +223,26 @@ def test_find_equilibrium_is_the_simulated_tail_mean(fast_loop):
     assert len(run) == res.iterations + 1
     assert np.all(ws == np.mean(run.w[-20:], axis=0))
     assert np.all(zs == np.mean(run.z[-20:], axis=0))
+
+
+def test_find_equilibrium_memory_is_constant_in_the_budget():
+    # the search records nothing: a 20x longer budget leaves its peak
+    # allocation where it was (recording a state a step would add ~4 MB)
+    plant = make_linear_benchmark(20, alpha=0.5, seed=0, dim_out=2)
+    fmap = build_forwarding(plant, dt_quad=0.05)
+    y_ref = np.full(2, 0.1)
+    find_equilibrium(plant, fmap, None, y_ref, dt=0.01, t_budget=0.5)  # warm up
+    peaks = []
+    for t_budget in (10.0, 200.0):
+        tracemalloc.start()
+        try:
+            _, _, res = find_equilibrium(plant, fmap, None, y_ref, dt=0.01,
+                                         t_budget=t_budget)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert not res.converged and res.iterations == round(t_budget / 0.01)
+    assert abs(peaks[1] - peaks[0]) < 16 * 1024, peaks
 
 
 # -- convergence report -------------------------------------------------------
