@@ -73,11 +73,12 @@ def _floats(text: str) -> tuple:
     return tuple(float(x) for x in text.replace(";", ",").split(",") if x.strip())
 
 
-def _ranged(rule: str, ok, many: bool = False):
-    """A converter of one float, or of a comma list of floats when ``many``,
-    that refuses any value failing ``ok``; the message reads 'must be rule'."""
+def _ranged(rule: str, ok, many: bool = False, parse=float):
+    """A converter of one value read by ``parse``, or of a comma list of floats
+    when ``many``, that refuses any value failing ``ok``; the message reads
+    'must be rule'."""
     def convert(text: str):
-        values = _floats(text) if many else (float(text),)
+        values = _floats(text) if many else (parse(text),)
         if not all(ok(v) for v in values):
             raise ValueError(f"must be {rule}")
         return values if many else values[0]
@@ -103,19 +104,22 @@ _positive = _ranged("finite and positive", lambda v: math.isfinite(v) and v > 0)
 _norm = _ranged("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 _norms = _ranged("finite and >= 0", lambda v: math.isfinite(v) and v >= 0, many=True)
 _finites = _ranged("finite", math.isfinite, many=True)
+_seed = _ranged("an integer >= 0", lambda v: v >= 0, parse=int)
+_count = _ranged("an integer >= 1", lambda v: v >= 1, parse=int)
+_grid = _ranged("an integer >= 3", lambda v: v >= 3, parse=int)
 
 # [plant] kind -> (constructor, {key: (constructor keyword, converter)}); the
 # constructors own every default, and rank_deficient is the CLI's own key
 PLANTS = {
     "sine_gordon": (make_sine_gordon, {
-        "n": ("N", int), "l": ("L", float), "xi": ("xi", float),
+        "n": ("N", _grid), "l": ("L", float), "xi": ("xi", float),
         "gamma": ("gamma", float), "window": ("control_window", _pair)}),
     "wilson_cowan": (make_wilson_cowan, {
-        "n": ("n", int), "alpha_gain": ("alpha_gain", float),
+        "n": ("n", _grid), "alpha_gain": ("alpha_gain", float),
         "kernel": ("kernel", float)}),
     "linear_benchmark": (make_linear_benchmark, {
-        "dim": ("n", int), "alpha": ("alpha", float), "seed": ("seed", int),
-        "dim_out": ("dim_out", int), "rank_deficient": (None, _bool)}),
+        "dim": ("n", _count), "alpha": ("alpha", float), "seed": ("seed", _seed),
+        "dim_out": ("dim_out", _count), "rank_deficient": (None, _bool)}),
     "scalar_linear": (make_scalar_linear, {
         "a": ("a", float), "b": ("b", float), "c": ("c", float)}),
 }
@@ -124,10 +128,10 @@ SECTIONS = {
     "forwarding": {"dt_quad": float, "tail_tol": float, "tau_max": float,
                    "tau_extra": float},
     "sweep": {"d_norms": _norms, "y_ref_norms": _finites, "dt": _positive,
-              "t_budget": _positive, "res_tol": float, "workers": int},
-    "output": {"dir": str, "seed": int},
+              "t_budget": _positive, "res_tol": float, "workers": _count},
+    "output": {"dir": str, "seed": _seed},
     "verify": {key: _floats if isinstance(value, tuple) else type(value)
-               for key, value in BATTERY_DEFAULTS.items()},
+               for key, value in BATTERY_DEFAULTS.items()} | {"seed": _seed},
 }
 SCENARIO = {"label": str, "y_ref": _finites, "d_norm": _norm, "w0_norm": _norm,
             "t": _positive, "dt": _positive, "t_budget": _positive,
@@ -174,11 +178,13 @@ def load_config(
         sc.setdefault("label", name.split(".", 1)[1] if "." in name else name)
         scenarios.append(sc)
 
+    # an override passes the check of the key it replaces
+    flags = {"--seed": seed_override, "--workers": workers_override}
+    flags = _convert("command line", {f: str(v) for f, v in flags.items() if v is not None},
+                     {"--seed": _seed, "--workers": _count})
     output = sections["output"]
-    seed = output.get("seed", 0) if seed_override is None else seed_override
-    workers = sections["sweep"].get("workers", 1)
-    if workers_override is not None:
-        workers = workers_override
+    seed = flags.get("--seed", output.get("seed", 0))
+    workers = flags.get("--workers", sections["sweep"].get("workers", 1))
     digest = hashlib.sha256(f"{text}\nseed={seed}".encode()).hexdigest()[:16]
     return RunConfig(
         plant=plant,

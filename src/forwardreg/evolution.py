@@ -3,9 +3,9 @@
 The state equation is dw/dt + A w + F(w) = f with A linear monotone and F a
 Lipschitz semilinear part vanishing at the origin, of the structured form
 F(w) = K sigma(S w) with an elementwise sigma. Time stepping is IMEX Euler,
-implicit in A and explicit in F:
+implicit in A and explicit in F, through one dense P = (I + dt A)^{-1} per dt:
 
-    (I + dt A) w' = w + dt (f - F(w)).
+    w' = P (w + dt (f - F(w))).
 
 The tangent flow integrates the first variation along a stored base
 trajectory with the same scheme, and the adjoint flow propagates the exact
@@ -47,30 +47,31 @@ __all__ = [
 
 
 class OperatorSolver:
-    """LU-backed solves for A and the IMEX step matrices (I + dt A).
+    """Solves with A and products with the IMEX step inverse (I + dt A)^{-1}.
 
-    One factorization per distinct dt is cached. ``solve_step`` serves the
-    closed-loop step, sample smoothing and the dense (I + dt A)^{-1} that
-    :meth:`Plant.sweep_matrices` stacks for the sweeps.
+    One row-major P per distinct dt is cached; ``solve_step`` and
+    :meth:`Plant.sweep_matrices` read it, so products with P round alike.
     """
 
     def __init__(self, a_matrix: np.ndarray):
         self._a = np.asarray(a_matrix, dtype=float)
         self._dim = self._a.shape[0]
         self._lu_a = sla.lu_factor(self._a)
-        self._step_lu: dict[float, tuple] = {}
+        self._step_inv: dict[float, np.ndarray] = {}
 
     def solve_a(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         return sla.lu_solve(self._lu_a, b, trans=1 if transpose else 0)
 
-    def _step_factor(self, dt: float):
+    def _step_inverse(self, dt: float) -> np.ndarray:
         key = float(dt)
-        if key not in self._step_lu:
-            self._step_lu[key] = sla.lu_factor(np.eye(self._dim) + dt * self._a)
-        return self._step_lu[key]
+        if key not in self._step_inv:
+            eye = np.eye(self._dim)
+            self._step_inv[key] = np.ascontiguousarray(
+                sla.lu_solve(sla.lu_factor(eye + dt * self._a), eye))
+        return self._step_inv[key]
 
     def solve_step(self, dt: float, b: np.ndarray) -> np.ndarray:
-        return sla.lu_solve(self._step_factor(dt), b)
+        return self._step_inverse(dt) @ b
 
 
 @dataclass
@@ -87,7 +88,7 @@ class Plant:
     A + dF(.) in the H product, or None when the construction could not
     certify one. ``lip_F`` is a global Lipschitz bound of F, used for
     step-size guards and quadrature tail bounds. ``solver`` holds the
-    factorizations of A and is built from it.
+    factorization of A and the step inverses, and is built from it.
     """
 
     name: str
@@ -150,7 +151,7 @@ class Plant:
         """
         key = float(dt)
         if key not in self._sweeps:
-            p = self.solver.solve_step(dt, np.eye(self.dim))
+            p = self.solver._step_inverse(dt)
             pk = dt * (p @ self.K)
             self._sweeps[key] = (np.vstack([p, self.S]), pk, np.vstack([p.T, -pk.T]))
         return self._sweeps[key]

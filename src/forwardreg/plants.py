@@ -52,8 +52,9 @@ def make_linear_benchmark(
     monotonicity constant is exactly alpha. Seeds whose C A^{-1} B is close
     to rank-deficient are redrawn.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    for name, value in (("n", n), ("dim_out", dim_out)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     _check_finite(alpha=alpha, positive=True)
     dim_out = min(dim_out, n)
     sp = SpaceSpec(n, np.eye(n), "H")
@@ -87,8 +88,15 @@ def make_linear_benchmark(
 
 
 def make_scalar_linear(a: float = 2.0, b: float = 1.0, c: float = 1.0) -> Plant:
-    """Scalar plant dw/dt + a w = b u, y = c w, with alpha = a."""
+    """Scalar plant dw/dt + a w = b u, y = c w, with alpha = a.
+
+    For a <= 0 the plant does not contract: it carries no certificate
+    (alpha_cert is None) and a warning is emitted.
+    """
     _check_finite(a=a, b=b, c=c)
+    if a <= 0:
+        warnings.warn(f"scalar plant a={a} <= 0: no contraction certificate",
+                      stacklevel=2)
     sp = SpaceSpec(1, np.eye(1), "H")
     return Plant(
         name="scalar-linear",
@@ -98,7 +106,7 @@ def make_scalar_linear(a: float = 2.0, b: float = 1.0, c: float = 1.0) -> Plant:
         A=np.array([[a]]),
         B=np.array([[b]]),
         C=np.array([[c]]),
-        alpha_cert=float(a),
+        alpha_cert=float(a) if a > 0 else None,
         lip_F=0.0,
     )
 

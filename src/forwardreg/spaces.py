@@ -6,7 +6,7 @@ matrices; the geometry of each space lives entirely in its Gram matrix, so
 with its two spaces. Every inner product, norm, adjoint and singular value in
 the package is taken with respect to the Gram weights, never the raw
 Euclidean ones, so discrete plants inherit the energy products of their
-continuous models.
+continuous models. Each space factors its Gram once (``chol_lower``).
 """
 
 from __future__ import annotations
@@ -45,14 +45,12 @@ class SpaceSpec:
             raise ValueError("gram matrix must be symmetric")
         gram = 0.5 * (gram + gram.T)
         try:
-            chol_lower = np.linalg.cholesky(gram)
+            self.chol_lower = np.linalg.cholesky(gram)  # gram = L @ L.T, L lower
         except np.linalg.LinAlgError:
             raise ValueError("gram matrix must be positive definite") from None
         self.dim = int(dim)
         self.gram = gram
         self.label = label
-        self.chol_lower = chol_lower  # lower Cholesky factor L, gram = L @ L.T
-        self._cho = sla.cho_factor(gram, lower=True)
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.asarray(x) @ self.gram @ np.asarray(y))
@@ -64,7 +62,7 @@ class SpaceSpec:
         return self.gram @ x
 
     def solve_gram(self, x: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self._cho, x)
+        return sla.cho_solve((self.chol_lower, True), x)
 
     def sample_sphere(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform direction on the unit sphere of this space."""

@@ -346,22 +346,25 @@ class VerificationReport:
         return json.dumps(doc, indent=2, sort_keys=True, default=float)
 
 
+# the battery's bounds and its base flow step are fixed here, not read from
+# a config, so no config can loosen the contract
+MONOTONICITY_TOL = 1e-3
+CONTRACTION_SLACK = 0.05
+FUNCEQ_TOL = 1e-3
+DUALITY_RTOL = 1e-9
+FD_TOL = 1e-3
+DISSIPATION_DT = 0.05
+
 BATTERY_DEFAULTS = {
     "seed": 0,
     "radius": 1.0,
     "monotonicity_samples": 25,
-    "monotonicity_tol": 1e-3,
     "contraction_pairs": 3,
-    "contraction_slack": 0.05,
     "decay_dirs": 3,
     "funceq_samples": 3,
-    "funceq_tol": 1e-3,
     "duality_pairs": 3,
-    "duality_rtol": 1e-9,
     "fd_eps": (1e-3, 1e-4),
-    "fd_tol": 1e-3,
     "dissipation_runs": 3,
-    "dissipation_dt": 0.05,
     "coercivity_samples": 20,
     "oracle_dts": (1e-2, 5e-3, 2.5e-3),
 }
@@ -409,9 +412,11 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     additionally get the dense-oracle agreement checks.
 
     Every verdict is made here: the sampling helpers return the number they
-    measure, and each check compares it with its bound from ``config``
-    (keys and defaults in ``BATTERY_DEFAULTS``; an invalid config is refused
-    before any check runs, see :func:`_battery_config`).
+    measure, and each check compares it with its bound, a module constant
+    (``FUNCEQ_TOL`` and so on) that no config sets. ``config`` sets the seed,
+    radius, sample counts and ladders (keys and defaults in
+    ``BATTERY_DEFAULTS``; an invalid config is refused before any check
+    runs, see :func:`_battery_config`).
     """
     cfg = _battery_config(config)
     seed = int(cfg["seed"])
@@ -441,12 +446,12 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     else:
         checks.append(
             _check_ge("monotonicity", quotient,
-                      plant.alpha_cert - float(cfg["monotonicity_tol"]),
+                      plant.alpha_cert - MONOTONICITY_TOL,
                       f"sampled quotient vs certified alpha={plant.alpha_cert:.6g}")
         )
 
     alpha = plant.alpha_cert
-    slack = float(cfg["contraction_slack"])
+    ratio_bound = 1.0 + CONTRACTION_SLACK
     alpha_ok = alpha is not None and alpha > 0
     feasible = fmap.feasible and alpha_ok
 
@@ -456,19 +461,19 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     # slack budget measures the dynamics, not the scheme.
     if alpha_ok:
         horizon = 5.0 / alpha
-        dt_flow = min(float(cfg["dissipation_dt"]), horizon / 50.0, 0.004 / alpha)
+        dt_flow = min(DISSIPATION_DT, horizon / 50.0, 0.004 / alpha)
         worst = contraction_samples(
             plant, int(cfg["contraction_pairs"]), radius, horizon, dt_flow, seed=seed
         )
-        checks.append(_check_le("contraction", worst, 1.0 + slack))
+        checks.append(_check_le("contraction", worst, ratio_bound))
         worst = linearized_decay_samples(
             plant, int(cfg["decay_dirs"]), radius, horizon, dt_flow, seed=seed
         )
-        checks.append(_check_le("linearized_decay", worst, 1.0 + slack))
+        checks.append(_check_le("linearized_decay", worst, ratio_bound))
     else:
-        checks.append(CheckResult("contraction", float("nan"), 1.0 + slack, False,
+        checks.append(CheckResult("contraction", float("nan"), ratio_bound, False,
                                   "le", "not runnable: no contraction certificate"))
-        checks.append(CheckResult("linearized_decay", float("nan"), 1.0 + slack, False,
+        checks.append(CheckResult("linearized_decay", float("nan"), ratio_bound, False,
                                   "le", "not runnable: no contraction certificate"))
 
     # forwarding map at the origin
@@ -480,7 +485,7 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     for _ in range(int(cfg["funceq_samples"])):
         w = smooth_sample(plant, rng, radius)
         worst = max(worst, functional_equation_residual(fmap, w))
-    checks.append(_check_le("functional_equation", worst, float(cfg["funceq_tol"])))
+    checks.append(_check_le("functional_equation", worst, FUNCEQ_TOL))
 
     # dM duality: <zeta, dM h>_Z == <dM* zeta, h>_H to roundoff
     worst = 0.0
@@ -493,7 +498,7 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
         rhs = space_h.inner(ev.dM_adjoint(zeta), h)
         scale = max(abs(lhs), abs(rhs), 1e-14)
         worst = max(worst, abs(lhs - rhs) / scale)
-    checks.append(_check_le("dm_duality", worst, float(cfg["duality_rtol"])))
+    checks.append(_check_le("dm_duality", worst, DUALITY_RTOL))
 
     # dM finite differences
     w = smooth_sample(plant, rng, radius)
@@ -504,13 +509,13 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
         "errors": list(fd_table.errors),
         "orders": list(fd_table.orders),
     }
-    checks.append(_check_le("dm_fd", min(fd_table.errors), float(cfg["fd_tol"])))
+    checks.append(_check_le("dm_fd", min(fd_table.errors), FD_TOL))
 
     # Lyapunov dissipation with c fitted at dt and re-fitted at dt/2. The
     # inequality is per-step, so a few hundred steps per run suffice; capping
     # by step count keeps stiff-loop plants (small stable dt) affordable.
     if feasible:
-        dt0 = float(cfg["dissipation_dt"])
+        dt0 = DISSIPATION_DT
         if fmap.loop_gain > 0:
             dt0 = min(dt0, 0.5 / fmap.loop_gain)
         t_run = min(2.0 / alpha, 300.0 * dt0)
@@ -544,7 +549,7 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
         )
         kappa = fmap.kappa
         t_spot = 2.0 / kappa
-        dt_spot = min(float(cfg["dissipation_dt"]) * 10, t_spot / 100.0)
+        dt_spot = min(DISSIPATION_DT * 10, t_spot / 100.0)
         if fmap.loop_gain > 0:
             dt_spot = min(dt_spot, 0.5 / fmap.loop_gain)
         # step-count cap as above; the decay bound scales with the shortened
@@ -555,7 +560,7 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
         run = simulate(plant, fmap, sc)
         dev0 = np.sqrt(2.0 * run.v[0])
         dev1 = np.sqrt(2.0 * run.v[-1])
-        bound = float(np.exp(-kappa * t_spot) * (1.0 + slack))
+        bound = float(np.exp(-kappa * t_spot) * ratio_bound)
         value = dev1 / dev0 if dev0 > 0 else 0.0
         checks.append(
             CheckResult("global_attraction", value, bound, bool(value <= bound),

@@ -143,8 +143,8 @@ def test_unknown_section_key_exit_2(tmp_path, capsys, section):
 @pytest.mark.parametrize("kind", sorted(cli.PLANTS))
 def test_unknown_plant_key_exit_2(tmp_path, capsys, kind):
     # [plant] keys depend on the kind: each kind takes its own keys only
-    known = "".join(f"{key} = {'0.5, 2' if key == 'window' else 1}\n"
-                    for key in cli.PLANTS[kind][1])
+    values = {"window": "0.5, 2", "n": 3}
+    known = "".join(f"{key} = {values.get(key, 1)}\n" for key in cli.PLANTS[kind][1])
     head = f"[plant]\nkind = {kind}\n"
     tail = "\n[forwarding]\ndt_quad = 0.05\n"
     cli.load_config(write_config(tmp_path, head + known + tail, name="known.ini"))
@@ -161,10 +161,11 @@ SWEEP_INI = SCALAR_INI + """
     y_ref_norms = 0, 0.1
     """
 
-# case -> (command, SWEEP_INI line, its bad stand-in, what the error names)
+SCALAR_PLANT = "kind = scalar_linear\n    a = 2\n    b = 1\n    c = 1\n"
+# case -> (command, SWEEP_INI line, its bad stand-in, what the error names,
+# extra command-line arguments)
 BAD_VALUES = {
-    "plant_n": ("gains", "kind = scalar_linear\n    a = 2\n    b = 1\n    c = 1\n",
-                "kind = sine_gordon\n    n = abc\n", "[plant] n = 'abc'"),
+    "plant_n": ("gains", SCALAR_PLANT, "kind = sine_gordon\n    n = abc\n", "[plant] n = 'abc'"),
     "sweep_t_budget": ("sweep", "y_ref_norms = 0, 0.1\n",
                        "y_ref_norms = 0, 0.1\n    t_budget = inf\n",
                        "[sweep] t_budget = 'inf': must be finite and positive"),
@@ -182,6 +183,26 @@ BAD_VALUES = {
                         "[scenario.1] fit_equilibrium = 'maybe'"),
     "tail_tol": ("simulate", "dt_quad = 0.01\n", "dt_quad = 0.01\n    tail_tol = 0\n",
                  "tail_tol must be finite and positive, got 0.0"),
+    "benchmark_dim": ("gains", SCALAR_PLANT, "kind = linear_benchmark\n    dim = 0\n",
+                      "[plant] dim = '0': must be an integer >= 1"),
+    "benchmark_dim_out_0": ("gains", SCALAR_PLANT,
+                            "kind = linear_benchmark\n    dim_out = 0\n",
+                            "[plant] dim_out = '0': must be an integer >= 1"),
+    "benchmark_dim_out_neg": ("gains", SCALAR_PLANT,
+                              "kind = linear_benchmark\n    dim_out = -2\n",
+                              "[plant] dim_out = '-2': must be an integer >= 1"),
+    "benchmark_seed": ("gains", SCALAR_PLANT, "kind = linear_benchmark\n    seed = -1\n",
+                       "[plant] seed = '-1': must be an integer >= 0"),
+    "sine_gordon_n": ("gains", SCALAR_PLANT, "kind = sine_gordon\n    n = 2\n",
+                      "[plant] n = '2': must be an integer >= 3"),
+    "wilson_cowan_n": ("gains", SCALAR_PLANT, "kind = wilson_cowan\n    n = 2\n",
+                       "[plant] n = '2': must be an integer >= 3"),
+    "output_seed": ("gains", "seed = 0\n", "seed = -1\n",
+                    "[output] seed = '-1': must be an integer >= 0"),
+    "sweep_workers": ("sweep", "d_norms = 0, 0.05\n", "d_norms = 0, 0.05\n    workers = 0\n",
+                      "[sweep] workers = '0': must be an integer >= 1"),
+    "seed_flag": ("gains", "[forwarding]\n", "[forwarding]\n",
+                  "[command line] --seed = '-1': must be an integer >= 0", "--seed", "-1"),
 }
 
 
@@ -189,13 +210,30 @@ BAD_VALUES = {
 def test_invalid_value_exit_2_before_anything_runs(tmp_path, capsys, case):
     # a value outside its range is an invalid config, never a NaN row, a
     # skipped option or a late divergence
-    command, old, new, named = BAD_VALUES[case]
+    command, old, new, named, *flags = BAD_VALUES[case]
     assert SWEEP_INI.count(old) == 1
     path = write_config(tmp_path, SWEEP_INI.replace(old, new))
     out = tmp_path / "out"
-    assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+    assert cli.main([command, "--config", path, "--out", str(out), *flags]) == 2
     captured = capsys.readouterr()
     assert named in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("monotonicity_tol", 1e-3), ("contraction_slack", 0.05), ("funceq_tol", 1e-3),
+    ("duality_rtol", 1e-9), ("fd_tol", 1e-3), ("dissipation_dt", 0.05),
+])
+def test_battery_bound_is_no_config_key(tmp_path, capsys, key, value):
+    # the battery's bounds are module constants, so no config can loosen the
+    # contract
+    assert getattr(verify, key.upper()) == value
+    path = write_config(tmp_path, SCALAR_INI + f"\n    [verify]\n    {key} = {value}\n")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"unknown [verify] key {key!r}" in captured.err
     assert captured.out == ""
     assert not out.exists()
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from forwardreg.evolution import (
@@ -15,6 +16,9 @@ from forwardreg.evolution import (
     reverse_sweep,
     tangent_flow,
 )
+from forwardreg.forwarding import build_forwarding
+from forwardreg.plants import make_linear_benchmark, make_sine_gordon
+from forwardreg.regulator import Scenario, simulate
 from forwardreg.spaces import SpaceSpec
 from helpers import make_random_plant, make_scalar_plant
 
@@ -187,3 +191,29 @@ def test_solver_transpose_consistency():
     np.testing.assert_allclose(a.T @ s.solve_a(b, transpose=True), b, atol=1e-12)
     dt = 0.3
     np.testing.assert_allclose((np.eye(5) + dt * a) @ s.solve_step(dt, b), b, atol=1e-12)
+
+
+def test_solve_step_reads_the_sweep_inverse():
+    # the closed-loop step and the sweeps apply one (I + dt A)^{-1}
+    plant = make_sine_gordon(N=12)
+    rng = np.random.default_rng(7)
+    for dt in (0.5, 0.05):
+        p = plant.sweep_matrices(dt)[0][:plant.dim]
+        for b in (rng.standard_normal(plant.dim), rng.standard_normal((plant.dim, 3))):
+            assert np.array_equal(plant.solver.solve_step(dt, b), p @ b)
+
+
+def test_simulate_and_flow_factor_each_step_size_once(monkeypatch):
+    plant = make_linear_benchmark(6, alpha=0.5, seed=1)
+    fmap = build_forwarding(plant, dt_quad=0.05)
+    calls = {"lu_factor": 0, "lu_solve": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(sla, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(sla, name, counted)
+    dt = 0.01
+    run = simulate(plant, fmap, Scenario(y_ref=0.1 * np.ones(2), T=0.5, dt=dt))
+    flow(plant, run.w[-1], 0.5, dt)
+    # one factorization and one solve build P; every step is a product with it
+    assert calls == {"lu_factor": 1, "lu_solve": 1}

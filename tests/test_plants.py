@@ -11,6 +11,7 @@ from forwardreg.plants import (
     WilsonCowanParams,
     compute_M_ks,
     make_linear_benchmark,
+    make_scalar_linear,
     make_sine_gordon,
     make_wilson_cowan,
 )
@@ -34,10 +35,24 @@ def test_benchmark_core_full_rank():
 
 
 def test_benchmark_rejects_bad_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         make_linear_benchmark(0, alpha=0.5)
     with pytest.raises(ValueError):
         make_linear_benchmark(5, alpha=-1.0)
+    for dim_out in (0, -2):
+        with pytest.raises(ValueError, match=f"dim_out must be >= 1, got {dim_out}"):
+            make_linear_benchmark(5, dim_out=dim_out)
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0])
+def test_scalar_linear_without_decay_has_no_certificate(a):
+    # dw/dt + a w = b u does not contract for a <= 0
+    with pytest.warns(UserWarning, match=f"a={a} <= 0"):
+        plant = make_scalar_linear(a=a)
+    assert plant.alpha_cert is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert make_scalar_linear(a=0.5).alpha_cert == 0.5
 
 
 # -- sine-Gordon parameters ---------------------------------------------------

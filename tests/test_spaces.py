@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from forwardreg.spaces import SpaceSpec, adjoint, weighted_singular_values
 
@@ -90,3 +91,19 @@ def test_sample_ball_inside():
     assert max(norms) <= r + 1e-12
     # not degenerate: samples spread into the interior
     assert min(norms) < 0.9 * r
+
+
+def test_space_factors_its_gram_once(monkeypatch):
+    # chol_lower serves every Gram solve; no second factor is kept
+    calls = []
+    for module, name in ((np.linalg, "cholesky"), (sla, "cholesky"), (sla, "cho_factor")):
+        def counted(*args, _orig=getattr(module, name), **kwargs):
+            calls.append(_orig)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((5, 5))
+    sp = SpaceSpec(5, m @ m.T + 5 * np.eye(5), "H")
+    x = rng.standard_normal(5)
+    np.testing.assert_allclose(sp.apply_gram(sp.solve_gram(x)), x, atol=1e-12)
+    assert len(calls) == 1
