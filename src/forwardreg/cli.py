@@ -128,7 +128,7 @@ SECTIONS = {
     "forwarding": {"dt_quad": float, "tail_tol": float, "tau_max": float,
                    "tau_extra": float},
     "sweep": {"d_norms": _norms, "y_ref_norms": _finites, "dt": _positive,
-              "t_budget": _positive, "res_tol": float, "workers": _count},
+              "t_budget": _positive, "res_tol": _positive, "workers": _count},
     "output": {"dir": str, "seed": _seed},
     "verify": {key: _floats if isinstance(value, tuple) else type(value)
                for key, value in BATTERY_DEFAULTS.items()} | {"seed": _seed},
@@ -371,23 +371,19 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.overall else EXIT_VERIFY_FAIL
 
 
-def _sweep_cell(args):
-    """One (||d||, ||y_ref||) grid cell of ``(cfg, d_norm, y_norm)`` as a row dict.
+def _sweep_cell(cfg: RunConfig, fmap: Optional[ForwardingMap], d_norm: float,
+                y_norm: float, found) -> dict:
+    """The row dict of one (||d||, ||y_ref||) grid cell.
 
-    A numerical or configuration failure of the cell gives a NaN row; any
-    other exception is a programming error and propagates.
+    ``found`` is the cell's entry of :func:`find_equilibrium_recorded`, or
+    the exception its search raised. A numerical or configuration failure
+    of the cell gives a NaN row; any other exception is a programming error
+    and propagates.
     """
-    cfg, d_norm, y_norm = args
-    dt, t_budget = cfg.sweep.get("dt", 0.05), cfg.sweep.get("t_budget", 100.0)
     try:
-        plant = build_plant(cfg)
-        fmap = build_fmap(plant, cfg)
-        y_dir = np.ones(plant.space_Z.dim)
-        y_dir /= plant.space_Z.norm(y_dir)
-        y_ref = y_norm * y_dir
-        d = _sample(plant, np.random.default_rng(cfg.seed), d_norm)
-        ws, zs, eq, run = find_equilibrium_recorded(
-            plant, fmap, d, y_ref, dt=dt, t_budget=t_budget)
+        if isinstance(found, Exception):
+            raise found
+        ws, zs, eq, run = found
         rate = float("nan")
         avg = float("nan")
         if eq.converged:
@@ -410,20 +406,52 @@ def _sweep_cell(args):
         }
 
 
+def _sweep_rows(cfg: RunConfig, cells: list) -> list:
+    """Row dicts of the grid cells ``cells``, (d_norm, y_norm) pairs, searched
+    in lockstep as one block (:func:`find_equilibrium_recorded`).
+
+    A failure of the build or of the whole search makes every cell a NaN
+    row; a cell whose state stops being finite is a NaN row of its own.
+    """
+    dt, t_budget = cfg.sweep.get("dt", 0.05), cfg.sweep.get("t_budget", 100.0)
+    fmap = None
+    try:
+        plant = build_plant(cfg)
+        fmap = build_fmap(plant, cfg)
+        y_dir = np.ones(plant.space_Z.dim)
+        y_dir /= plant.space_Z.norm(y_dir)
+        y_ref = np.outer(y_dir, [y_norm for _, y_norm in cells])
+        ds = [_sample(plant, np.random.default_rng(cfg.seed), d_norm) for d_norm, _ in cells]
+        d = None if all(x is None for x in ds) else np.stack(
+            [np.zeros(plant.dim) if x is None else x for x in ds], axis=1)
+        found = find_equilibrium_recorded(plant, fmap, d, y_ref, dt=dt, t_budget=t_budget)
+    except (ValueError, ArithmeticError) as exc:
+        found = [exc] * len(cells)
+    return [_sweep_cell(cfg, fmap, d_norm, y_norm, out)
+            for (d_norm, y_norm), out in zip(cells, found)]
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
-    """Explore the (||d||, ||y_ref||) grid; per-cell failures never abort."""
+    """Explore the (||d||, ||y_ref||) grid; per-cell failures never abort.
+
+    The cells step in lockstep as one block; ``workers`` > 1 splits them
+    into that many contiguous blocks, one per process.
+    """
     plant = build_plant(cfg)
     fmap = build_fmap(plant, cfg)
     if not fmap.feasible:
         print("infeasible configuration: closed loop undefined", file=sys.stderr)
         return EXIT_INFEASIBLE
-    jobs = [(cfg, dn, yn) for dn in cfg.sweep.get("d_norms", (0.0,))
-            for yn in cfg.sweep.get("y_ref_norms", (0.0,))]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_sweep_cell, jobs))
+    cells = [(dn, yn) for dn in cfg.sweep.get("d_norms", (0.0,))
+             for yn in cfg.sweep.get("y_ref_norms", (0.0,))]
+    cuts = [len(cells) * i // cfg.workers for i in range(cfg.workers + 1)]
+    blocks = [cells[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+    if len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            parts = list(pool.map(_sweep_rows, [cfg] * len(blocks), blocks))
     else:
-        rows = [_sweep_cell(j) for j in jobs]
+        parts = [_sweep_rows(cfg, block) for block in blocks]
+    rows = [row for part in parts for row in part]
 
     header = ["d_norm", "y_ref_norm", "success", "converged", "drift_residual",
               "output_residual", "fitted_rate", "averaged_output_error", "t_reached"]

@@ -18,12 +18,16 @@ kernels, :func:`forward_sweep` and its exact transpose :func:`reverse_sweep`,
 so this module alone fixes the discrete step, trapezoid weights and transpose.
 Both apply K and S through stacked operands built once per step size
 ([P; S], dt P K and [P^T; -dt K^T P^T] with P = (I + dt A)^{-1}), one
-product each per node, and build no map per node; the reverse sweep takes
-the slopes as one (n + 1, m) block and any number of cotangent columns.
+product each per node, and build no map per node. Both sweep a state vector
+or a (dim, s) block of s states, each column to its own horizon; the
+reverse sweep takes the slopes as one (n + 1, m) block, or (n + 1, m, s)
+for a block of states, and a vector state may carry any number of
+cotangent columns.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -36,6 +40,7 @@ __all__ = [
     "Plant",
     "Trajectory",
     "OperatorSolver",
+    "trapezoid_weights",
     "forward_sweep",
     "reverse_sweep",
     "flow",
@@ -51,15 +56,25 @@ class OperatorSolver:
 
     One row-major P per distinct dt is cached; ``solve_step`` and
     :meth:`Plant.sweep_matrices` read it, so products with P round alike.
+    A is factored on the first solve with it.
     """
 
     def __init__(self, a_matrix: np.ndarray):
         self._a = np.asarray(a_matrix, dtype=float)
         self._dim = self._a.shape[0]
-        self._lu_a = sla.lu_factor(self._a)
+        self._lu_a = None
         self._step_inv: dict[float, np.ndarray] = {}
 
     def solve_a(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Solve A x = b, or A^T x = b; a singular A raises LinAlgError."""
+        if self._lu_a is None:
+            with warnings.catch_warnings():
+                # a zero pivot is refused below, by name
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                lu = sla.lu_factor(self._a)
+            if not np.all(np.diag(lu[0])):
+                raise np.linalg.LinAlgError("A is singular")
+            self._lu_a = lu
         return sla.lu_solve(self._lu_a, b, trans=1 if transpose else 0)
 
     def _step_inverse(self, dt: float) -> np.ndarray:
@@ -135,8 +150,9 @@ class Plant:
         return self.space_H.dim
 
     def F(self, w: np.ndarray) -> np.ndarray:
+        """F at a state, or column by column at a (dim, s) block of states."""
         if not self.K.shape[1]:  # linear: skip three products with empty factors
-            return np.zeros(self.dim)
+            return np.zeros(np.shape(w))
         return self.K @ self.sigma(self.S @ w)
 
     def dF(self, w: np.ndarray) -> np.ndarray:
@@ -188,8 +204,26 @@ def _check_step_size(plant: Plant, dt: float) -> None:
         )
 
 
+def trapezoid_weights(nq) -> np.ndarray:
+    """Trapezoid weights, in units of the step, of the nodes 0..max(nq).
+
+    An int ``nq`` gives the (nq + 1,) weights 0.5, 1, ..., 1, 0.5. An int
+    array of s horizons gives (max(nq) + 1, s) weights whose column j is 0.5
+    at node 0 and at its own end node nq_j, 1 between and 0 beyond, so each
+    column integrates over its own horizon. A horizon of 0 nodes weighs 0.
+    """
+    nq = np.asarray(nq)
+    if nq.ndim == 0:  # one state, every step of a single run: kept cheap
+        n = int(nq)
+        c = np.full(n + 1, 1.0 if n else 0.0)
+        c[0] = c[n] = 0.5 * c[0]
+        return c
+    k = np.arange(int(nq.max(initial=0)) + 1)[:, None]
+    return np.where((k == 0) | (k == nq), 0.5, 1.0) * (k <= nq) * (nq > 0)
+
+
 def forward_sweep(
-    ps: np.ndarray, pk: np.ndarray, dt: float, x0: np.ndarray, phi_at: Callable, n: int
+    ps: np.ndarray, pk: np.ndarray, dt: float, x0: np.ndarray, phi_at: Callable, nq
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward recursion x_{k+1} = P (x_k - dt K phi_k), phi_k = phi_at(k, S x_k).
 
@@ -200,45 +234,70 @@ def forward_sweep(
     discrete tangent step T_k = P (I - dt K diag(D_k) S). Returns the states
     x_0..x_n and the trapezoid sum of phi_0..phi_n with step dt, so the
     quadrature of g_k = K phi_k is K times it.
+
+    ``x0`` is a vector with the int horizon ``nq`` = n, or a (dim, s) block
+    of s columns with an int array ``nq`` of their own horizons: the block
+    sweeps to n = max(nq), and column j sums phi over its nodes 0..nq_j only
+    (:func:`trapezoid_weights`). States are (n + 1,) + x0.shape and phi_at
+    gets (m, s) blocks. Products of (dim, dim) with (dim, 1) are matrix-vector
+    products, so a block of one column is bitwise the vector sweep.
     """
+    wq = dt * trapezoid_weights(nq)
+    n = len(wq) - 1
+    # one state's weights as floats: a product with a float costs less per node
+    wq = wq.tolist() if wq.ndim == 1 else wq
     dim = x0.shape[0]
-    states = np.empty((n + 1, dim))
+    states = np.empty((n + 1,) + x0.shape)
     states[0] = x0
-    q = np.zeros(pk.shape[1])
+    q = np.zeros(pk.shape[1:] + x0.shape[1:])
     x = x0
     for k in range(n):
         u = ps @ x
         phi = phi_at(k, u[dim:])
-        q += (0.5 * dt if k == 0 else dt) * phi
+        q += wq[k] * phi
         x = u[:dim] - pk @ phi
         states[k + 1] = x
-    q += 0.5 * dt * phi_at(n, ps[dim:] @ x)
+    q += wq[n] * phi_at(n, ps[dim:] @ x)
     return states, q
 
 
 def reverse_sweep(
     pkt: np.ndarray, dt: float, K: np.ndarray, S: np.ndarray, D: np.ndarray,
-    psi: np.ndarray, lam: np.ndarray, n: int,
+    psi: np.ndarray, lam: np.ndarray, nq,
 ) -> np.ndarray:
     """Exact transpose of :func:`forward_sweep` with phi_k(y) = D_k y, in reverse.
 
     Each step applies T_k^T = P^T + S^T D_k (-dt K^T P^T), with ``pkt`` the
-    [P^T; -dt K^T P^T] of :meth:`Plant.sweep_matrices` and ``D`` the (n + 1, m)
-    slopes. ``psi`` and ``lam`` are vectors or (dim, c) blocks swept together.
-    Returns the cotangents r_0..r_n of x_0..x_n for the output
-    psi . K q + lam . x_n, so it equals x_0 . r_0 to roundoff, column by
-    column. Callers pass psi and lam in Gram-multiplied coordinates; the rows
-    are in the same coordinates.
+    [P^T; -dt K^T P^T] of :meth:`Plant.sweep_matrices`. Returns the cotangents
+    r_0..r_n of x_0..x_n for the output psi . K q + lam . x_n, so it equals
+    x_0 . r_0 to roundoff, column by column. Callers pass psi and lam in
+    Gram-multiplied coordinates; the rows are in the same coordinates.
+
+    For one state, ``D`` holds the (n + 1, m) slopes, ``nq`` = n is an int,
+    and ``psi`` and ``lam`` are vectors or (dim, c) blocks swept together.
+    For a block of s states, ``D`` is (n + 1, m, s), ``nq`` the int array of
+    the columns' horizons and ``psi``, ``lam`` are (dim, s), one cotangent
+    per state; lam is the cotangent of the last node n. A column's sweep is 0
+    past its own end node nq_j and takes its psi weight from there down.
     """
+    c = trapezoid_weights(nq)
+    n = len(c) - 1
     dim, st = S.shape[1], S.T
-    d = D if psi.ndim == 1 else D[:, :, None]
+    d = D[..., None] if D.ndim == psi.ndim else D
+    # c_k dt K^T psi at every node, c the trapezoid weights; one state's
+    # inner nodes (c_k = 1) share kpsi instead of taking a row each
     kpsi = dt * (K.T @ psi)
+    if c.ndim == 1:
+        ckpsi = [kpsi] * (n + 1)
+        ckpsi[0] = ckpsi[n] = c[0] * kpsi
+    else:
+        ckpsi = c[:, None, :] * kpsi
     rows = np.empty((n + 1,) + psi.shape)
-    r = lam + st @ (d[n] * (0.5 * kpsi))
+    r = lam + st @ (d[n] * ckpsi[n])
     rows[n] = r
     for k in range(n - 1, -1, -1):
         u = pkt @ r
-        r = u[:dim] + st @ (d[k] * ((kpsi if k else 0.5 * kpsi) + u[dim:]))
+        r = u[:dim] + st @ (d[k] * (ckpsi[k] + u[dim:]))
         rows[k] = r
     return rows
 

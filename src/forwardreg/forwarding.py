@@ -14,6 +14,8 @@ quadrature and its adjoint run on the two sweep kernels of
 F(w) = K sigma(S w), the slopes sigma'(S T_t w) of the whole base trajectory
 come from one vectorized call, and the adjoint sweeps any block of Z
 directions at once: the dim_Z columns of the feedback matrix take one sweep.
+A (dim, s) block of states is evaluated as one too, each column to its own
+horizon: the lockstep equilibrium search steps its cells this way.
 
 The integral converges because the flow contracts at rate alpha and F is
 Lipschitz with F(0) = 0; the neglected tail beyond a horizon tau is below
@@ -49,9 +51,13 @@ _RANK_EPS = 1e-8
 def linear_forwarding(plant: Plant) -> np.ndarray:
     """The linear part -C A^{-1}, the (dim_Z, dim) matrix of a map H -> Z.
 
-    Assembled with dim(Z) transposed solves: C A^{-1} = (A^{-T} C^T)^T.
+    Assembled with dim(Z) transposed solves: C A^{-1} = (A^{-T} C^T)^T. A
+    singular A raises a ValueError.
     """
-    return -plant.solver.solve_a(plant.C.T, transpose=True).T
+    try:
+        return -plant.solver.solve_a(plant.C.T, transpose=True).T
+    except np.linalg.LinAlgError:
+        raise ValueError("A is singular, so -C A^{-1} is undefined") from None
 
 
 class ForwardingMap:
@@ -170,8 +176,9 @@ def build_forwarding(
 
     ``tau_max`` defaults to 40/alpha when the plant has a contraction
     certificate; plants without one must pass it explicitly (the horizon
-    then always sits at the ceiling). ``dt_quad``, ``tail_tol`` and ``tau_max`` must be finite and positive,
-    ``tau_extra`` finite and >= 0.
+    then always sits at the ceiling). ``dt_quad``, ``tail_tol`` and
+    ``tau_max`` must be finite and positive, ``tau_extra`` finite and >= 0,
+    and A nonsingular.
     """
     if tau_max is None:
         if plant.alpha_cert is None or plant.alpha_cert <= 0:
@@ -193,32 +200,45 @@ class StateEvaluation:
     The base flow T_t w is integrated once on the quadrature grid; M, dM in
     any direction, and the adjoint actions all reuse it. Closed-loop stepping
     builds one of these per state and calls M and the adjoint from it.
+
+    ``w`` is a state (dim,) or a (dim, s) block of s states evaluated
+    together; then every evaluation takes and returns (., s) blocks, column
+    j belonging to state j. Each column has its own horizon in nodes
+    (``nqs``: an int for one state, an int array for a block); the block
+    sweeps ``nq`` = max(nqs) nodes, and the slopes are (nq + 1, m, s). A
+    block of one column is bitwise the vector evaluation; wider blocks
+    agree with it to roundoff.
     """
 
     def __init__(self, fmap: ForwardingMap, w: np.ndarray):
         self.fmap = fmap
-        self.plant = fmap.plant
+        self.plant = plant = fmap.plant
         self.w = np.asarray(w, dtype=float)
-        plant = self.plant
-        w_norm = plant.space_H.norm(self.w)
-        if plant.lip_F == 0.0 or w_norm == 0.0:
+        # each column's horizon in nodes; none for a linear plant or a zero state
+        nqs = [max(int(math.ceil(fmap.horizon(w_norm) / fmap.dt_quad)), 1) if w_norm else 0
+               for w_norm in (plant.space_H.norm(x) if plant.lip_F else 0.0
+                              for x in self.w.reshape(plant.dim, -1).T)]
+        self.nqs = np.array(nqs) if self.w.ndim == 2 else nqs[0]
+        self.nq = max(nqs)
+        if self.nq == 0:
             # linear path: Q and its derivative quadrature vanish identically
-            self.nq = 0
-            self.tau = 0.0
             self.base_states = None
-            self.q = np.zeros(plant.dim)
+            self.q = np.zeros_like(self.w)
             return
-        self.tau = fmap.horizon(w_norm)
-        self.nq = max(int(math.ceil(self.tau / fmap.dt_quad)), 1)
         self._ps, self._pk, self._pkt = plant.sweep_matrices(fmap.dt_quad)
         # trapezoid accumulation of Q = int F(T_t w) dt along the base flow
         self.base_states, qs = forward_sweep(
             self._ps, self._pk, fmap.dt_quad, self.w,
-            lambda k, y: plant.sigma(y), self.nq,
+            lambda k, y: plant.sigma(y), self.nqs,
         )
         self.q = plant.K @ qs
-        # slopes sigma'(S x_k) at every base node: dF(x_k) = K diag(D_k) S
-        self._slopes = plant.dsigma(self.base_states @ plant.S.T)
+        # slopes sigma'(S x_k) at every base node: dF(x_k) = K diag(D_k) S;
+        # a block takes the product column by column, as one state would
+        states = self.base_states
+        if self.w.ndim == 2:
+            states = np.ascontiguousarray(np.moveaxis(states, 2, 0))
+        slopes = plant.dsigma(states @ plant.S.T)
+        self._slopes = slopes if self.w.ndim == 1 else np.moveaxis(slopes, 0, 2)
 
     # -- primal evaluations -------------------------------------------------
 
@@ -233,7 +253,7 @@ class StateEvaluation:
             return self.fmap.m_lin @ h
         D = self._slopes
         _, qs = forward_sweep(
-            self._ps, self._pk, self.fmap.dt_quad, h, lambda k, y: D[k] * y, self.nq
+            self._ps, self._pk, self.fmap.dt_quad, h, lambda k, y: D[k] * y, self.nqs
         )
         return self.fmap.m_lin @ (h - self.plant.K @ qs)
 
@@ -244,8 +264,9 @@ class StateEvaluation:
 
         The reverse sweep of the tangent quadrature, started from psi = G_H
         M_lin* zeta; it runs in Gram-multiplied coordinates, so it needs no
-        Gram solves. ``zeta`` is a vector or a (dim_Z, c) block of c
-        directions, swept together.
+        Gram solves. For one state, ``zeta`` is a vector or a (dim_Z, c)
+        block of c directions, swept together; for a block of s states it is
+        (dim_Z, s), one direction per state.
         """
         psi_t = self.fmap._mlin_t_gz @ np.asarray(zeta, dtype=float)
         if self.nq == 0:
@@ -253,7 +274,7 @@ class StateEvaluation:
         plant = self.plant
         r = reverse_sweep(
             self._pkt, self.fmap.dt_quad, plant.K, plant.S, self._slopes, psi_t,
-            np.zeros_like(psi_t), self.nq,
+            np.zeros_like(psi_t), self.nqs,
         )
         return psi_t - r[0]
 
@@ -263,7 +284,9 @@ class StateEvaluation:
     def dM_adjoint_B(self, zeta: np.ndarray) -> np.ndarray:
         """B* dM(w)* zeta, the feedback direction for integrator error zeta.
 
-        A (dim_Z, c) block of directions gives the (dim_U, c) block.
+        A (dim_Z, c) block of directions gives the (dim_U, c) block; for a
+        block of s states, the (dim_Z, s) block of their own directions gives
+        the (dim_U, s) block of their controls.
         """
         gh = self._adjoint_gram_coords(zeta)
         return self.plant.space_U.solve_gram(self.plant.B.T @ gh)

@@ -11,7 +11,9 @@ identical to the open loop). The candidate Lyapunov function is
 Equilibria are located by budgeted simulation with stagnation detection and
 tail averaging; at any discrete fixed point the z-update forces C w = y_ref
 exactly, so the located equilibrium is a true regulation point up to the
-stagnation tolerance.
+stagnation tolerance. Several searches (a sweep's cells) step in lockstep as
+the columns of one block, each with its own disturbance, reference,
+stagnation rule and tail.
 """
 
 from __future__ import annotations
@@ -146,12 +148,16 @@ def _energy(fmap: ForwardingMap, w: np.ndarray, eta: np.ndarray) -> float:
 
 
 def _prep_scenario(plant: Plant, scenario: Scenario):
+    """(w0, z0, d, y_ref, n) of a scenario; a (dim_Z, s) ``y_ref`` makes
+    the origin a block of s columns."""
     dim_z = plant.space_Z.dim
     y_ref = scenario.y_ref
-    if y_ref.shape != (dim_z,):
-        raise ValueError(f"y_ref must have shape ({dim_z},), got {y_ref.shape}")
-    w0 = np.zeros(plant.dim) if scenario.w0 is None else np.asarray(scenario.w0, float)
-    z0 = np.zeros(dim_z) if scenario.z0 is None else np.asarray(scenario.z0, float)
+    if y_ref.shape[0] != dim_z or y_ref.ndim > 2:
+        raise ValueError(f"y_ref must have shape ({dim_z},) or ({dim_z}, s), "
+                         f"got {y_ref.shape}")
+    cols = y_ref.shape[1:]
+    w0 = np.zeros((plant.dim,) + cols) if scenario.w0 is None else np.asarray(scenario.w0, float)
+    z0 = np.zeros((dim_z,) + cols) if scenario.z0 is None else np.asarray(scenario.z0, float)
     d = None if scenario.d is None else np.asarray(scenario.d, float)
     n = max(int(round(scenario.T / scenario.dt)), 1)
     return w0, z0, d, y_ref, n
@@ -163,13 +169,23 @@ def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
     m = M(w), u = B* dM(w)* (z - m) and y = C w belong to the yielded state;
     resuming advances w by the IMEX step with forcing B u + d and z by
     explicit Euler. Endless: drivers take as many states as they need.
+
+    ``w`` (dim,) and ``z`` (dim_Z,) step one run. (dim, s) and (dim_Z, s)
+    blocks step s runs in lockstep, column j with the disturbance d[:, j]
+    (``d`` a (dim, s) block, or None) and the reference y_ref[:, j]. A
+    caller may ``send`` the indices of the columns to keep; the others leave
+    the block before the step. A block of one column steps bitwise as the
+    vector run.
     """
     while True:
         ev = StateEvaluation(fmap, w)
         m = ev.M()
         u = ev.dM_adjoint_B(z - m)
         y = plant.C @ w
-        yield w, z, m, u, y
+        keep = yield w, z, m, u, y
+        if keep is not None:
+            w, z, u, y, y_ref = (a[:, keep] for a in (w, z, u, y, y_ref))
+            d = None if d is None else d[:, keep]
         forcing = plant.B @ u if d is None else plant.B @ u + d
         w = plant.solver.solve_step(dt, w - dt * plant.F(w) + dt * forcing)
         z = z + dt * (y - y_ref)
@@ -214,38 +230,78 @@ def _record(fmap: ForwardingMap, states, scenario: Scenario, n: int) -> RunResul
     )
 
 
-def _search(plant, fmap, states, d, y_ref, dt, n):
-    """The stagnation rule over states 1..n of a run from the origin.
+def _search(plant, fmap, states, d, y_ref, dt, n, rows=None):
+    """The stagnation rule over states 1..n of runs from the origin, per column.
 
-    ``states`` yields the states from state 1 on. Every 50 states the mean
-    drift speed is checked; the search stops once it is at most 1e-10 and
-    returns the mean of the last 20 states with its residuals. Memory is the
-    20-state tail, whatever the budget.
+    ``states`` yields the states from state 1 on: vectors of one run, or
+    (dim, s) and (dim_Z, s) blocks of s runs from :func:`_closed_loop`, which
+    is sent the columns that stay whenever one leaves. Every 50 states each
+    column's mean drift speed is checked. A column leaves once its speed is
+    at most 1e-10 (converged), when its state norm is not finite, or at
+    state n. Returns one entry per column: (w*, z*, result), with the mean
+    of the column's last 20 states and its residuals, or, for a column whose
+    state stopped being finite, the FloatingPointError naming the step.
+    Memory is each column's 20-state tail, whatever the budget; ``rows``,
+    when given, are (s, c + 1, .) arrays that get w, z, m, u and y of each
+    column's states 1..min(k, c) while it stays.
     """
     space_h, space_z = plant.space_H, plant.space_Z
+    dim, dim_z = plant.dim, space_z.dim
+    y_ref = y_ref.reshape(dim_z, -1)
+    d = None if d is None else d.reshape(dim, -1)
+    live = np.arange(y_ref.shape[1])
+    found = [None] * len(live)
     tail_w = deque(maxlen=_TAIL_STEPS)
     tail_z = deque(maxlen=_TAIL_STEPS)
-    w_mark, z_mark = np.zeros(plant.dim), np.zeros(space_z.dim)
-    converged = False
-    for k, (w, z, _, _, _) in enumerate(islice(states, n), start=1):
-        tail_w.append(w)
-        tail_z.append(z)
+    w_mark, z_mark = np.zeros((dim, len(live))), np.zeros((dim_z, len(live)))
+    state = next(states)
+    for k in range(1, n + 1):
+        if rows is not None and k < rows[0].shape[1]:
+            for r, a in zip(rows, state):
+                r[live, k] = a.T
+        tail_w.append(state[0])
+        tail_z.append(state[1])
+        if k % _CHECK_EVERY and k < n:
+            state = next(states)
+            continue
+        w, z = state[0].reshape(dim, -1), state[1].reshape(dim_z, -1)
+        gone = {}
         if k % _CHECK_EVERY == 0:
-            speed = (
-                space_h.norm(w - w_mark) + space_z.norm(z - z_mark)
-            ) / (_CHECK_EVERY * dt)
-            if speed <= _STAG_TOL:
-                converged = True
-                break
+            for p in range(len(live)):
+                speed = (space_h.norm(w[:, p] - w_mark[:, p])
+                         + space_z.norm(z[:, p] - z_mark[:, p])) / (_CHECK_EVERY * dt)
+                if speed <= _STAG_TOL:
+                    gone[p] = True
+                elif not np.isfinite(space_h.norm(w[:, p])):
+                    gone[p] = FloatingPointError(
+                        f"equilibrium search diverged: the state is not finite at "
+                        f"step {k} (t = {k * dt:.6g})"
+                    )
             w_mark, z_mark = w, z
-            if not np.isfinite(space_h.norm(w)):
-                raise FloatingPointError(
-                    f"equilibrium search diverged: the state is not finite at "
-                    f"step {k} (t = {k * dt:.6g})"
-                )
+        if k == n:
+            gone = {p: gone.get(p, False) for p in range(len(live))}
+        # gone[p]: True (converged), False (budget used up) or the error
+        for p, how in gone.items():
+            j = live[p]
+            found[j] = how if isinstance(how, Exception) else _equilibrium(
+                plant, fmap, np.mean([t.reshape(dim, -1)[:, p] for t in tail_w], axis=0),
+                np.mean([t.reshape(dim_z, -1)[:, p] for t in tail_z], axis=0),
+                None if d is None else d[:, j], y_ref[:, j], how, k, dt)
+        if len(gone) == len(live):
+            break
+        if gone:
+            keep = [p for p in range(len(live)) if p not in gone]
+            live, w_mark, z_mark = live[keep], w_mark[:, keep], z_mark[:, keep]
+            tail_w = deque((t[:, keep] for t in tail_w), maxlen=_TAIL_STEPS)
+            tail_z = deque((t[:, keep] for t in tail_z), maxlen=_TAIL_STEPS)
+            state = states.send(keep)
+        else:
+            state = next(states)
+    return found
 
-    w_star = np.mean(tail_w, axis=0)
-    z_star = np.mean(tail_z, axis=0)
+
+def _equilibrium(plant, fmap, w_star, z_star, d, y_ref, converged, k, dt):
+    """(w*, z*, result) of a search that stopped at step k at the tail mean."""
     u_star = feedback(fmap, w_star, z_star)
     drift = -(plant.A @ w_star + plant.F(w_star)) + plant.B @ u_star
     if d is not None:
@@ -253,11 +309,19 @@ def _search(plant, fmap, states, d, y_ref, dt, n):
     res = EquilibriumResult(
         converged=converged,
         t_reached=k * dt,
-        drift_residual=space_h.norm(drift),
-        output_residual=space_z.norm(plant.C @ w_star - y_ref),
+        drift_residual=plant.space_H.norm(drift),
+        output_residual=plant.space_Z.norm(plant.C @ w_star - y_ref),
         iterations=k,
     )
     return w_star, z_star, res
+
+
+def _one(found):
+    """The single column's entry of :func:`_search`, raising its error."""
+    (out,) = found
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def simulate(plant: Plant, fmap: ForwardingMap, scenario: Scenario) -> RunResult:
@@ -296,16 +360,18 @@ def find_equilibrium(
     finite at a check raises FloatingPointError naming the step.
 
     The search records nothing: its memory is the 20-state tail, whatever
-    the budget. :func:`find_equilibrium_recorded` also returns the run the
-    search visited, and :func:`find_equilibrium_along` reads the states of
-    a run that starts at the origin; both give this function's results.
+    the budget. :func:`find_equilibrium_recorded` searches several cells in
+    lockstep and also returns the runs they visited, and
+    :func:`find_equilibrium_along` reads the states of a run that starts at
+    the origin; both give this function's results (the first to roundoff
+    in a block of more than one cell).
     """
     _require_feasible(fmap)
     budget = Scenario(y_ref=y_ref, T=t_budget, dt=dt, d=d)
     w0, z0, d, y_ref, n = _prep_scenario(plant, budget)
-    # states 1..n: the origin itself is never part of the tail
-    states = islice(_closed_loop(plant, fmap, w0, z0, d, y_ref, dt), 1, None)
-    return _search(plant, fmap, states, d, y_ref, dt, n)
+    states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
+    next(states)  # states 1..n: the origin itself is never part of the tail
+    return _one(_search(plant, fmap, states, d, y_ref, dt, n))
 
 
 def find_equilibrium_recorded(
@@ -316,36 +382,47 @@ def find_equilibrium_recorded(
     *,
     dt: float,
     t_budget: float,
-) -> tuple[np.ndarray, np.ndarray, EquilibriumResult, Optional[RunResult]]:
-    """:func:`find_equilibrium`, plus the run of the states it visited.
+) -> list:
+    """:func:`find_equilibrium` for s cells in lockstep, plus the runs they visited.
 
-    Returns ``(w*, z*, result, run)``. For a converged search ``run`` is
-    ``simulate`` over ``[0, result.t_reached]`` from the origin, bitwise,
-    built from copies of the states the search already stepped through; it
-    is None otherwise. The copies take ``t_budget / dt`` rows for the
-    duration of the call.
+    Column j of ``d`` (a (dim, s) block, or None for no disturbance) and of
+    ``y_ref`` ((dim_Z, s)) is cell j. The cells step as one block, each with
+    its own stagnation rule and tail, and a cell leaves the block when it
+    converges, uses up the budget or stops being finite. Returns one entry
+    per cell: ``(w*, z*, result, run)``, or the FloatingPointError of a cell
+    whose state stopped being finite, while the other cells run on. For a
+    converged cell ``run`` is the closed-loop run over
+    ``[0, result.t_reached]`` from the origin; it is None otherwise. A block
+    of one cell gives ``find_equilibrium`` and ``simulate`` bitwise; in a
+    wider block the columns agree with them to roundoff.
+
+    Each of the s cells keeps copies of its first n // s + 1 states, n =
+    t_budget / dt, so the copies of a block take the memory of one cell's
+    run for the duration of the call. A cell that converges within them
+    builds its run from them; one that converges later is simulated again.
     """
     _require_feasible(fmap)
     budget = Scenario(y_ref=y_ref, T=t_budget, dt=dt, d=d)
     w0, z0, d, y_ref, n = _prep_scenario(plant, budget)
-    rows = [np.empty((n + 1, dim)) for dim in
-            (w0.size, z0.size, z0.size, plant.space_U.dim, z0.size)]
-
-    def visited():
-        w_rows, z_rows, m_rows, u_rows, y_rows = rows
-        states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
-        for k, state in enumerate(states):
-            w_rows[k], z_rows[k], m_rows[k], u_rows[k], y_rows[k] = state
-            yield state
-
-    w_star, z_star, res = _search(
-        plant, fmap, islice(visited(), 1, None), d, y_ref, dt, n)
-    run = None
-    if res.converged:
-        k = res.iterations
-        scenario = Scenario(y_ref=y_ref, T=res.t_reached, dt=dt, d=d)
-        run = _record(fmap, zip(*(r[:k + 1] for r in rows)), scenario, k)
-    return w_star, z_star, res, run
+    states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
+    state = next(states)
+    s = y_ref.shape[1]
+    rows = [np.empty((s, n // s + 1, a.shape[0])) for a in state]
+    for r, a in zip(rows, state):
+        r[:, 0] = a.T
+    found = _search(plant, fmap, states, d, y_ref, dt, n, rows)
+    for j, out in enumerate(found):
+        if isinstance(out, Exception):
+            continue
+        res, run = out[2], None
+        if res.converged:
+            k = res.iterations
+            scenario = Scenario(y_ref=y_ref[:, j], T=res.t_reached, dt=dt,
+                                d=None if d is None else d[:, j])
+            run = (_record(fmap, zip(*(r[j, :k + 1] for r in rows)), scenario, k)
+                   if k <= n // s else simulate(plant, fmap, scenario))
+        found[j] = out + (run,)
+    return found
 
 
 def find_equilibrium_along(
@@ -371,7 +448,7 @@ def find_equilibrium_along(
     recorded = zip(run.w[1:], run.z[1:], run.m[1:], run.u[1:], run.y[1:])
     onward = _closed_loop(plant, fmap, run.w[-1], run.z[-1], d, y_ref, sc.dt)
     states = chain(recorded, islice(onward, 1, None))
-    return _search(plant, fmap, states, d, y_ref, sc.dt, n)
+    return _one(_search(plant, fmap, states, d, y_ref, sc.dt, n))
 
 
 def convergence_report(

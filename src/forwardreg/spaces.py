@@ -62,7 +62,13 @@ class SpaceSpec:
         return self.gram @ x
 
     def solve_gram(self, x: np.ndarray) -> np.ndarray:
-        return sla.cho_solve((self.chol_lower, True), x)
+        """G^{-1} x for a vector or each column of a block.
+
+        Finiteness is not checked: a column that is not finite gives a
+        non-finite result in that column only, so one diverging run of a
+        block does not stop the others.
+        """
+        return sla.cho_solve((self.chol_lower, True), x, check_finite=False)
 
     def sample_sphere(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform direction on the unit sphere of this space."""

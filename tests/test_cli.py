@@ -201,6 +201,10 @@ BAD_VALUES = {
                     "[output] seed = '-1': must be an integer >= 0"),
     "sweep_workers": ("sweep", "d_norms = 0, 0.05\n", "d_norms = 0, 0.05\n    workers = 0\n",
                       "[sweep] workers = '0': must be an integer >= 1"),
+    **{f"res_tol_{name}": ("sweep", "y_ref_norms = 0, 0.1\n",
+                           f"y_ref_norms = 0, 0.1\n    res_tol = {value}\n",
+                           f"[sweep] res_tol = '{value}': must be finite and positive")
+       for name, value in (("nan", "nan"), ("zero", "0"), ("negative", "-1"))},
     "seed_flag": ("gains", "[forwarding]\n", "[forwarding]\n",
                   "[command line] --seed = '-1': must be an integer >= 0", "--seed", "-1"),
 }
@@ -611,6 +615,19 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
 
+def test_gains_with_singular_A_exit_2(tmp_path, capsys):
+    # negative control: a = 0 makes -C A^{-1} undefined; the build says so
+    # instead of failing later on infinities
+    path = write_config(tmp_path, SCALAR_INI.replace("a = 2", "a = 0").replace(
+        "dt_quad = 0.01", "dt_quad = 0.01\n    tau_max = 10"))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="no contraction certificate") as record:
+        assert cli.main(["gains", "--config", path, "--out", str(out)]) == 2
+    assert [w.category for w in record] == [UserWarning]
+    assert "error: A is singular, so -C A^{-1} is undefined" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_bad_horizon_exit_2(tmp_path, capsys):
     # checked before any cell runs, so no grid of NaN rows reads as a result
     for line in ("t_budget = inf", "dt = 0"):
@@ -654,13 +671,25 @@ def test_sweep_cell_catches_only_numerical_failures(tmp_path, monkeypatch):
         cli.cmd_sweep(cfg)
 
 
+def test_sweep_cell_that_stops_being_finite_is_a_nan_row_of_its_own(tmp_path):
+    # the 1e308 disturbance overflows its cell's state; that cell is a NaN row
+    # and the cells stepped with it in one block give their rows as without it
+    path = write_config(tmp_path, SCALAR_INI + "\n    [sweep]\n    t_budget = 200\n")
+    cfg = cli.load_config(path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = cli._sweep_rows(cfg, [(0.05, 0.3), (1e308, 0.3), (0.0, 0.3)])
+    assert rows[1]["success"] == 0 and np.isnan(rows[1]["drift_residual"])
+    assert rows[0]["success"] == 1 and rows[2]["success"] == 1
+    assert [rows[0], rows[2]] == cli._sweep_rows(cfg, [(0.05, 0.3), (0.0, 0.3)])
+
+
 def test_sweep_cell_diverged_search_is_a_nan_row(tmp_path):
     # scalar a = b = c = 2 at dt = 1: the explicit z-step is unstable and the
     # equilibrium search overflows long before its budget
     path = write_config(tmp_path, "[plant]\nkind = scalar_linear\na = 2\nb = 2\nc = 2\n"
                         "[forwarding]\ndt_quad = 0.01\n[sweep]\ndt = 1.0\nt_budget = 20000\n")
     with np.errstate(over="ignore", invalid="ignore"):
-        row = cli._sweep_cell((cli.load_config(path), 0.0, 0.3))
+        (row,) = cli._sweep_rows(cli.load_config(path), [(0.0, 0.3)])
     assert row["success"] == 0 and row["converged"] == 0
     assert np.isnan(row["drift_residual"]) and np.isnan(row["t_reached"])
 
@@ -706,7 +735,7 @@ def count_evaluations(monkeypatch):
 def test_converged_sweep_cell_evaluates_each_state_once(tmp_path, monkeypatch):
     cfg = cli.load_config(write_config(tmp_path, NONLINEAR_INI))
     calls = count_evaluations(monkeypatch)
-    row = cli._sweep_cell((cfg, 0.01, 0.01))
+    (row,) = cli._sweep_rows(cfg, [(0.01, 0.01)])
     monkeypatch.undo()
     assert row["converged"] == 1
     iterations = round(row["t_reached"] / 0.5)
@@ -727,6 +756,37 @@ def test_converged_sweep_cell_evaluates_each_state_once(tmp_path, monkeypatch):
         (eq.drift_residual, eq.output_residual, eq.t_reached)
     assert (row["fitted_rate"], row["averaged_output_error"]) == \
         (rep.fitted_rate, rep.averaged_output_error)
+
+
+def test_sweep_workers_agree_on_a_nonlinear_sweep(tmp_path):
+    # --workers 2 steps two blocks of two cells, --workers 1 one block of
+    # four: the columns of the blocks agree to roundoff
+    body = NONLINEAR_INI + """
+    d_norms = 0, 0.01
+    y_ref_norms = 0.01, 0.02
+    """
+    path = write_config(tmp_path, body)
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert cli.main(["sweep", "--config", path, "--out", str(out),
+                         "--workers", workers]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        tables.append(np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]]))
+    header = lines[1].split(",")
+    serial, parallel = tables
+    assert serial.shape == (4, len(header))
+    assert np.all(serial[:, header.index("converged")] == 1)
+    for col in ("d_norm", "y_ref_norm", "success", "converged", "t_reached"):
+        assert np.array_equal(serial[:, header.index(col)], parallel[:, header.index(col)])
+    for col in ("fitted_rate", "averaged_output_error"):
+        np.testing.assert_allclose(parallel[:, header.index(col)],
+                                   serial[:, header.index(col)], rtol=1e-12)
+    # residuals of converged cells sit at roundoff, where 1e-12 is relative
+    # to the states' scale
+    for col in ("drift_residual", "output_residual"):
+        np.testing.assert_allclose(parallel[:, header.index(col)],
+                                   serial[:, header.index(col)], rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("t, w0_norm", [(100, 0), (40, 0), (40, 0.02)],

@@ -15,6 +15,7 @@ from forwardreg.evolution import (
     forward_sweep,
     reverse_sweep,
     tangent_flow,
+    trapezoid_weights,
 )
 from forwardreg.forwarding import build_forwarding
 from forwardreg.plants import make_linear_benchmark, make_sine_gordon
@@ -124,6 +125,51 @@ def test_reverse_sweep_is_the_exact_transpose(dim, n, seed):
         col = reverse_sweep(pkt, dt, K, S, D, psis[:, j], lams[:, j], n)
         np.testing.assert_allclose(block[:, :, j], col, rtol=1e-12,
                                    atol=1e-12 * np.abs(col).max())
+
+
+def test_trapezoid_weights():
+    np.testing.assert_array_equal(trapezoid_weights(3), [0.5, 1, 1, 0.5])
+    np.testing.assert_array_equal(trapezoid_weights(0), [0.0])
+    # per column: 0.5 at node 0 and at its own end node, 0 beyond
+    np.testing.assert_array_equal(trapezoid_weights(np.array([2, 0, 3])), [
+        [0.5, 0, 0.5], [1, 0, 1], [0.5, 0, 1], [0, 0, 0.5]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_block_sweeps_are_column_sweeps(dim, seed):
+    # each column of a block sweeps to its own horizon, as its vector sweep
+    # would, and the block reverse sweep is the exact transpose column by column
+    rng = np.random.default_rng(seed)
+    m, s = int(rng.integers(1, 9)), 4
+    nqs = np.append(rng.integers(1, 10, size=s - 1), 0)
+    n = nqs.max()
+    p = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    K = rng.standard_normal((dim, m))
+    S = rng.standard_normal((m, dim))
+    D = rng.standard_normal((n + 1, m, s))
+    x0, psi = rng.standard_normal((2, dim, s))
+    dt = float(rng.uniform(0.01, 1.0))
+    ps, pk = np.vstack([p, S]), dt * (p @ K)
+    pkt = np.vstack([p.T, -pk.T])
+    states, qs = forward_sweep(ps, pk, dt, x0, lambda k, y: D[k] * y, nqs)
+    rows = reverse_sweep(pkt, dt, K, S, D, psi, np.zeros((dim, s)), nqs)
+    assert states.shape == (n + 1, dim, s) and rows.shape == (n + 1, dim, s)
+    for j, nq in enumerate(nqs):
+        col_states, col_q = forward_sweep(
+            ps, pk, dt, x0[:, j], lambda k, y: D[k, :, j] * y, int(nq))
+        scale = np.abs(col_states).max()
+        np.testing.assert_allclose(states[:nq + 1, :, j], col_states, rtol=1e-13,
+                                   atol=1e-13 * scale)
+        np.testing.assert_allclose(qs[:, j], col_q, rtol=1e-13,
+                                   atol=1e-13 * np.abs(col_q).max())
+        col_rows = reverse_sweep(pkt, dt, K, S, D[:, :, j], psi[:, j], np.zeros(dim),
+                                 int(nq))
+        np.testing.assert_allclose(rows[:nq + 1, :, j], col_rows, rtol=1e-13,
+                                   atol=1e-13 * np.abs(col_rows).max())
+        assert not np.any(rows[nq + 1:, :, j])
+        assert psi[:, j] @ (K @ qs[:, j]) == pytest.approx(x0[:, j] @ rows[0, :, j],
+                                                           rel=1e-10, abs=1e-12)
 
 
 def test_estimate_alpha_scalar():

@@ -1,5 +1,7 @@
 """Forwarding map evaluations, adjoint duality, gains, coercivity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,12 @@ from forwardreg.forwarding import (
     linear_forwarding,
     uniform_coercivity_check,
 )
-from forwardreg.plants import make_linear_benchmark, make_sine_gordon, make_wilson_cowan
+from forwardreg.plants import (
+    make_linear_benchmark,
+    make_scalar_linear,
+    make_sine_gordon,
+    make_wilson_cowan,
+)
 from forwardreg.spaces import adjoint
 from helpers import make_random_plant, make_scalar_plant
 
@@ -372,3 +379,85 @@ def test_linear_plant_skips_quadrature():
     rng = np.random.default_rng(14)
     ev = StateEvaluation(fmap, rng.standard_normal(5))
     assert ev.nq == 0
+
+
+# -- blocks of states ---------------------------------------------------------
+
+BLOCK_PLANTS = pytest.mark.parametrize(
+    "make_plant, dt_quad",
+    [(lambda: make_sine_gordon(N=12, gamma=0.05), 0.5),
+     (lambda: make_wilson_cowan(n=8), 1.0),
+     (lambda: make_random_plant(alpha=1.0), 0.05)],
+    ids=["sine_gordon", "wilson_cowan", "weighted_gram"],
+)
+
+
+def block_of_states(plant, seed):
+    # a zero state and states of growing norm, so the horizons differ
+    rng = np.random.default_rng(seed)
+    return np.column_stack([np.zeros(plant.dim)] + [
+        plant.space_H.sample_sphere(rng) * r for r in (0.05, 1.0, 40.0)])
+
+
+def block_fmap(plant, dt_quad):
+    if plant.alpha_cert is None:
+        plant.alpha_cert = 0.3  # safe underestimate, as make_random_fmap
+    return build_forwarding(plant, dt_quad=dt_quad, tail_tol=1e-10)
+
+
+@BLOCK_PLANTS
+def test_state_block_matches_single_states(make_plant, dt_quad):
+    # per column: the state's own horizon, M and B* dM* eta of its own
+    # evaluation; the zero column skips the quadrature
+    plant = make_plant()
+    fmap = block_fmap(plant, dt_quad)
+    ws = block_of_states(plant, 3)
+    eta = np.random.default_rng(4).standard_normal((fmap.dim_Z, ws.shape[1]))
+    ev = StateEvaluation(fmap, ws)
+    singles = [StateEvaluation(fmap, w) for w in ws.T]
+    np.testing.assert_array_equal(ev.nqs, [e.nq for e in singles])
+    assert ev.nqs[0] == 0 and len(set(ev.nqs)) == ws.shape[1]
+    assert ev.nq == max(ev.nqs)
+    m, u = ev.M(), ev.dM_adjoint_B(eta)
+    for j, single in enumerate(singles):
+        want_m, want_u = single.M(), single.dM_adjoint_B(eta[:, j])
+        np.testing.assert_allclose(m[:, j], want_m, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want_m).max())
+        np.testing.assert_allclose(u[:, j], want_u, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want_u).max())
+
+
+@BLOCK_PLANTS
+def test_state_block_duality_per_column(make_plant, dt_quad):
+    plant = make_plant()
+    fmap = block_fmap(plant, dt_quad)
+    ws = block_of_states(plant, 5)
+    rng = np.random.default_rng(6)
+    h = rng.standard_normal(ws.shape)
+    zeta = rng.standard_normal((fmap.dim_Z, ws.shape[1]))
+    ev = StateEvaluation(fmap, ws)
+    dm, adj = ev.dM(h), ev.dM_adjoint(zeta)
+    for j in range(ws.shape[1]):
+        lhs = plant.space_Z.inner(dm[:, j], zeta[:, j])
+        rhs = plant.space_H.inner(h[:, j], adj[:, j])
+        assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
+
+
+def test_block_of_one_state_is_bitwise_the_vector():
+    plant = make_sine_gordon(N=12, gamma=0.05)
+    fmap = build_forwarding(plant, dt_quad=0.5, tail_tol=1e-6)
+    w = block_of_states(plant, 7)[:, 2]
+    eta = np.random.default_rng(8).standard_normal(fmap.dim_Z)
+    one, vec = StateEvaluation(fmap, w[:, None]), StateEvaluation(fmap, w)
+    assert one.nq == vec.nq > 1
+    assert np.array_equal(one.M()[:, 0], vec.M())
+    assert np.array_equal(one.dM_adjoint_B(eta[:, None])[:, 0], vec.dM_adjoint_B(eta))
+
+
+def test_singular_A_is_refused_by_name():
+    with pytest.warns(UserWarning, match="no contraction certificate"):
+        plant = make_scalar_linear(a=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no LinAlgWarning on the way
+        with pytest.raises(ValueError, match=r"A is singular, so -C A\^\{-1\} is undefined"):
+            build_forwarding(plant, dt_quad=0.01, tau_max=10.0)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from forwardreg.forwarding import StateEvaluation, build_forwarding
-from forwardreg.plants import make_linear_benchmark, make_scalar_linear
+from forwardreg.plants import make_linear_benchmark, make_scalar_linear, make_sine_gordon
 from forwardreg.regulator import (
     _DIVERGENCE_GUARD,
     Scenario,
     convergence_report,
     feedback,
     find_equilibrium,
+    find_equilibrium_recorded,
     simulate,
 )
 
@@ -243,6 +244,79 @@ def test_find_equilibrium_memory_is_constant_in_the_budget():
             tracemalloc.stop()
         assert not res.converged and res.iterations == round(t_budget / 0.01)
     assert abs(peaks[1] - peaks[0]) < 16 * 1024, peaks
+
+
+# -- lockstep search ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def wave_loop():
+    # converges at step 150 (t = 75) with dt = 0.5
+    plant = make_sine_gordon(N=12, gamma=0.05)
+    return plant, build_forwarding(plant, dt_quad=1.0, tail_tol=1e-4)
+
+
+def lockstep_cells(plant, d_norms, y_norms):
+    """(d block or None, y_ref block, per-cell d) of cells with one d direction."""
+    direction = plant.space_H.sample_sphere(np.random.default_rng(0))
+    ds = [None if dn == 0 else dn * direction for dn in d_norms]
+    block = np.column_stack([np.zeros(plant.dim) if d is None else d for d in ds])
+    y_ref = np.outer(np.ones(plant.space_Z.dim), y_norms)
+    return block, y_ref, ds
+
+
+def assert_runs_close(run, want, rtol):
+    assert len(run) == len(want)
+    for field in ("w", "z", "m", "u", "y", "v"):
+        got, ref = getattr(run, field), getattr(want, field)
+        np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("t_budget, recorded", [(300.0, True), (200.0, False)],
+                         ids=["recorded_runs", "runs_simulated_again"])
+def test_lockstep_search_matches_cell_by_cell(wave_loop, t_budget, recorded):
+    # three cells in one block give each cell's own search and run; with
+    # 200 time units a cell's share of copies (133 of 400 states) ends
+    # before it converges, so its run is simulated again
+    plant, fmap = wave_loop
+    d, y_ref, ds = lockstep_cells(plant, [0.0, 0.01, 0.02], [0.01, 0.0, 0.02])
+    found = find_equilibrium_recorded(plant, fmap, d, y_ref, dt=0.5, t_budget=t_budget)
+    assert len(found) == 3
+    for j, (ws, zs, res, run) in enumerate(found):
+        want_w, want_z, want = find_equilibrium(plant, fmap, ds[j], y_ref[:, j],
+                                                dt=0.5, t_budget=t_budget)
+        assert res.converged and (res.converged, res.iterations, res.t_reached) == \
+            (want.converged, want.iterations, want.t_reached)
+        np.testing.assert_allclose(ws, want_w, rtol=1e-10, atol=1e-10 * np.abs(want_w).max())
+        np.testing.assert_allclose(zs, want_z, rtol=1e-10, atol=1e-10 * np.abs(want_z).max())
+        for key in ("drift_residual", "output_residual"):
+            assert getattr(res, key) == pytest.approx(getattr(want, key), rel=1e-10,
+                                                      abs=1e-13)
+        sim = simulate(plant, fmap, Scenario(y_ref=y_ref[:, j], T=res.t_reached, dt=0.5,
+                                             d=ds[j]))
+        if recorded:
+            assert_runs_close(run, sim, 1e-10)
+        else:
+            assert all(np.array_equal(getattr(run, f), getattr(sim, f))
+                       for f in ("w", "z", "m", "u", "y", "v"))
+
+
+def test_lockstep_column_that_stops_being_finite_leaves_alone(unit_loop):
+    # the middle cell's disturbance overflows the state; it leaves the block
+    # at the next check, and the other cells run on as if it had not been there
+    plant, fmap = unit_loop
+    d = np.array([[0.05, 1e308, 0.0]])
+    y_ref = np.full((1, 3), 0.3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = find_equilibrium_recorded(plant, fmap, d, y_ref, dt=0.05, t_budget=200.0)
+    assert isinstance(found[1], FloatingPointError)
+    assert "not finite at step 50 " in str(found[1])
+    others = find_equilibrium_recorded(plant, fmap, d[:, [0, 2]], y_ref[:, [0, 2]],
+                                       dt=0.05, t_budget=200.0)
+    for got, want in zip((found[0], found[2]), others):
+        assert got[2] == want[2]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(got[3].w, want[3].w) and np.array_equal(got[3].v, want[3].v)
 
 
 # -- convergence report -------------------------------------------------------
