@@ -41,9 +41,6 @@ from .regulator import (
     simulate,
 )
 from .plants import (
-    SineGordonParams,
-    WilsonCowanParams,
-    compute_M_ks,
     make_linear_benchmark,
     make_scalar_linear,
     make_sine_gordon,
@@ -79,7 +76,6 @@ __all__ = [
     "convergence_report", "feedback", "find_equilibrium", "find_equilibrium_along",
     "find_equilibrium_recorded", "simulate",
     # plants
-    "SineGordonParams", "WilsonCowanParams", "compute_M_ks",
     "make_linear_benchmark", "make_scalar_linear", "make_sine_gordon",
     "make_wilson_cowan",
     # verify

@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -109,7 +109,7 @@ _count = _ranged("an integer >= 1", lambda v: v >= 1, parse=int)
 _grid = _ranged("an integer >= 3", lambda v: v >= 3, parse=int)
 
 # [plant] kind -> (constructor, {key: (constructor keyword, converter)}); the
-# constructors own every default, and rank_deficient is the CLI's own key
+# constructors own every default
 PLANTS = {
     "sine_gordon": (make_sine_gordon, {
         "n": ("N", _grid), "l": ("L", float), "xi": ("xi", float),
@@ -119,7 +119,7 @@ PLANTS = {
         "kernel": ("kernel", float)}),
     "linear_benchmark": (make_linear_benchmark, {
         "dim": ("n", _count), "alpha": ("alpha", float), "seed": ("seed", _seed),
-        "dim_out": ("dim_out", _count), "rank_deficient": (None, _bool)}),
+        "dim_out": ("dim_out", _count), "rank_deficient": ("rank_deficient", _bool)}),
     "scalar_linear": (make_scalar_linear, {
         "a": ("a", float), "b": ("b", float), "c": ("c", float)}),
 }
@@ -201,16 +201,8 @@ def load_config(
 
 def build_plant(cfg: RunConfig) -> Plant:
     make, keys = PLANTS[cfg.plant["kind"]]
-    plant = make(**{keys[key][0]: value for key, value in cfg.plant.items()
-                    if key != "kind" and keys[key][0]})
-    if cfg.plant.get("rank_deficient"):
-        # negative-control variant: duplicate an output row so CA^-1 B
-        # loses rank and the battery must detect lambda = 0
-        if plant.C.shape[0] > 1:
-            plant.C[-1] = plant.C[0]
-        else:
-            plant.C[:] = 0.0
-    return plant
+    return make(**{keys[key][0]: value for key, value in cfg.plant.items()
+                   if key != "kind"})
 
 
 def build_fmap(plant: Plant, cfg: RunConfig) -> ForwardingMap:
@@ -226,7 +218,7 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, tag: str, header: list, rows) -> None:
+def _write_csv(path: Path, tag: str, header: Sequence[str], rows) -> None:
     lines = [f"# {tag}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -256,7 +248,8 @@ def _scenario_vectors(plant: Plant, sc: dict, seed: int, index: int):
     elif len(vals) == dim_z:
         y_ref = np.array(vals)
     else:
-        raise ValueError(f"y_ref needs 1 or {dim_z} values, got {len(vals)}")
+        raise ValueError(f"[scenario.{sc['label']}] y_ref needs 1 or {dim_z} values, "
+                         f"got {len(vals)}")
 
     rng = np.random.default_rng(seed + 1000 * index)
     d = _sample(plant, rng, sc.get("d_norm", 0.0))
@@ -301,13 +294,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.scenarios:
         print("no [scenario.*] sections found", file=sys.stderr)
         return EXIT_INFEASIBLE
+    # every scenario's vectors, so that a bad one fails before any run
+    vectors = [_scenario_vectors(plant, sc, cfg.seed, index)
+               for index, sc in enumerate(cfg.scenarios)]
     cfg.outdir.mkdir(parents=True, exist_ok=True)
 
     any_diverged = False
-    for index, sc in enumerate(cfg.scenarios):
+    for sc, (y_ref, d, w0) in zip(cfg.scenarios, vectors):
         label = sc["label"]
         t, dt = sc.get("t", 10.0), sc.get("dt", 0.05)
-        y_ref, d, w0 = _scenario_vectors(plant, sc, cfg.seed, index)
         run = simulate(plant, fmap, Scenario(y_ref=y_ref, T=t, dt=dt, d=d, w0=w0))
 
         doc = {"label": label, "aborted": run.diverged, "steps": len(run) - 1}
@@ -371,9 +366,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.overall else EXIT_VERIFY_FAIL
 
 
+# the columns of sweep.csv, in order, and the keys of each row dict
+SWEEP_COLUMNS = ("d_norm", "y_ref_norm", "success", "converged", "drift_residual",
+                 "output_residual", "fitted_rate", "averaged_output_error", "t_reached")
+
+
 def _sweep_cell(cfg: RunConfig, fmap: Optional[ForwardingMap], d_norm: float,
                 y_norm: float, found) -> dict:
-    """The row dict of one (||d||, ||y_ref||) grid cell.
+    """The row dict of one (||d||, ||y_ref||) grid cell, keyed by SWEEP_COLUMNS.
 
     ``found`` is the cell's entry of :func:`find_equilibrium_recorded`, or
     the exception its search raised. A numerical or configuration failure
@@ -391,19 +391,12 @@ def _sweep_cell(cfg: RunConfig, fmap: Optional[ForwardingMap], d_norm: float,
             rate = rep.fitted_rate if rep.fitted_rate is not None else float("nan")
             avg = rep.averaged_output_error
         success = eq.converged and eq.output_residual <= cfg.sweep.get("res_tol", 1e-4)
-        return {
-            "d_norm": d_norm, "y_ref_norm": y_norm, "success": int(success),
-            "converged": int(eq.converged), "drift_residual": eq.drift_residual,
-            "output_residual": eq.output_residual, "fitted_rate": rate,
-            "averaged_output_error": avg, "t_reached": eq.t_reached,
-        }
+        return dict(zip(SWEEP_COLUMNS, (
+            d_norm, y_norm, int(success), int(eq.converged), eq.drift_residual,
+            eq.output_residual, rate, avg, eq.t_reached)))
     except (ValueError, ArithmeticError):  # np.linalg.LinAlgError is a ValueError
-        return {
-            "d_norm": d_norm, "y_ref_norm": y_norm, "success": 0, "converged": 0,
-            "drift_residual": float("nan"), "output_residual": float("nan"),
-            "fitted_rate": float("nan"), "averaged_output_error": float("nan"),
-            "t_reached": float("nan"),
-        }
+        return {**dict.fromkeys(SWEEP_COLUMNS, float("nan")),
+                "d_norm": d_norm, "y_ref_norm": y_norm, "success": 0, "converged": 0}
 
 
 def _sweep_rows(cfg: RunConfig, cells: list) -> list:
@@ -453,11 +446,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         parts = [_sweep_rows(cfg, block) for block in blocks]
     rows = [row for part in parts for row in part]
 
-    header = ["d_norm", "y_ref_norm", "success", "converged", "drift_residual",
-              "output_residual", "fitted_rate", "averaged_output_error", "t_reached"]
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.outdir / "sweep.csv", cfg.tag(), header,
-               ([row[h] for h in header] for row in rows))
+    _write_csv(cfg.outdir / "sweep.csv", cfg.tag(), SWEEP_COLUMNS,
+               ([row[h] for h in SWEEP_COLUMNS] for row in rows))
     n_ok = sum(r["success"] for r in rows)
     print(f"sweep: {n_ok}/{len(rows)} cells succeeded")
     return EXIT_OK

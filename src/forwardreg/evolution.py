@@ -102,8 +102,10 @@ class Plant:
     (m = 0). ``alpha_cert`` is the certified monotonicity margin of
     A + dF(.) in the H product, or None when the construction could not
     certify one. ``lip_F`` is a global Lipschitz bound of F, used for
-    step-size guards and quadrature tail bounds. ``solver`` holds the
-    factorization of A and the step inverses, and is built from it.
+    step-size guards and quadrature tail bounds. ``global_ok`` is True when
+    the construction also certifies global attraction, which enables the
+    battery's uniform-coercivity and global-attraction checks. ``solver``
+    holds the factorization of A and the step inverses, and is built from it.
     """
 
     name: str
@@ -120,7 +122,7 @@ class Plant:
     S: Optional[np.ndarray] = None
     sigma: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dsigma: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    meta: dict = field(default_factory=dict)
+    global_ok: bool = False
 
     def __post_init__(self):
         dim = self.space_H.dim

@@ -78,9 +78,11 @@ class ForwardingMap:
     tau_extra : float
         Extra horizon added past the tail-bound value, for refinement studies
         that lengthen the quadrature at a fixed tail tolerance.
-    lam, lam_tilde, rho, kappa : float or None
-        Coercivity constant, lam/3, Lyapunov weight and certified decay rate;
-        None when the plant is infeasible (lam = 0) or has no alpha.
+    lam, lam_tilde : float
+        Coercivity constant and lam/3.
+    rho, kappa : float or None
+        Lyapunov weight and certified decay rate; None when the plant is
+        infeasible (lam = 0) or has no alpha.
     """
 
     def __init__(
@@ -123,12 +125,11 @@ class ForwardingMap:
 
         alpha = plant.alpha_cert
         self.feasible = bool(self.range_ok and alpha is not None and alpha > 0)
+        self.lam_tilde = self.lam / 3.0
         if self.feasible:
-            self.lam_tilde = self.lam / 3.0
             self.rho = self.b_norm**2 * max(1.0, 2.0 / alpha)
             self.kappa = min(alpha / 4.0, self.lam_tilde / 4.0)
         else:
-            self.lam_tilde = self.lam / 3.0
             self.rho = None
             self.kappa = None
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,13 +20,10 @@ from .evolution import Plant
 from .spaces import SpaceSpec
 
 __all__ = [
-    "SineGordonParams",
-    "WilsonCowanParams",
     "make_linear_benchmark",
     "make_scalar_linear",
     "make_sine_gordon",
     "make_wilson_cowan",
-    "compute_M_ks",
 ]
 
 
@@ -44,13 +40,16 @@ def _check_finite(positive: bool = False, **params) -> None:
 
 
 def make_linear_benchmark(
-    n: int = 20, alpha: float = 0.5, seed: int = 0, dim_out: int = 2
+    n: int = 20, alpha: float = 0.5, seed: int = 0, dim_out: int = 2,
+    rank_deficient: bool = False,
 ) -> Plant:
     """Linear plant A = alpha I + skew with random full-rank B, C.
 
     The skew part contributes nothing to the quadratic form, so the
     monotonicity constant is exactly alpha. Seeds whose C A^{-1} B is close
-    to rank-deficient are redrawn.
+    to rank-deficient are redrawn. ``rank_deficient`` gives the negative
+    control: the last output row duplicates the first (C is zero when
+    dim_out is 1), so C A^{-1} B loses rank and lambda = 0.
     """
     for name, value in (("n", n), ("dim_out", dim_out)):
         if value < 1:
@@ -73,6 +72,8 @@ def make_linear_benchmark(
             break
     else:
         raise RuntimeError("could not draw a benchmark with full-rank CA^-1 B")
+    if rank_deficient:
+        c[-1] = c[0] if dim_out > 1 else 0.0
     return Plant(
         name="linear-benchmark",
         space_H=sp,
@@ -83,7 +84,6 @@ def make_linear_benchmark(
         C=c,
         alpha_cert=float(alpha),
         lip_F=0.0,
-        meta={"seed": seed, "attempts": attempt + 1},
     )
 
 
@@ -114,56 +114,39 @@ def make_scalar_linear(a: float = 2.0, b: float = 1.0, c: float = 1.0) -> Plant:
 # -- sine-Gordon --------------------------------------------------------------
 
 
-@dataclass
-class SineGordonParams:
-    """Damped sine-Gordon on (0, L) with Dirichlet ends.
+def make_sine_gordon(
+    N: int = 200,
+    L: float = math.pi,
+    xi: float = 2.0,
+    gamma: float = 0.05,
+    control_window: Optional[tuple[float, float]] = None,
+) -> Plant:
+    """Damped sine-Gordon on (0, L) with Dirichlet ends, finite differences
+    and the epsilon-weighted Gram.
 
-    State (theta, zeta = d theta/dt) on N interior grid points; control
-    acts on the zeta slot over the window; the measured output is the
-    one-sided Neumann trace at x = 0. ``epsilon`` weights the energy product
-    and ``lambda1`` is the optimal interval Poincare constant (pi/L)^2; both
-    are derived, not free.
+    State (theta, zeta = d theta/dt) on N interior grid points; control acts
+    on the zeta slot over ``control_window`` (default the middle 60 % of
+    (0, L)); the measured output is the one-sided Neumann trace at x = 0.
+    ``epsilon`` weights the energy product and ``lambda1`` is the optimal
+    interval Poincare constant (pi/L)^2; both are derived, not free. The
+    certified range is gamma < epsilon / (2 lambda1); outside it the plant
+    constructs fine but carries no contraction certificate (alpha_cert is
+    None) and a warning is emitted. Global attraction is certified when
+    also epsilon / (2 (1 + lambda1)) > gamma.
     """
+    if N < 3:
+        raise ValueError("need at least 3 interior grid points")
+    _check_finite(xi=xi, gamma=gamma, L=L, positive=True)
+    if control_window is None:
+        control_window = (0.2 * L, 0.8 * L)
+    a_win, b_win = control_window
+    if not (0.0 <= a_win < b_win <= L):
+        raise ValueError("control window must be a sub-interval of (0, L)")
+    lam_a = (math.pi / L) ** 2
+    eps_a = min(xi / 4.0, lam_a / (2.0 * xi))
 
-    N: int = 200
-    L: float = math.pi
-    xi: float = 2.0
-    gamma: float = 0.05
-    control_window: Optional[tuple[float, float]] = None
-    epsilon: float = field(init=False)
-    lambda1: float = field(init=False)
-
-    def __post_init__(self):
-        if self.N < 3:
-            raise ValueError("need at least 3 interior grid points")
-        _check_finite(xi=self.xi, gamma=self.gamma, L=self.L, positive=True)
-        if self.control_window is None:
-            self.control_window = (0.2 * self.L, 0.8 * self.L)
-        a, b = self.control_window
-        if not (0.0 <= a < b <= self.L):
-            raise ValueError("control window must be a sub-interval of (0, L)")
-        self.lambda1 = (math.pi / self.L) ** 2
-        self.epsilon = min(self.xi / 4.0, self.lambda1 / (2.0 * self.xi))
-
-    @property
-    def feasible(self) -> bool:
-        return self.gamma < self.epsilon / (2.0 * self.lambda1)
-
-    @property
-    def global_ok(self) -> bool:
-        return self.epsilon / (2.0 * (1.0 + self.lambda1)) > self.gamma
-
-
-def make_sine_gordon(**overrides) -> Plant:
-    """Finite-difference sine-Gordon plant with the epsilon-weighted Gram.
-
-    Keyword arguments are the fields of :class:`SineGordonParams`.
-    Infeasible parameter regimes construct fine but carry no contraction
-    certificate (alpha_cert is None) and a warning is emitted.
-    """
-    params = SineGordonParams(**overrides)
-    n, length, xi, gamma = params.N, params.L, params.xi, params.gamma
-    h = length / (n + 1)
+    n = N
+    h = L / (n + 1)
     x = h * np.arange(1, n + 1)
 
     main = np.full(n, 2.0 / h**2)
@@ -173,13 +156,12 @@ def make_sine_gordon(**overrides) -> Plant:
     # discrete Poincare constant of the Dirichlet Laplacian on this grid
     lambda1_disc = float(sla.eigvalsh_tridiagonal(main, off, select="i", select_range=(0, 0))[0])
 
-    eps_a, lam_a = params.epsilon, params.lambda1
-    eps_d = min(xi / 4.0, lambda1_disc / (2.0 * xi))
-    alpha_candidates = (eps_a / 2.0 - gamma * lam_a, eps_d / 2.0 - gamma * lambda1_disc)
-    alpha = min(alpha_candidates)
-    epsilon = eps_d
+    # the certificate takes the smaller margin of the analytic and discrete
+    # readings; the Gram uses the discrete epsilon
+    epsilon = min(xi / 4.0, lambda1_disc / (2.0 * xi))
+    alpha = min(eps_a / 2.0 - gamma * lam_a, epsilon / 2.0 - gamma * lambda1_disc)
 
-    feasible = params.feasible and alpha > 0
+    feasible = gamma < eps_a / (2.0 * lam_a) and alpha > 0
     alpha_cert: Optional[float] = float(alpha) if feasible else None
     if not feasible:
         warnings.warn(
@@ -202,7 +184,6 @@ def make_sine_gordon(**overrides) -> Plant:
     gram[n:, n:] = h * np.eye(n)
     space_h = SpaceSpec(dim, gram, "H")
 
-    a_win, b_win = params.control_window
     idx = np.nonzero((x > a_win) & (x < b_win))[0]
     if idx.size == 0:
         raise ValueError("control window contains no grid points")
@@ -236,16 +217,7 @@ def make_sine_gordon(**overrides) -> Plant:
         S=s_mat,
         sigma=lambda v: np.sin(v) - v,
         dsigma=lambda v: np.cos(v) - 1.0,
-        meta={
-            "params": params,
-            "h": h,
-            "x": x,
-            "window_idx": idx,
-            "epsilon": epsilon,
-            "lambda1_disc": lambda1_disc,
-            "alpha_candidates": alpha_candidates,
-            "global_ok": params.global_ok and feasible,
-        },
+        global_ok=feasible and eps_a / (2.0 * (1.0 + lam_a)) > gamma,
     )
 
 
@@ -262,66 +234,36 @@ _L_S = 1.0
 _WC_WINDOW = (0.3, 0.7)
 
 
-@dataclass
-class WilsonCowanParams:
-    """Nonlocal scalar field on Omega = (0, 1), midpoint grid.
+def make_wilson_cowan(n: int = 32, alpha_gain: float = 0.05, kernel: float = 0.1) -> Plant:
+    """Nonlocal scalar field on Omega = (0, 1), midpoint grid of n points,
+    with restriction output on the window.
 
     ``kernel`` is the constant value of the kernel k(x, nu). M_ks is the
     quadrature of |k * L_s|^2 over Omega x Omega, with L_s = 1 the
-    derivative bound of s = tanh.
+    derivative bound of s = tanh. The plant is certified when
+    alpha_gain > M_ks (alpha_cert = alpha_gain - M_ks) and globally
+    attracting when alpha_gain > 2 M_ks.
     """
+    if n < 3:
+        raise ValueError(f"need at least 3 grid points: a coarser midpoint grid "
+                         f"has no point inside the control window {_WC_WINDOW}")
+    _check_finite(alpha_gain=alpha_gain, positive=True)
+    _check_finite(kernel=kernel)
+    h = 1.0 / n
+    x = (np.arange(n) + 0.5) * h
+    kernel_values = np.full((n, n), float(kernel))
+    # tensor-product midpoint quadrature of |k(x, nu) L_s|^2; the derivative
+    # bound L_s replaces the pointwise s'(nu), which upper-bounds every
+    # reading of that factor
+    m_ks = float(h**2 * np.sum((kernel_values * _L_S) ** 2))
 
-    n: int = 32
-    alpha_gain: float = 0.05
-    kernel: float = 0.1
-    M_ks: float = field(init=False)
-    x: np.ndarray = field(init=False)
-    h: float = field(init=False)
-    kernel_values: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"need at least 3 grid points: a coarser midpoint grid "
-                             f"has no point inside the control window {_WC_WINDOW}")
-        _check_finite(alpha_gain=self.alpha_gain, positive=True)
-        _check_finite(kernel=self.kernel)
-        self.h = 1.0 / self.n
-        self.x = (np.arange(self.n) + 0.5) * self.h
-        self.kernel_values = np.full((self.n, self.n), float(self.kernel))
-        self.M_ks = compute_M_ks(self)
-
-    @property
-    def feasible(self) -> bool:
-        return self.alpha_gain > self.M_ks
-
-    @property
-    def global_ok(self) -> bool:
-        return self.alpha_gain > 2.0 * self.M_ks
-
-
-def compute_M_ks(params: WilsonCowanParams) -> float:
-    """Tensor-product midpoint quadrature of |k(x, nu) L_s|^2.
-
-    The derivative bound L_s replaces the pointwise s'(nu), which
-    upper-bounds every reading of that factor.
-    """
-    return float(params.h**2 * np.sum((params.kernel_values * _L_S) ** 2))
-
-
-def make_wilson_cowan(**overrides) -> Plant:
-    """Nonlocal neural-field plant with restriction output on the window.
-
-    Keyword arguments are the fields of :class:`WilsonCowanParams`.
-    """
-    params = WilsonCowanParams(**overrides)
-    n, h = params.n, params.h
-    kop = params.kernel_values * h  # midpoint quadrature of the kernel integral
+    kop = kernel_values * h  # midpoint quadrature of the kernel integral
     sp0 = float(_tanh_ds(0.0))
-    amat = params.alpha_gain * np.eye(n) + sp0 * kop
+    amat = alpha_gain * np.eye(n) + sp0 * kop
     space_h = SpaceSpec(n, h * np.eye(n), "H")
 
     a_win, b_win = _WC_WINDOW
-    idx = np.nonzero((params.x > a_win) & (params.x < b_win))[0]
+    idx = np.nonzero((x > a_win) & (x < b_win))[0]
     if idx.size == 0:
         raise ValueError("control window contains no grid points")
     m = idx.size
@@ -331,17 +273,17 @@ def make_wilson_cowan(**overrides) -> Plant:
     b_mat[idx, np.arange(m)] = 1.0
     c_mat = b_mat.T.copy()
 
-    feasible = params.feasible
-    alpha_cert = float(params.alpha_gain - params.M_ks) if feasible else None
+    feasible = alpha_gain > m_ks
+    alpha_cert = float(alpha_gain - m_ks) if feasible else None
     if not feasible:
         warnings.warn(
-            f"alpha_gain={params.alpha_gain} <= M_ks={params.M_ks:.4g}: "
+            f"alpha_gain={alpha_gain} <= M_ks={m_ks:.4g}: "
             "no contraction certificate",
             stacklevel=2,
         )
     # Hilbert-Schmidt bound on the kernel operator times the worst slope
     # deviation of s from its slope at 0
-    hs_norm = math.sqrt(params.M_ks) / _L_S
+    hs_norm = math.sqrt(m_ks) / _L_S
     lip_f = hs_norm * (_L_S + abs(sp0))
 
     return Plant(
@@ -359,12 +301,5 @@ def make_wilson_cowan(**overrides) -> Plant:
         S=np.eye(n),
         sigma=lambda v: np.tanh(v) - sp0 * v,
         dsigma=lambda v: _tanh_ds(v) - sp0,
-        meta={
-            "params": params,
-            "h": h,
-            "x": params.x,
-            "window_idx": idx,
-            "M_ks": params.M_ks,
-            "global_ok": params.global_ok and feasible,
-        },
+        global_ok=feasible and alpha_gain > 2.0 * m_ks,
     )

@@ -55,7 +55,6 @@ class LinearOracle:
 
     feasible: bool
     m_matrix: np.ndarray
-    k_matrix: np.ndarray
     closed_matrix: np.ndarray
     w_star: np.ndarray
     z_star: np.ndarray
@@ -127,7 +126,6 @@ def dense_linear_oracle(
         return LinearOracle(
             feasible=False,
             m_matrix=m,
-            k_matrix=k,
             closed_matrix=closed,
             w_star=np.full(n, nan),
             z_star=np.full(dim_z, nan),
@@ -141,7 +139,6 @@ def dense_linear_oracle(
     return LinearOracle(
         feasible=True,
         m_matrix=m,
-        k_matrix=k,
         closed_matrix=closed,
         w_star=w_star,
         z_star=eta_star + m @ w_star,
@@ -538,7 +535,7 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
                                   "not runnable: infeasible closed loop"))
 
     # optional: uniform coercivity and a global-attraction spot check
-    if feasible and plant.meta.get("global_ok"):
+    if feasible and plant.global_ok:
         n_samples = int(cfg["coercivity_samples"])
         sigma_sq = uniform_coercivity_check(
             fmap, n_samples=n_samples, radius=radius, seed=seed

@@ -35,7 +35,6 @@ from forwardreg import (
     smooth_sample,
     uniform_coercivity_check,
 )
-from forwardreg.plants import SineGordonParams
 
 from helpers import make_scalar_plant
 
@@ -292,8 +291,11 @@ def test_criterion_8_gain_formulas_bitwise(tmp_path, capfd):
 
 def test_criterion_9_negative_controls(tmp_path, capfd):
     # (a) sine-Gordon with gamma at twice the feasibility threshold
-    ref = SineGordonParams(N=40)
-    gamma_bad = 2.0 * ref.epsilon / (2.0 * ref.lambda1)
+    # defaults L = pi, xi = 2: lambda1 = (pi/L)^2 = 1,
+    # epsilon = min(xi/4, lambda1/(2 xi)) = 0.25, threshold epsilon/(2 lambda1)
+    lambda1 = 1.0
+    epsilon = min(2.0 / 4.0, lambda1 / (2.0 * 2.0))
+    gamma_bad = 2.0 * epsilon / (2.0 * lambda1)
     cfg_a = tmp_path / "stiff.ini"
     cfg_a.write_text(textwrap.dedent(f"""\
         [plant]

@@ -155,6 +155,51 @@ def test_unknown_plant_key_exit_2(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+PLANT_FIELDS = ("A", "B", "C", "K", "S", "alpha_cert", "lip_F", "global_ok")
+
+
+def same_plant(p, q):
+    return all(np.array_equal(getattr(p, f), getattr(q, f)) for f in PLANT_FIELDS)
+
+
+# (kind, {[plant] key: non-default text}, the constructor keywords they mean)
+PLANT_KEY_CASES = [
+    ("sine_gordon", {"n": "30"}, {"N": 30}),
+    ("sine_gordon", {"l": "3"}, {"L": 3.0}),
+    ("sine_gordon", {"xi": "2.5"}, {"xi": 2.5}),
+    ("sine_gordon", {"gamma": "0.04"}, {"gamma": 0.04}),
+    ("sine_gordon", {"window": "0.5, 2"}, {"control_window": (0.5, 2.0)}),
+    ("wilson_cowan", {"n": "16"}, {"n": 16}),
+    ("wilson_cowan", {"alpha_gain": "0.3"}, {"alpha_gain": 0.3}),
+    ("wilson_cowan", {"kernel": "0.05"}, {"kernel": 0.05}),
+    ("linear_benchmark", {"dim": "8"}, {"n": 8}),
+    ("linear_benchmark", {"alpha": "0.7"}, {"alpha": 0.7}),
+    ("linear_benchmark", {"seed": "3"}, {"seed": 3}),
+    ("linear_benchmark", {"dim_out": "1"}, {"dim_out": 1}),
+    ("linear_benchmark", {"rank_deficient": "true"}, {"rank_deficient": True}),
+    ("linear_benchmark", {"rank_deficient": "yes", "dim_out": "1"},
+     {"rank_deficient": True, "dim_out": 1}),
+    ("scalar_linear", {"a": "3"}, {"a": 3.0}),
+    ("scalar_linear", {"b": "0.5"}, {"b": 0.5}),
+    ("scalar_linear", {"c": "2"}, {"c": 2.0}),
+]
+
+
+@pytest.mark.parametrize("kind, keys, kwargs", PLANT_KEY_CASES,
+                         ids=[f"{kind}-{'-'.join(keys)}" for kind, keys, _ in PLANT_KEY_CASES])
+def test_plant_key_reaches_its_constructor_keyword(tmp_path, kind, keys, kwargs):
+    # build_plant is the constructor called with the converted keys, nothing more
+    lines = "".join(f"{key} = {text}\n" for key, text in keys.items())
+    cfg = cli.load_config(write_config(tmp_path, f"[plant]\nkind = {kind}\n{lines}"))
+    make = cli.PLANTS[kind][0]
+    plant = cli.build_plant(cfg)
+    assert same_plant(plant, make(**kwargs))
+    assert not same_plant(plant, make())  # the value is not the default
+    if keys.get("rank_deficient"):
+        core = plant.C @ np.linalg.solve(plant.A, plant.B)
+        assert np.linalg.matrix_rank(core) < plant.C.shape[0]
+
+
 SWEEP_INI = SCALAR_INI + """
     [sweep]
     d_norms = 0, 0.05
@@ -437,6 +482,36 @@ def test_simulate_bad_t_budget_exit_2_before_any_scenario(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[scenario.2] t_budget = 'inf': must be finite and positive" in captured.err
     assert "scenario 1" not in captured.out
+    assert not list(out.glob("scenario_*"))
+
+
+def test_simulate_bad_y_ref_length_exit_2_before_any_scenario(tmp_path, capsys):
+    # y_ref needs 1 or dim_Z values; dim_Z is known only once the plant is
+    # built, and the second scenario's is refused before the first runs
+    path = write_config(tmp_path, """\
+        [plant]
+        kind = linear_benchmark
+        dim = 6
+        dim_out = 2
+
+        [forwarding]
+        dt_quad = 0.05
+
+        [scenario.a]
+        y_ref = 0.1, 0.2
+        t = 1
+        dt = 0.01
+
+        [scenario.b]
+        y_ref = 0.1, 0.2, 0.3
+        t = 1
+        dt = 0.01
+        """)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "[scenario.b] y_ref needs 1 or 2 values, got 3" in captured.err
+    assert "scenario a" not in captured.out
     assert not list(out.glob("scenario_*"))
 
 

@@ -7,9 +7,6 @@ import pytest
 from forwardreg.evolution import estimate_alpha
 from forwardreg.forwarding import linear_forwarding
 from forwardreg.plants import (
-    SineGordonParams,
-    WilsonCowanParams,
-    compute_M_ks,
     make_linear_benchmark,
     make_scalar_linear,
     make_sine_gordon,
@@ -58,21 +55,29 @@ def test_scalar_linear_without_decay_has_no_certificate(a):
 # -- sine-Gordon parameters ---------------------------------------------------
 
 
+def sine_gordon_grid(n, length=math.pi):
+    """Grid step, interior points and the closed-form smallest eigenvalue
+    4/h^2 sin^2(pi h / 2L) of the Dirichlet second-difference matrix."""
+    h = length / (n + 1)
+    return h, h * np.arange(1, n + 1), 4.0 / h**2 * math.sin(math.pi * h / (2 * length)) ** 2
+
+
 def test_sine_gordon_derived_constants():
-    p = SineGordonParams(N=50, L=math.pi, xi=2.0, gamma=0.05)
     # lambda1 = (pi/L)^2 = 1, epsilon = min(xi/4, lambda1/(2 xi)) = min(0.5, 0.25)
-    assert p.lambda1 == pytest.approx(1.0)
-    assert p.epsilon == pytest.approx(0.25)
     # feasibility threshold: gamma < epsilon / (2 lambda1) = 0.125
-    assert p.feasible
-    assert SineGordonParams(N=50, gamma=0.1249).feasible
-    assert not SineGordonParams(N=50, gamma=0.1251).feasible
-    assert p.global_ok  # epsilon / (2 (1 + lambda1)) = 0.0625 > 0.05
+    assert make_sine_gordon(N=50, L=math.pi, xi=2.0, gamma=0.05).alpha_cert is not None
+    assert make_sine_gordon(N=50, gamma=0.1249).alpha_cert is not None
+    with pytest.warns(UserWarning, match=r"needs gamma < 0\.125\)"):
+        assert make_sine_gordon(N=50, gamma=0.1251).alpha_cert is None
+    # global attraction: epsilon / (2 (1 + lambda1)) = 0.0625 > gamma
+    assert make_sine_gordon(N=50, gamma=0.05).global_ok
+    assert make_sine_gordon(N=50, gamma=0.0624).global_ok
+    assert not make_sine_gordon(N=50, gamma=0.0626).global_ok
 
 
 def test_sine_gordon_rejects_tiny_grids():
-    with pytest.raises(ValueError):
-        SineGordonParams(N=2)
+    with pytest.raises(ValueError, match="need at least 3 interior grid points"):
+        make_sine_gordon(N=2)
 
 
 def test_sine_gordon_infeasible_constructs_with_warning():
@@ -85,10 +90,11 @@ def test_sine_gordon_infeasible_constructs_with_warning():
 
 def test_sine_gordon_discrete_lambda1_close_to_analytic():
     plant = make_sine_gordon(N=200)
-    lam_d = plant.meta["lambda1_disc"]
+    _, _, lam_d = sine_gordon_grid(200)
     assert abs(lam_d - 1.0) < 0.02
-    # certificate takes the smaller margin of the two readings
-    cands = plant.meta["alpha_candidates"]
+    # certificate takes the smaller margin of the two readings,
+    # epsilon / 2 - gamma lambda1 with lambda1 analytic (1) and discrete
+    cands = (0.25 / 2 - 0.05 * 1.0, min(2.0 / 4, lam_d / (2 * 2.0)) / 2 - 0.05 * lam_d)
     assert plant.alpha_cert == pytest.approx(min(cands))
     assert plant.alpha_cert > 0.07
 
@@ -106,11 +112,11 @@ def test_sine_gordon_drift_structure():
     aw = plant.A @ w + plant.F(w)
     # first block: -zeta exactly; second: D2 theta + gamma sin(theta) + xi zeta
     assert np.allclose(aw[:n], -zeta)
-    params = plant.meta["params"]
-    h = plant.meta["h"]
+    gamma, xi = 0.05, 2.0  # the defaults
+    h, _, _ = sine_gordon_grid(n)
     d2theta = (2 * theta - np.concatenate([[0.0], theta[:-1]])
                - np.concatenate([theta[1:], [0.0]])) / h**2
-    expect = d2theta + params.gamma * np.sin(theta) + params.xi * zeta
+    expect = d2theta + gamma * np.sin(theta) + xi * zeta
     assert np.allclose(aw[n:], expect)
 
 
@@ -118,7 +124,7 @@ def test_sine_gordon_trace_accuracy_and_order():
     errs = []
     for n in (100, 200):
         plant = make_sine_gordon(N=n)
-        x = plant.meta["x"]
+        _, x, _ = sine_gordon_grid(n)
         w = np.zeros(plant.dim)
         w[:n] = np.sin(x)  # theta'(0) = 1
         errs.append(abs((plant.C @ w)[0] - 1.0))
@@ -129,8 +135,10 @@ def test_sine_gordon_trace_accuracy_and_order():
 
 def test_sine_gordon_control_adjoint_closed_form():
     plant = make_sine_gordon(N=25)
-    n, eps = 25, plant.meta["epsilon"]
-    idx = plant.meta["window_idx"]
+    n = 25
+    _, x, lam_d = sine_gordon_grid(n)
+    eps = min(2.0 / 4, lam_d / (2 * 2.0))  # the Gram's epsilon, discrete lambda1
+    idx = np.nonzero((x > 0.2 * math.pi) & (x < 0.8 * math.pi))[0]  # default window
     rng = np.random.default_rng(4)
     w = rng.standard_normal(plant.dim)
     theta, zeta = w[:n], w[n:]
@@ -181,34 +189,39 @@ def test_sine_gordon_trace_gain_stable_under_refinement():
 
 
 def test_mks_constant_kernel_exact():
-    p = WilsonCowanParams(n=32, kernel=0.1)
-    # h^2 sum over n^2 entries of (0.1 * 1)^2 = 0.01 for any n
-    assert p.M_ks == pytest.approx(0.01, abs=1e-14)
-    assert compute_M_ks(WilsonCowanParams(n=64, kernel=0.1)) == pytest.approx(0.01, abs=1e-14)
-    assert compute_M_ks(WilsonCowanParams(n=16, kernel=0.0)) == 0.0
+    # M_ks = h^2 sum over n^2 entries of (0.1 * 1)^2 = 0.01 for any n; the
+    # certificate is alpha_gain - M_ks and lip_F = sqrt(M_ks) (L_s + s'(0))
+    for n in (32, 64):
+        wc = make_wilson_cowan(n=n, kernel=0.1)
+        assert wc.alpha_cert == pytest.approx(0.05 - 0.01, abs=1e-14)
+        assert wc.lip_F == pytest.approx(2.0 * math.sqrt(0.01), abs=1e-14)
+    flat = make_wilson_cowan(n=16, kernel=0.0)
+    assert flat.alpha_cert == 0.05 and flat.lip_F == 0.0
 
 
 def test_wilson_cowan_refuses_grid_without_window_point():
     # the midpoints 0.25 and 0.75 of a 2-point grid miss the window (0.3, 0.7)
     with pytest.raises(ValueError, match=r"\(0\.3, 0\.7\)"):
-        WilsonCowanParams(n=2)
-    assert make_wilson_cowan(n=3).meta["window_idx"].size == 1
+        make_wilson_cowan(n=2)
+    assert make_wilson_cowan(n=3).B.shape[1] == 1  # one window point, 0.5
 
 
 def test_wilson_cowan_certificate_and_flags():
     wc = make_wilson_cowan()
     assert wc.alpha_cert == pytest.approx(0.04)
-    assert wc.meta["global_ok"]
+    assert wc.global_ok  # alpha_gain 0.05 > 2 M_ks = 0.02
+    assert not make_wilson_cowan(alpha_gain=0.019).global_ok
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         bad = make_wilson_cowan(n=16, alpha_gain=0.005)
-    assert bad.alpha_cert is None
-    assert any("M_ks" in str(w.message) for w in rec)
+    assert bad.alpha_cert is None and not bad.global_ok
+    assert any("M_ks=0.01" in str(w.message) for w in rec)
 
 
 def test_wilson_cowan_window_restriction():
     wc = make_wilson_cowan(n=32)
-    idx = wc.meta["window_idx"]
+    x = (np.arange(32) + 0.5) / 32  # midpoint grid; the window is (0.3, 0.7)
+    idx = np.nonzero((x > 0.3) & (x < 0.7))[0]
     assert idx[0] == 10 and idx[-1] == 21 and idx.size == 12
     rng = np.random.default_rng(1)
     w = rng.standard_normal(32)
@@ -225,8 +238,7 @@ def test_wilson_cowan_drift_and_nonlinearity():
     assert np.allclose(wc.F(np.zeros(8)), 0.0)
     rng = np.random.default_rng(5)
     w = rng.standard_normal(8)
-    h = wc.meta["h"]
-    kop = 0.1 * h * np.ones((8, 8))
+    kop = 0.1 / 8 * np.ones((8, 8))  # kernel times the grid step h = 1/8
     expect = 0.3 * w + kop @ np.tanh(w)  # A w + F(w) collapses the split
     assert np.allclose(wc.A @ w + wc.F(w), expect)
 

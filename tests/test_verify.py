@@ -23,26 +23,7 @@ from helpers import make_scalar_plant
 
 def rank_deficient_benchmark(dim=6, alpha=0.8, seed=1):
     """Linear plant whose CA^-1 B is singular (duplicated output row)."""
-    rng = np.random.default_rng(seed)
-    sp = SpaceSpec(dim, np.eye(dim), "H")
-    s2 = SpaceSpec(2, np.eye(2), "Z")
-    skew = rng.standard_normal((dim, dim))
-    skew = 0.5 * (skew - skew.T)
-    amat = alpha * np.eye(dim) + skew
-    b = rng.standard_normal((dim, 2))
-    c = rng.standard_normal((2, dim))
-    c[1] = c[0]
-    return Plant(
-        name="rank-deficient",
-        space_H=sp,
-        space_U=s2,
-        space_Z=s2,
-        A=amat,
-        B=b,
-        C=c,
-        alpha_cert=alpha,
-        lip_F=0.0,
-    )
+    return make_linear_benchmark(dim, alpha=alpha, seed=seed, dim_out=2, rank_deficient=True)
 
 
 # -- dense linear oracle ------------------------------------------------------
@@ -53,7 +34,6 @@ def test_oracle_scalar_hand_assembly():
     orc = dense_linear_oracle(plant, None, np.array([0.2]))
     assert orc.feasible
     assert orc.m_matrix[0, 0] == pytest.approx(-0.5)
-    assert orc.k_matrix[0, 0] == pytest.approx(-0.5)
     # [w, eta] block triangular form: [[-2, -1/2], [0, -1/4]]
     assert np.allclose(orc.closed_matrix, [[-2.0, -0.5], [0.0, -0.25]])
     assert orc.spectral_abscissa == pytest.approx(-0.25)
