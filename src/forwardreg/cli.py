@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import json
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -53,7 +54,7 @@ EXIT_DIVERGED = 3
 
 @dataclass
 class RunConfig:
-    """Typed configuration: plant, forwarding, scenarios, toggles, output."""
+    """Typed configuration: plant, forwarding, scenarios, battery, sweep, output."""
 
     plant: dict
     forwarding: dict
@@ -75,12 +76,12 @@ def _floats(text: str) -> tuple:
 
 def _ranged(rule: str, ok, many: bool = False, parse=float):
     """A converter of one value read by ``parse``, or of a comma list of floats
-    when ``many``, that refuses any value failing ``ok``; the message reads
-    'must be rule'."""
+    when ``many``, that refuses any value failing ``ok`` (the message reads
+    'must be rule') and an empty list."""
     def convert(text: str):
         values = _floats(text) if many else (parse(text),)
-        if not all(ok(v) for v in values):
-            raise ValueError(f"must be {rule}")
+        if not values or not all(ok(v) for v in values):
+            raise ValueError(f"must be {rule}" if values else "needs at least 1 value")
         return values if many else values[0]
     return convert
 
@@ -125,17 +126,16 @@ PLANTS = {
 }
 # {key: converter} of every other section; [scenario.*] sections share one
 SECTIONS = {
-    "forwarding": {"dt_quad": float, "tail_tol": float, "tau_max": float,
-                   "tau_extra": float},
+    "forwarding": {"dt_quad": float, "tail_tol": float, "tau_max": float},
     "sweep": {"d_norms": _norms, "y_ref_norms": _finites, "dt": _positive,
-              "t_budget": _positive, "res_tol": _positive, "workers": _count},
+              "t_budget": _positive},
     "output": {"dir": str, "seed": _seed},
-    "verify": {key: _floats if isinstance(value, tuple) else type(value)
-               for key, value in BATTERY_DEFAULTS.items()} | {"seed": _seed},
+    "verify": dict.fromkeys(BATTERY_DEFAULTS, _count),
 }
-SCENARIO = {"label": str, "y_ref": _finites, "d_norm": _norm, "w0_norm": _norm,
-            "t": _positive, "dt": _positive, "t_budget": _positive,
-            "fit_equilibrium": _bool, "report_window": _positive}
+SCENARIO = {"y_ref": _finites, "d_norm": _norm, "w0_norm": _norm,
+            "t": _positive, "dt": _positive, "t_budget": _positive}
+# [scenario.<label>]; the label names the scenario's files
+SCENARIO_SECTION = re.compile(r"scenario\.[\w-]+", re.ASCII)
 
 
 def _convert(section: str, raw, table: dict) -> dict:
@@ -159,24 +159,29 @@ def load_config(
     workers_override: Optional[int] = None,
 ) -> RunConfig:
     text = Path(path).read_text()
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    if not cp.has_section("plant"):
+    # no [DEFAULT] whose keys reach every section: it is an unknown section
+    cp = configparser.ConfigParser(default_section="")
+    try:  # a repeated section or key, or no section header
+        cp.read_string(text, source=path)
+        raw = {name: dict(cp[name]) for name in cp.sections()}
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from None
+    for name in raw:
+        if name != "plant" and name not in SECTIONS and not SCENARIO_SECTION.fullmatch(name):
+            raise ValueError(f"unknown section [{name}]")
+    if "plant" not in raw:
         raise ValueError("config needs a [plant] section")
-    plant = dict(cp["plant"])
+    plant = raw["plant"]
     kind = plant.pop("kind", "")
     if kind not in PLANTS:
         raise ValueError(f"unknown plant kind {kind!r}")
     keys = PLANTS[kind][1]
     plant = {"kind": kind, **_convert(
         "plant", plant, {key: convert for key, (_, convert) in keys.items()})}
-    sections = {name: _convert(name, cp[name] if cp.has_section(name) else {}, table)
+    sections = {name: _convert(name, raw.get(name, {}), table)
                 for name, table in SECTIONS.items()}
-    scenarios = []
-    for name in sorted(s for s in cp.sections() if s.startswith("scenario")):
-        sc = _convert(name, cp[name], SCENARIO)
-        sc.setdefault("label", name.split(".", 1)[1] if "." in name else name)
-        scenarios.append(sc)
+    scenarios = [{"label": name.split(".", 1)[1], **_convert(name, raw[name], SCENARIO)}
+                 for name in sorted(raw) if name.startswith("scenario.")]
 
     # an override passes the check of the key it replaces
     flags = {"--seed": seed_override, "--workers": workers_override}
@@ -184,7 +189,7 @@ def load_config(
                      {"--seed": _seed, "--workers": _count})
     output = sections["output"]
     seed = flags.get("--seed", output.get("seed", 0))
-    workers = flags.get("--workers", sections["sweep"].get("workers", 1))
+    workers = flags.get("--workers", 1)
     digest = hashlib.sha256(f"{text}\nseed={seed}".encode()).hexdigest()[:16]
     return RunConfig(
         plant=plant,
@@ -307,11 +312,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
         doc = {"label": label, "aborted": run.diverged, "steps": len(run) - 1}
         rep = None
-        if not run.diverged and sc.get("fit_equilibrium", True):
+        if not run.diverged:
             w_star, z_star, eq = find_equilibrium_along(
                 run, fmap, t_budget=sc.get("t_budget", t))
-            rep = convergence_report(run, fmap, w_star, z_star,
-                                     window=sc.get("report_window", 1.0 / fmap.kappa))
+            rep = convergence_report(run, fmap, w_star, z_star, window=1.0 / fmap.kappa)
             doc.update(
                 final_output_error=rep.final_output_error,
                 averaged_output_error=rep.averaged_output_error,
@@ -356,7 +360,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     """Run the check battery; exit 0 iff every mandatory check passes."""
     plant = build_plant(cfg)
     fmap = build_fmap(plant, cfg)
-    report = run_battery(plant, fmap, {"seed": cfg.seed, **cfg.verify})
+    report = run_battery(plant, fmap, cfg.verify, seed=cfg.seed)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     (cfg.outdir / "verify.json").write_text(report.to_json() + "\n")
     for c in report.checks:
@@ -369,6 +373,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 # the columns of sweep.csv, in order, and the keys of each row dict
 SWEEP_COLUMNS = ("d_norm", "y_ref_norm", "success", "converged", "drift_residual",
                  "output_residual", "fitted_rate", "averaged_output_error", "t_reached")
+# a converged cell succeeds when its output residual is at most this
+SWEEP_RES_TOL = 1e-4
 
 
 def _sweep_cell(cfg: RunConfig, fmap: Optional[ForwardingMap], d_norm: float,
@@ -390,7 +396,7 @@ def _sweep_cell(cfg: RunConfig, fmap: Optional[ForwardingMap], d_norm: float,
             rep = convergence_report(run, fmap, ws, zs, window=1.0 / fmap.kappa)
             rate = rep.fitted_rate if rep.fitted_rate is not None else float("nan")
             avg = rep.averaged_output_error
-        success = eq.converged and eq.output_residual <= cfg.sweep.get("res_tol", 1e-4)
+        success = eq.converged and eq.output_residual <= SWEEP_RES_TOL
         return dict(zip(SWEEP_COLUMNS, (
             d_norm, y_norm, int(success), int(eq.converged), eq.drift_residual,
             eq.output_residual, rate, avg, eq.t_reached)))

@@ -150,18 +150,6 @@ def dense_linear_oracle(
 # -- finite-difference differential check -------------------------------------
 
 
-def _check_ladder(name: str, values: Sequence[float], min_len: int) -> tuple:
-    """``values`` as a tuple, refused unless positive and strictly decreasing."""
-    values = tuple(float(v) for v in values)
-    if (len(values) < min_len or any(v <= 0 for v in values)
-            or any(a <= b for a, b in zip(values, values[1:]))):
-        raise ValueError(
-            f"{name} needs at least {min_len} positive, strictly decreasing "
-            f"values, got {values}"
-        )
-    return values
-
-
 @dataclass
 class FDCheckTable:
     eps: tuple
@@ -175,8 +163,13 @@ def fd_check_dM(
     h: np.ndarray,
     eps_ladder: Sequence[float] = (1e-3, 1e-4),
 ) -> FDCheckTable:
-    """Central-difference quotients of M against dM along one direction."""
-    eps_ladder = _check_ladder("eps_ladder", eps_ladder, 1)
+    """Central-difference quotients of M against dM along one direction;
+    ``eps_ladder`` must be positive and strictly decreasing."""
+    eps_ladder = tuple(float(v) for v in eps_ladder)
+    if (not eps_ladder or any(v <= 0 for v in eps_ladder)
+            or any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:]))):
+        raise ValueError("eps_ladder needs at least 1 positive, strictly decreasing "
+                         f"values, got {eps_ladder}")
     dm = StateEvaluation(fmap, w).dM(h)
     space_z = fmap.plant.space_Z
     scale = max(space_z.norm(dm), 1e-14)
@@ -343,50 +336,44 @@ class VerificationReport:
         return json.dumps(doc, indent=2, sort_keys=True, default=float)
 
 
-# the battery's bounds and its base flow step are fixed here, not read from
-# a config, so no config can loosen the contract
+# the battery's bounds, its base flow step, the radius of its sampled states
+# and the oracle's step sizes (two or more, strictly decreasing, for an
+# observed order) are fixed here, as are its FD steps (fd_check_dM's default
+# ladder), not read from a config, so no config can loosen the contract
 MONOTONICITY_TOL = 1e-3
 CONTRACTION_SLACK = 0.05
 FUNCEQ_TOL = 1e-3
 DUALITY_RTOL = 1e-9
 FD_TOL = 1e-3
 DISSIPATION_DT = 0.05
+SAMPLE_RADIUS = 1.0
+ORACLE_DTS = (1e-2, 5e-3, 2.5e-3)
 
+# the sample count of each sampled check, the only battery config; a check
+# on no sample keeps its start value (inf or 0), a pass
 BATTERY_DEFAULTS = {
-    "seed": 0,
-    "radius": 1.0,
     "monotonicity_samples": 25,
     "contraction_pairs": 3,
     "decay_dirs": 3,
     "funceq_samples": 3,
     "duality_pairs": 3,
-    "fd_eps": (1e-3, 1e-4),
     "dissipation_runs": 3,
     "coercivity_samples": 20,
-    "oracle_dts": (1e-2, 5e-3, 2.5e-3),
 }
-
-# a sampled check on no sample keeps its start value (inf or 0), a pass
-SAMPLE_COUNTS = ("monotonicity_samples", "contraction_pairs", "decay_dirs",
-                 "funceq_samples", "duality_pairs", "dissipation_runs",
-                 "coercivity_samples")
 
 
 def _battery_config(config: Optional[dict]) -> dict:
-    """``config`` over ``BATTERY_DEFAULTS``. An unknown key, a sample count
-    below 1 or a bad ``fd_eps``/``oracle_dts`` ladder raises naming the key."""
+    """``config`` over ``BATTERY_DEFAULTS``. An unknown key or a sample
+    count below 1 raises naming the key."""
     cfg = dict(BATTERY_DEFAULTS)
     if config:
         unknown = sorted(set(config) - set(BATTERY_DEFAULTS))
         if unknown:
             raise ValueError(f"unknown battery key(s): {', '.join(unknown)}")
         cfg.update(config)
-    for key in SAMPLE_COUNTS:
-        if int(cfg[key]) < 1:
-            raise ValueError(f"battery key {key} must be >= 1, got {cfg[key]}")
-    # an FD error needs one step, an observed order two
-    cfg["fd_eps"] = _check_ladder("battery key fd_eps", cfg["fd_eps"], 1)
-    cfg["oracle_dts"] = _check_ladder("battery key oracle_dts", cfg["oracle_dts"], 2)
+    for key, count in cfg.items():
+        if int(count) < 1:
+            raise ValueError(f"battery key {key} must be >= 1, got {count}")
     return cfg
 
 
@@ -398,7 +385,8 @@ def _check_ge(name, value, bound, note=""):
     return CheckResult(name, float(value), float(bound), bool(value >= bound), "ge", note)
 
 
-def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None) -> VerificationReport:
+def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None,
+                seed: int = 0) -> VerificationReport:
     """Execute the invariant checks and aggregate a pass/fail report.
 
     Mandatory checks: range condition, monotonicity sampling against the
@@ -410,14 +398,13 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
 
     Every verdict is made here: the sampling helpers return the number they
     measure, and each check compares it with its bound, a module constant
-    (``FUNCEQ_TOL`` and so on) that no config sets. ``config`` sets the seed,
-    radius, sample counts and ladders (keys and defaults in
-    ``BATTERY_DEFAULTS``; an invalid config is refused before any check
-    runs, see :func:`_battery_config`).
+    (``FUNCEQ_TOL`` and so on) that no config sets. ``config`` sets the
+    sample counts (keys and defaults in ``BATTERY_DEFAULTS``; an invalid
+    config is refused before any check runs, see :func:`_battery_config`)
+    and ``seed`` seeds every sample.
     """
     cfg = _battery_config(config)
-    seed = int(cfg["seed"])
-    radius = float(cfg["radius"])
+    radius = SAMPLE_RADIUS
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
     tables: dict = {}
@@ -500,7 +487,7 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     # dM finite differences
     w = smooth_sample(plant, rng, radius)
     h = space_h.sample_sphere(rng)
-    fd_table = fd_check_dM(fmap, w, h, cfg["fd_eps"])
+    fd_table = fd_check_dM(fmap, w, h)
     tables["fd_check_dM"] = {
         "eps": list(fd_table.eps),
         "errors": list(fd_table.errors),
@@ -566,12 +553,12 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
 
     # optional: dense-oracle agreement for linear plants
     if plant.lip_F == 0.0 and feasible and plant.dim <= 200:
-        checks.extend(_oracle_checks(plant, fmap, cfg, tables, rng))
+        checks.extend(_oracle_checks(plant, fmap, tables, rng))
 
     return VerificationReport(checks=checks, tables=tables)
 
 
-def _oracle_checks(plant, fmap, cfg, tables, rng):
+def _oracle_checks(plant, fmap, tables, rng):
     out = []
     dim_z = plant.space_Z.dim
     y_ref = 0.1 * rng.standard_normal(dim_z)
@@ -598,7 +585,7 @@ def _oracle_checks(plant, fmap, cfg, tables, rng):
     out.append(_check_le("oracle_equilibrium", eq_err, 1e-8,
                          f"converged={res.converged}"))
 
-    dts = cfg["oracle_dts"]
+    dts = ORACLE_DTS
     t_span = 1.0
     w0 = plant.space_H.sample_ball(rng, 1.0)
     z0 = rng.standard_normal(dim_z)

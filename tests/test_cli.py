@@ -1,6 +1,8 @@
 """End-to-end tests for the batch front end: config parsing, artifacts, exit codes."""
 
+import contextlib
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -67,9 +69,6 @@ def test_load_config_sections_and_scenarios(tmp_path):
         [scenario.a]
         y_ref = 0.2
 
-        [sweep]
-        workers = 3
-
         [output]
         dir = somewhere
         seed = 7
@@ -82,7 +81,7 @@ def test_load_config_sections_and_scenarios(tmp_path):
     assert [sc["label"] for sc in cfg.scenarios] == ["a", "b"]
     assert cfg.scenarios[0]["y_ref"] == (0.2,)
     assert cfg.seed == 7
-    assert cfg.workers == 3
+    assert cfg.workers == 1
     assert cfg.outdir.name == "somewhere"
     assert re.fullmatch(r"[0-9a-f]{16}", cfg.sha256)
 
@@ -200,6 +199,14 @@ def test_plant_key_reaches_its_constructor_keyword(tmp_path, kind, keys, kwargs)
         assert np.linalg.matrix_rank(core) < plant.C.shape[0]
 
 
+@pytest.mark.parametrize("value", ["no", "OFF"])
+def test_rank_deficient_false_spellings(tmp_path, value):
+    # every configparser boolean spelling of false, in any case, reads False
+    cfg = cli.load_config(write_config(
+        tmp_path, f"[plant]\nkind = linear_benchmark\nrank_deficient = {value}\n"))
+    assert cfg.plant["rank_deficient"] is False
+
+
 SWEEP_INI = SCALAR_INI + """
     [sweep]
     d_norms = 0, 0.05
@@ -220,12 +227,12 @@ BAD_VALUES = {
                     "[sweep] y_ref_norms = 'inf': must be finite"),
     "report_window": ("simulate", "t_budget = 400\n",
                       "t_budget = 400\n    report_window = -3\n",
-                      "[scenario.1] report_window = '-3': must be finite and positive"),
+                      "unknown [scenario.1] key 'report_window'"),
     "d_norm": ("simulate", "d_norm = 0.05\n", "d_norm = -0.05\n",
                "[scenario.1] d_norm = '-0.05': must be finite and >= 0"),
     "fit_equilibrium": ("simulate", "t_budget = 400\n",
                         "t_budget = 400\n    fit_equilibrium = maybe\n",
-                        "[scenario.1] fit_equilibrium = 'maybe'"),
+                        "unknown [scenario.1] key 'fit_equilibrium'"),
     "tail_tol": ("simulate", "dt_quad = 0.01\n", "dt_quad = 0.01\n    tail_tol = 0\n",
                  "tail_tol must be finite and positive, got 0.0"),
     "benchmark_dim": ("gains", SCALAR_PLANT, "kind = linear_benchmark\n    dim = 0\n",
@@ -245,11 +252,33 @@ BAD_VALUES = {
     "output_seed": ("gains", "seed = 0\n", "seed = -1\n",
                     "[output] seed = '-1': must be an integer >= 0"),
     "sweep_workers": ("sweep", "d_norms = 0, 0.05\n", "d_norms = 0, 0.05\n    workers = 0\n",
-                      "[sweep] workers = '0': must be an integer >= 1"),
+                      "unknown [sweep] key 'workers'"),
     **{f"res_tol_{name}": ("sweep", "y_ref_norms = 0, 0.1\n",
                            f"y_ref_norms = 0, 0.1\n    res_tol = {value}\n",
-                           f"[sweep] res_tol = '{value}': must be finite and positive")
+                           "unknown [sweep] key 'res_tol'")
        for name, value in (("nan", "nan"), ("zero", "0"), ("negative", "-1"))},
+    **{f"{key}_empty": (command, f"{key} = {text}\n", f"{key} =\n",
+                        f"[{section}] {key} = '': needs at least 1 value")
+       for command, section, key, text in (("simulate", "scenario.1", "y_ref", "0.2"),
+                                           ("sweep", "sweep", "d_norms", "0, 0.05"),
+                                           ("sweep", "sweep", "y_ref_norms", "0, 0.1"))},
+    "verify_count": ("gains", "[output]\n", "[verify]\n    dissipation_runs = 0\n\n    [output]\n",
+                     "[verify] dissipation_runs = '0': must be an integer >= 1"),
+    # a file configparser refuses; its message names the line
+    "repeated_section": ("gains", "[output]\n", "[scenario.1]\n    t = 1\n\n    [output]\n",
+                         "section 'scenario.1' already exists"),
+    "repeated_key": ("gains", "a = 2\n", "a = 2\n    a = 3\n",
+                     "option 'a' in section 'plant' already exists"),
+    "no_section_header": ("gains", "[plant]\n", "", "File contains no section headers"),
+    # a section no subcommand reads, or a label that is no file-name part
+    # (letters, digits, _ and -)
+    **{f"section_{new}": (command, f"[{old}]\n", f"[{new}]\n", f"unknown section [{new}]")
+       for command, old, new in (("sweep", "sweep", "sweeps"), ("gains", "plant", "Plant"),
+                                 ("gains", "output", "DEFAULT"),
+                                 ("simulate", "scenario.1", "scenarios.1"),
+                                 ("simulate", "scenario.1", "scenario.b/c"),
+                                 ("simulate", "scenario.1", "scenario."),
+                                 ("simulate", "scenario.1", "scenario"))},
     "seed_flag": ("gains", "[forwarding]\n", "[forwarding]\n",
                   "[command line] --seed = '-1': must be an integer >= 0", "--seed", "-1"),
 }
@@ -266,6 +295,49 @@ def test_invalid_value_exit_2_before_anything_runs(tmp_path, capsys, case):
     assert cli.main([command, "--config", path, "--out", str(out), *flags]) == 2
     captured = capsys.readouterr()
     assert named in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _default(function, keyword):
+    return inspect.signature(function).parameters[keyword].default
+
+
+# each value that no config set -> (its section, a setting of it, the constant
+# or keyword default that replaces it and the default it had; None where the
+# value went rather than became a constant). A [scenario.*] label is its
+# section suffix, every run that did not diverge is fitted over 1 / kappa,
+# the sweep takes --workers and the battery --seed.
+REMOVED_KEYS = {
+    "tau_extra": ("forwarding", "0", _default(forwarding.build_forwarding, "tau_extra"), 0.0),
+    "res_tol": ("sweep", "1e-4", cli.SWEEP_RES_TOL, 1e-4),
+    "workers": ("sweep", "1", None, None),
+    "label": ("scenario.1", "1", None, None),
+    "fit_equilibrium": ("scenario.1", "true", None, None),
+    "report_window": ("scenario.1", "5", None, None),
+    "seed": ("verify", "0", _default(verify.run_battery, "seed"), 0),
+    "radius": ("verify", "1.0", verify.SAMPLE_RADIUS, 1.0),
+    "fd_eps": ("verify", "1e-3, 1e-4", _default(verify.fd_check_dM, "eps_ladder"),
+               (1e-3, 1e-4)),
+    "oracle_dts": ("verify", "1e-2, 5e-3, 2.5e-3", verify.ORACLE_DTS, (1e-2, 5e-3, 2.5e-3)),
+}
+COMMAND_OF = {"forwarding": "gains", "sweep": "sweep", "scenario.1": "simulate",
+              "verify": "verify"}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+def test_removed_value_is_no_config_key(tmp_path, capsys, key):
+    # a value that no config set is code now, so a config that sets it is
+    # refused at load, whatever the subcommand reading its section
+    section, text, constant, default = REMOVED_KEYS[key]
+    assert constant == default
+    body = (SWEEP_INI + "\n    [verify]\n").replace(
+        f"[{section}]\n", f"[{section}]\n    {key} = {text}\n")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, body)
+    assert cli.main([COMMAND_OF[section], "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"unknown [{section}] key {key!r}" in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -320,9 +392,12 @@ CONFIG_FILES = sorted((CONFIG_DIR.parent / "perfbench" / "configs").glob("*.ini"
 @pytest.mark.parametrize("path", CONFIG_FILES,
                          ids=[f"{p.parent.name}/{p.name}" for p in CONFIG_FILES])
 def test_config_lint(path):
-    # every shipped and benchmark config passes the key, type, range and
-    # ladder checks; nothing runs
-    verify._battery_config(cli.load_config(str(path)).verify)
+    # every shipped and benchmark config loads and builds its plant and
+    # forwarding map, as the benchmark's preflight does; nothing runs
+    infeasible = "infeasible" in path.name
+    with pytest.warns(UserWarning) if infeasible else contextlib.nullcontext():
+        cfg = cli.load_config(str(path))
+        cli.build_fmap(cli.build_plant(cfg), cfg)
 
 
 def test_package_exports_resolve():
@@ -437,17 +512,6 @@ def test_simulate_divergence_exit_3(tmp_path, capsys):
     assert "DIVERGED" in capsys.readouterr().out
     rep = json.loads((out / "scenario_blowup_report.json").read_text())
     assert rep["aborted"] is True
-
-
-@pytest.mark.parametrize("value", ["no", "OFF"])
-def test_simulate_fit_equilibrium_off(tmp_path, value):
-    # every configparser boolean spelling of false skips the equilibrium fit
-    path = write_config(tmp_path, SCALAR_INI.replace(
-        "t_budget = 400\n", f"t_budget = 400\n    fit_equilibrium = {value}\n"))
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
-    assert "dev_rho" not in (out / "scenario_1.csv").read_text().splitlines()[1]
-    assert "equilibrium" not in json.loads((out / "scenario_1_report.json").read_text())
 
 
 def test_simulate_no_scenarios_exit_2(tmp_path):
@@ -590,6 +654,16 @@ def test_verify_rank_deficient_exit_1(tmp_path):
     assert doc["checks"]["contraction"]["pass"] is True
 
 
+def test_verify_seed_flag_seeds_the_battery(tmp_path, monkeypatch):
+    # --seed (or [output] seed) is the battery's seed; no [verify] key overrides it
+    battery = Mock(wraps=cli.run_battery)
+    monkeypatch.setattr(cli, "run_battery", battery)
+    path = write_config(tmp_path, SCALAR_INI)
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", path, "--out", out, "--seed", "7"]) == 0
+    assert battery.call_args.kwargs["seed"] == 7
+
+
 def test_verify_unknown_key_exit_2(tmp_path, capsys):
     # a misspelt key must not fall back to the default silently
     path = write_config(tmp_path, SCALAR_INI + "\n    [verify]\n    duality_pair = 5\n")
@@ -608,17 +682,6 @@ def test_verify_zero_sample_count_exit_2(tmp_path, capsys):
     assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "dissipation_runs" in captured.err
-    assert "PASS" not in captured.out and "FAIL" not in captured.out
-    assert not (out / "verify.json").exists()
-
-
-def test_verify_bad_ladder_exit_2(tmp_path, capsys):
-    # an observed order needs two step sizes; refused before any check runs
-    path = write_config(tmp_path, SCALAR_INI + "\n    [verify]\n    oracle_dts = 0.01\n")
-    out = tmp_path / "out"
-    assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "oracle_dts" in captured.err
     assert "PASS" not in captured.out and "FAIL" not in captured.out
     assert not (out / "verify.json").exists()
 
@@ -644,7 +707,6 @@ def test_sweep_grid(tmp_path, capsys):
         y_ref_norms = 0, 0.1
         dt = 0.05
         t_budget = 300
-        res_tol = 1e-4
 
         [output]
         seed = 0

@@ -216,8 +216,9 @@ def test_battery_rejects_zero_sample_count(key):
     ("oracle_dts", (1e-2, 0.0)),
 ])
 def test_battery_rejects_bad_ladder_before_any_check(monkeypatch, key, ladder):
-    # a ladder must be positive, strictly decreasing and long enough for an
-    # FD error (fd_eps) or an observed order (oracle_dts), checked up front
+    # the ladders are code (fd_check_dM's default eps_ladder, ORACLE_DTS),
+    # not battery keys: a config that passes one, good or bad, is refused
+    # before any check runs
     plant = make_scalar_linear()
     fmap = build_forwarding(plant, dt_quad=0.01)
 
