@@ -315,7 +315,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         if not run.diverged:
             w_star, z_star, eq = find_equilibrium_along(
                 run, fmap, t_budget=sc.get("t_budget", t))
-            rep = convergence_report(run, fmap, w_star, z_star, window=1.0 / fmap.kappa)
+            rep = convergence_report(run, fmap, w_star, z_star)
             doc.update(
                 final_output_error=rep.final_output_error,
                 averaged_output_error=rep.averaged_output_error,
@@ -377,8 +377,8 @@ SWEEP_COLUMNS = ("d_norm", "y_ref_norm", "success", "converged", "drift_residual
 SWEEP_RES_TOL = 1e-4
 
 
-def _sweep_cell(cfg: RunConfig, fmap: Optional[ForwardingMap], d_norm: float,
-                y_norm: float, found) -> dict:
+def _sweep_cell(fmap: Optional[ForwardingMap], d_norm: float, y_norm: float,
+                found) -> dict:
     """The row dict of one (||d||, ||y_ref||) grid cell, keyed by SWEEP_COLUMNS.
 
     ``found`` is the cell's entry of :func:`find_equilibrium_recorded`, or
@@ -393,7 +393,7 @@ def _sweep_cell(cfg: RunConfig, fmap: Optional[ForwardingMap], d_norm: float,
         rate = float("nan")
         avg = float("nan")
         if eq.converged:
-            rep = convergence_report(run, fmap, ws, zs, window=1.0 / fmap.kappa)
+            rep = convergence_report(run, fmap, ws, zs)
             rate = rep.fitted_rate if rep.fitted_rate is not None else float("nan")
             avg = rep.averaged_output_error
         success = eq.converged and eq.output_residual <= SWEEP_RES_TOL
@@ -421,12 +421,11 @@ def _sweep_rows(cfg: RunConfig, cells: list) -> list:
         y_dir /= plant.space_Z.norm(y_dir)
         y_ref = np.outer(y_dir, [y_norm for _, y_norm in cells])
         ds = [_sample(plant, np.random.default_rng(cfg.seed), d_norm) for d_norm, _ in cells]
-        d = None if all(x is None for x in ds) else np.stack(
-            [np.zeros(plant.dim) if x is None else x for x in ds], axis=1)
+        d = np.stack([np.zeros(plant.dim) if x is None else x for x in ds], axis=1)
         found = find_equilibrium_recorded(plant, fmap, d, y_ref, dt=dt, t_budget=t_budget)
     except (ValueError, ArithmeticError) as exc:
         found = [exc] * len(cells)
-    return [_sweep_cell(cfg, fmap, d_norm, y_norm, out)
+    return [_sweep_cell(fmap, d_norm, y_norm, out)
             for (d_norm, y_norm), out in zip(cells, found)]
 
 

@@ -27,7 +27,6 @@ cotangent columns.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -52,30 +51,16 @@ __all__ = [
 
 
 class OperatorSolver:
-    """Solves with A and products with the IMEX step inverse (I + dt A)^{-1}.
+    """Products with the IMEX step inverse (I + dt A)^{-1}.
 
     One row-major P per distinct dt is cached; ``solve_step`` and
     :meth:`Plant.sweep_matrices` read it, so products with P round alike.
-    A is factored on the first solve with it.
     """
 
     def __init__(self, a_matrix: np.ndarray):
         self._a = np.asarray(a_matrix, dtype=float)
         self._dim = self._a.shape[0]
-        self._lu_a = None
         self._step_inv: dict[float, np.ndarray] = {}
-
-    def solve_a(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Solve A x = b, or A^T x = b; a singular A raises LinAlgError."""
-        if self._lu_a is None:
-            with warnings.catch_warnings():
-                # a zero pivot is refused below, by name
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu = sla.lu_factor(self._a)
-            if not np.all(np.diag(lu[0])):
-                raise np.linalg.LinAlgError("A is singular")
-            self._lu_a = lu
-        return sla.lu_solve(self._lu_a, b, trans=1 if transpose else 0)
 
     def _step_inverse(self, dt: float) -> np.ndarray:
         key = float(dt)
@@ -105,7 +90,7 @@ class Plant:
     step-size guards and quadrature tail bounds. ``global_ok`` is True when
     the construction also certifies global attraction, which enables the
     battery's uniform-coercivity and global-attraction checks. ``solver``
-    holds the factorization of A and the step inverses, and is built from it.
+    holds the step inverses, and is built from A.
     """
 
     name: str

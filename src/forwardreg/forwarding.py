@@ -30,6 +30,7 @@ import warnings
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 
 from .evolution import Plant, forward_sweep, reverse_sweep
 from .spaces import weighted_singular_values
@@ -51,13 +52,17 @@ _RANK_EPS = 1e-8
 def linear_forwarding(plant: Plant) -> np.ndarray:
     """The linear part -C A^{-1}, the (dim_Z, dim) matrix of a map H -> Z.
 
-    Assembled with dim(Z) transposed solves: C A^{-1} = (A^{-T} C^T)^T. A
-    singular A raises a ValueError.
+    Assembled with dim(Z) transposed solves on one LU factorization of A:
+    C A^{-1} = (A^{-T} C^T)^T. A singular A (a zero pivot) raises a
+    ValueError.
     """
-    try:
-        return -plant.solver.solve_a(plant.C.T, transpose=True).T
-    except np.linalg.LinAlgError:
-        raise ValueError("A is singular, so -C A^{-1} is undefined") from None
+    with warnings.catch_warnings():
+        # a zero pivot is refused below, by name
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu = sla.lu_factor(plant.A)
+    if not np.all(np.diag(lu[0])):
+        raise ValueError("A is singular, so -C A^{-1} is undefined")
+    return -sla.lu_solve(lu, plant.C.T, trans=1).T
 
 
 class ForwardingMap:
@@ -75,9 +80,6 @@ class ForwardingMap:
         Ceiling on the per-evaluation quadrature horizon.
     dt_quad, tail_tol : float
         Quadrature step and accepted tail bound for the truncated integral.
-    tau_extra : float
-        Extra horizon added past the tail-bound value, for refinement studies
-        that lengthen the quadrature at a fixed tail tolerance.
     lam, lam_tilde : float
         Coercivity constant and lam/3.
     rho, kappa : float or None
@@ -85,19 +87,11 @@ class ForwardingMap:
         infeasible (lam = 0) or has no alpha.
     """
 
-    def __init__(
-        self,
-        plant: Plant,
-        dt_quad: float,
-        tail_tol: float,
-        tau_max: float,
-        tau_extra: float = 0.0,
-    ):
+    def __init__(self, plant: Plant, dt_quad: float, tail_tol: float, tau_max: float):
         self.plant = plant
         self.dt_quad = float(dt_quad)
         self.tail_tol = float(tail_tol)
         self.tau_max = float(tau_max)
-        self.tau_extra = float(tau_extra)
 
         space_h, space_u, space_z = plant.space_H, plant.space_U, plant.space_Z
         self.m_lin = linear_forwarding(plant)
@@ -141,8 +135,7 @@ class ForwardingMap:
         """Quadrature horizon for a state of the given H-norm.
 
         Set so the neglected tail lip_F * e^{-alpha tau} ||w|| ||CA^{-1}|| / alpha
-        is below tail_tol, never below 5/alpha, plus tau_extra, clamped to
-        tau_max.
+        is below tail_tol, never below 5/alpha, clamped to tau_max.
         """
         plant = self.plant
         alpha = plant.alpha_cert
@@ -157,7 +150,7 @@ class ForwardingMap:
         tau = 5.0 / alpha
         if ratio > 1.0:
             tau = max(math.log(ratio) / alpha, tau)
-        return min(tau + self.tau_extra, self.tau_max)
+        return min(tau, self.tau_max)
 
     def __repr__(self) -> str:
         return (
@@ -171,15 +164,13 @@ def build_forwarding(
     dt_quad: float,
     tail_tol: float = 1e-6,
     tau_max: Optional[float] = None,
-    tau_extra: float = 0.0,
 ) -> ForwardingMap:
     """Construct the forwarding map and gains for a plant.
 
     ``tau_max`` defaults to 40/alpha when the plant has a contraction
     certificate; plants without one must pass it explicitly (the horizon
     then always sits at the ceiling). ``dt_quad``, ``tail_tol`` and
-    ``tau_max`` must be finite and positive, ``tau_extra`` finite and >= 0,
-    and A nonsingular.
+    ``tau_max`` must be finite and positive, and A nonsingular.
     """
     if tau_max is None:
         if plant.alpha_cert is None or plant.alpha_cert <= 0:
@@ -190,9 +181,7 @@ def build_forwarding(
     for name, value in (("dt_quad", dt_quad), ("tail_tol", tail_tol), ("tau_max", tau_max)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if not (math.isfinite(tau_extra) and tau_extra >= 0):
-        raise ValueError(f"tau_extra must be finite and >= 0, got {tau_extra}")
-    return ForwardingMap(plant, dt_quad, tail_tol, tau_max, tau_extra)
+    return ForwardingMap(plant, dt_quad, tail_tol, tau_max)
 
 
 class StateEvaluation:

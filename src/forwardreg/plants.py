@@ -49,13 +49,15 @@ def make_linear_benchmark(
     monotonicity constant is exactly alpha. Seeds whose C A^{-1} B is close
     to rank-deficient are redrawn. ``rank_deficient`` gives the negative
     control: the last output row duplicates the first (C is zero when
-    dim_out is 1), so C A^{-1} B loses rank and lambda = 0.
+    dim_out is 1), so C A^{-1} B loses rank and lambda = 0. ``dim_out`` must
+    be between 1 and the state dimension ``n``.
     """
     for name, value in (("n", n), ("dim_out", dim_out)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if dim_out > n:
+        raise ValueError(f"dim_out must be <= the state dimension {n}, got {dim_out}")
     _check_finite(alpha=alpha, positive=True)
-    dim_out = min(dim_out, n)
     sp = SpaceSpec(n, np.eye(n), "H")
     su = SpaceSpec(dim_out, np.eye(dim_out), "U")
     sz = SpaceSpec(dim_out, np.eye(dim_out), "Z")

@@ -149,7 +149,8 @@ def _energy(fmap: ForwardingMap, w: np.ndarray, eta: np.ndarray) -> float:
 
 def _prep_scenario(plant: Plant, scenario: Scenario):
     """(w0, z0, d, y_ref, n) of a scenario; a (dim_Z, s) ``y_ref`` makes
-    the origin a block of s columns."""
+    the origin a block of s columns. A ``d`` of None is zeros shaped like
+    w0, so the loop always adds a disturbance."""
     dim_z = plant.space_Z.dim
     y_ref = scenario.y_ref
     if y_ref.shape[0] != dim_z or y_ref.ndim > 2:
@@ -158,7 +159,7 @@ def _prep_scenario(plant: Plant, scenario: Scenario):
     cols = y_ref.shape[1:]
     w0 = np.zeros((plant.dim,) + cols) if scenario.w0 is None else np.asarray(scenario.w0, float)
     z0 = np.zeros((dim_z,) + cols) if scenario.z0 is None else np.asarray(scenario.z0, float)
-    d = None if scenario.d is None else np.asarray(scenario.d, float)
+    d = np.zeros_like(w0) if scenario.d is None else np.asarray(scenario.d, float)
     n = max(int(round(scenario.T / scenario.dt)), 1)
     return w0, z0, d, y_ref, n
 
@@ -172,10 +173,9 @@ def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
 
     ``w`` (dim,) and ``z`` (dim_Z,) step one run. (dim, s) and (dim_Z, s)
     blocks step s runs in lockstep, column j with the disturbance d[:, j]
-    (``d`` a (dim, s) block, or None) and the reference y_ref[:, j]. A
-    caller may ``send`` the indices of the columns to keep; the others leave
-    the block before the step. A block of one column steps bitwise as the
-    vector run.
+    and the reference y_ref[:, j]. A caller may ``send`` the indices of the
+    columns to keep; the others leave the block before the step. A block of
+    one column steps bitwise as the vector run.
     """
     while True:
         ev = StateEvaluation(fmap, w)
@@ -184,10 +184,8 @@ def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
         y = plant.C @ w
         keep = yield w, z, m, u, y
         if keep is not None:
-            w, z, u, y, y_ref = (a[:, keep] for a in (w, z, u, y, y_ref))
-            d = None if d is None else d[:, keep]
-        forcing = plant.B @ u if d is None else plant.B @ u + d
-        w = plant.solver.solve_step(dt, w - dt * plant.F(w) + dt * forcing)
+            w, z, u, y, d, y_ref = (a[:, keep] for a in (w, z, u, y, d, y_ref))
+        w = plant.solver.solve_step(dt, w - dt * plant.F(w) + dt * (plant.B @ u + d))
         z = z + dt * (y - y_ref)
 
 
@@ -248,7 +246,7 @@ def _search(plant, fmap, states, d, y_ref, dt, n, rows=None):
     space_h, space_z = plant.space_H, plant.space_Z
     dim, dim_z = plant.dim, space_z.dim
     y_ref = y_ref.reshape(dim_z, -1)
-    d = None if d is None else d.reshape(dim, -1)
+    d = d.reshape(dim, -1)
     live = np.arange(y_ref.shape[1])
     found = [None] * len(live)
     tail_w = deque(maxlen=_TAIL_STEPS)
@@ -286,7 +284,7 @@ def _search(plant, fmap, states, d, y_ref, dt, n, rows=None):
             found[j] = how if isinstance(how, Exception) else _equilibrium(
                 plant, fmap, np.mean([t.reshape(dim, -1)[:, p] for t in tail_w], axis=0),
                 np.mean([t.reshape(dim_z, -1)[:, p] for t in tail_z], axis=0),
-                None if d is None else d[:, j], y_ref[:, j], how, k, dt)
+                d[:, j], y_ref[:, j], how, k, dt)
         if len(gone) == len(live):
             break
         if gone:
@@ -303,9 +301,7 @@ def _search(plant, fmap, states, d, y_ref, dt, n, rows=None):
 def _equilibrium(plant, fmap, w_star, z_star, d, y_ref, converged, k, dt):
     """(w*, z*, result) of a search that stopped at step k at the tail mean."""
     u_star = feedback(fmap, w_star, z_star)
-    drift = -(plant.A @ w_star + plant.F(w_star)) + plant.B @ u_star
-    if d is not None:
-        drift = drift + d
+    drift = -(plant.A @ w_star + plant.F(w_star)) + plant.B @ u_star + d
     res = EquilibriumResult(
         converged=converged,
         t_reached=k * dt,
@@ -417,8 +413,7 @@ def find_equilibrium_recorded(
         res, run = out[2], None
         if res.converged:
             k = res.iterations
-            scenario = Scenario(y_ref=y_ref[:, j], T=res.t_reached, dt=dt,
-                                d=None if d is None else d[:, j])
+            scenario = Scenario(y_ref=y_ref[:, j], T=res.t_reached, dt=dt, d=d[:, j])
             run = (_record(fmap, zip(*(r[j, :k + 1] for r in rows)), scenario, k)
                    if k <= n // s else simulate(plant, fmap, scenario))
         found[j] = out + (run,)
@@ -456,15 +451,15 @@ def convergence_report(
     fmap: ForwardingMap,
     w_star: np.ndarray,
     z_star: np.ndarray,
-    window: float,
 ) -> RegulationReport:
     """Convergence metrics of a run against a known equilibrium.
 
     averaged_output_error is the root mean square of ||C w - y_ref||_Z over
-    the trailing ``window`` time units. fitted_rate is the negative slope of
-    the least-squares line through log ||[w - w*, eta - eta*]||_rho on the
-    mid-decay band (deviation between 10% and 0.1% of its initial value);
-    None when the deviation never enters the band.
+    the trailing 1 / kappa time units, the certified decay time of ``fmap``.
+    fitted_rate is the negative slope of the least-squares line through
+    log ||[w - w*, eta - eta*]||_rho on the mid-decay band (deviation between
+    10% and 0.1% of its initial value); None when the deviation never enters
+    the band.
     """
     plant = fmap.plant
     space_h, space_z = plant.space_H, plant.space_Z
@@ -475,7 +470,7 @@ def convergence_report(
     errs_sq = np.array(
         [space_z.inner(y - y_ref, y - y_ref) for y in result.y]
     )
-    n_win = max(int(round(window / dt)), 1)
+    n_win = max(int(round(1.0 / fmap.kappa / dt)), 1)
     tail = errs_sq[-(n_win + 1):]
     if len(tail) > 1:
         duration = (len(tail) - 1) * dt

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -157,35 +157,25 @@ class FDCheckTable:
     orders: tuple
 
 
-def fd_check_dM(
-    fmap: ForwardingMap,
-    w: np.ndarray,
-    h: np.ndarray,
-    eps_ladder: Sequence[float] = (1e-3, 1e-4),
-) -> FDCheckTable:
-    """Central-difference quotients of M against dM along one direction;
-    ``eps_ladder`` must be positive and strictly decreasing."""
-    eps_ladder = tuple(float(v) for v in eps_ladder)
-    if (not eps_ladder or any(v <= 0 for v in eps_ladder)
-            or any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:]))):
-        raise ValueError("eps_ladder needs at least 1 positive, strictly decreasing "
-                         f"values, got {eps_ladder}")
+def fd_check_dM(fmap: ForwardingMap, w: np.ndarray, h: np.ndarray) -> FDCheckTable:
+    """Central-difference quotients of M against dM along one direction,
+    one per step of ``FD_EPS``."""
     dm = StateEvaluation(fmap, w).dM(h)
     space_z = fmap.plant.space_Z
     scale = max(space_z.norm(dm), 1e-14)
     errors = []
-    for eps in eps_ladder:
+    for eps in FD_EPS:
         plus = StateEvaluation(fmap, w + eps * h).M()
         minus = StateEvaluation(fmap, w - eps * h).M()
         quotient = (plus - minus) / (2 * eps)
         errors.append(space_z.norm(quotient - dm) / scale)
     orders = []
-    for (e0, e1), (x0, x1) in zip(zip(errors, errors[1:]), zip(eps_ladder, eps_ladder[1:])):
+    for (e0, e1), (x0, x1) in zip(zip(errors, errors[1:]), zip(FD_EPS, FD_EPS[1:])):
         if e0 > 0 and e1 > 0:
             orders.append(float(np.log(e0 / e1) / np.log(x0 / x1)))
         else:
             orders.append(float("nan"))
-    return FDCheckTable(eps=eps_ladder, errors=tuple(errors), orders=tuple(orders))
+    return FDCheckTable(eps=FD_EPS, errors=tuple(errors), orders=tuple(orders))
 
 
 # -- sampling helpers ---------------------------------------------------------
@@ -336,25 +326,28 @@ class VerificationReport:
         return json.dumps(doc, indent=2, sort_keys=True, default=float)
 
 
-# the battery's bounds, its base flow step, the radius of its sampled states
-# and the oracle's step sizes (two or more, strictly decreasing, for an
-# observed order) are fixed here, as are its FD steps (fd_check_dM's default
-# ladder), not read from a config, so no config can loosen the contract
+# the battery's bounds, its base flow step, the radius of its sampled states,
+# the FD steps of fd_check_dM and the oracle's step sizes (each ladder
+# strictly decreasing, the oracle's of two or more for an observed order) are
+# fixed here, not read from a config, so no config can loosen the contract
 MONOTONICITY_TOL = 1e-3
 CONTRACTION_SLACK = 0.05
 FUNCEQ_TOL = 1e-3
 DUALITY_RTOL = 1e-9
 FD_TOL = 1e-3
+FD_EPS = (1e-3, 1e-4)
 DISSIPATION_DT = 0.05
 SAMPLE_RADIUS = 1.0
 ORACLE_DTS = (1e-2, 5e-3, 2.5e-3)
+# the sample counts of the monotonicity, contraction and linearized-decay
+# checks, which no config sets
+MONOTONICITY_SAMPLES = 25
+CONTRACTION_PAIRS = 3
+DECAY_DIRS = 3
 
-# the sample count of each sampled check, the only battery config; a check
-# on no sample keeps its start value (inf or 0), a pass
+# the sample count of each other sampled check, the only battery config; a
+# check on no sample keeps its start value (inf or 0), a pass
 BATTERY_DEFAULTS = {
-    "monotonicity_samples": 25,
-    "contraction_pairs": 3,
-    "decay_dirs": 3,
     "funceq_samples": 3,
     "duality_pairs": 3,
     "dissipation_runs": 3,
@@ -398,10 +391,11 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
 
     Every verdict is made here: the sampling helpers return the number they
     measure, and each check compares it with its bound, a module constant
-    (``FUNCEQ_TOL`` and so on) that no config sets. ``config`` sets the
+    (``FUNCEQ_TOL`` and so on) that no config sets. ``config`` sets four
     sample counts (keys and defaults in ``BATTERY_DEFAULTS``; an invalid
-    config is refused before any check runs, see :func:`_battery_config`)
-    and ``seed`` seeds every sample.
+    config is refused before any check runs, see :func:`_battery_config`),
+    the other three are constants (``MONOTONICITY_SAMPLES``,
+    ``CONTRACTION_PAIRS``, ``DECAY_DIRS``), and ``seed`` seeds every sample.
     """
     cfg = _battery_config(config)
     radius = SAMPLE_RADIUS
@@ -411,22 +405,20 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     space_h = plant.space_H
     space_z = plant.space_Z
 
-    # range condition: lambda > 0 with a well-conditioned feedback matrix
+    # range condition: lambda > 0 with a well-conditioned feedback matrix;
+    # not a bound comparison, so built by hand
     lam_ok = fmap.range_ok and fmap.lam > 0
     checks.append(
         CheckResult("range_condition", float(fmap.lam), 0.0, bool(lam_ok), "ge",
                     "sigma_min(B* dM(0)*)^2 must be positive")
     )
 
-    # monotonicity sampling against the certificate
-    quotient = estimate_alpha(
-        plant, n_samples=int(cfg["monotonicity_samples"]), radius=radius, seed=seed
-    )
+    # monotonicity sampling against the certificate; with none, a NaN bound
+    # fails the check
+    quotient = estimate_alpha(plant, n_samples=MONOTONICITY_SAMPLES, radius=radius, seed=seed)
     if plant.alpha_cert is None:
-        checks.append(
-            CheckResult("monotonicity", quotient, float("nan"), False, "ge",
-                        "no contraction certificate for this parameter set")
-        )
+        checks.append(_check_ge("monotonicity", quotient, float("nan"),
+                                "no contraction certificate for this parameter set"))
     else:
         checks.append(
             _check_ge("monotonicity", quotient,
@@ -437,7 +429,6 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     alpha = plant.alpha_cert
     ratio_bound = 1.0 + CONTRACTION_SLACK
     alpha_ok = alpha is not None and alpha > 0
-    feasible = fmap.feasible and alpha_ok
 
     # open-loop trajectory checks only need the plant certificate. The
     # implicit step decays like (1 + a dt)^(-t/dt), slower than e^(-a t) by
@@ -446,19 +437,17 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     if alpha_ok:
         horizon = 5.0 / alpha
         dt_flow = min(DISSIPATION_DT, horizon / 50.0, 0.004 / alpha)
-        worst = contraction_samples(
-            plant, int(cfg["contraction_pairs"]), radius, horizon, dt_flow, seed=seed
-        )
+        worst = contraction_samples(plant, CONTRACTION_PAIRS, radius, horizon, dt_flow,
+                                    seed=seed)
         checks.append(_check_le("contraction", worst, ratio_bound))
-        worst = linearized_decay_samples(
-            plant, int(cfg["decay_dirs"]), radius, horizon, dt_flow, seed=seed
-        )
+        worst = linearized_decay_samples(plant, DECAY_DIRS, radius, horizon, dt_flow,
+                                         seed=seed)
         checks.append(_check_le("linearized_decay", worst, ratio_bound))
     else:
-        checks.append(CheckResult("contraction", float("nan"), ratio_bound, False,
-                                  "le", "not runnable: no contraction certificate"))
-        checks.append(CheckResult("linearized_decay", float("nan"), ratio_bound, False,
-                                  "le", "not runnable: no contraction certificate"))
+        # a NaN value fails each check
+        for name in ("contraction", "linearized_decay"):
+            checks.append(_check_le(name, float("nan"), ratio_bound,
+                                    "not runnable: no contraction certificate"))
 
     # forwarding map at the origin
     m0 = space_z.norm(StateEvaluation(fmap, np.zeros(plant.dim)).M())
@@ -498,7 +487,7 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     # Lyapunov dissipation with c fitted at dt and re-fitted at dt/2. The
     # inequality is per-step, so a few hundred steps per run suffice; capping
     # by step count keeps stiff-loop plants (small stable dt) affordable.
-    if feasible:
+    if fmap.feasible:
         dt0 = DISSIPATION_DT
         if fmap.loop_gain > 0:
             dt0 = min(dt0, 0.5 / fmap.loop_gain)
@@ -512,17 +501,15 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
             radius=radius, seed=seed,
         )
         floor = 1e-8
-        checks.append(
-            CheckResult("dissipation", c1, 2.0 * c0 + floor, bool(c1 <= 2.0 * c0 + floor),
-                        "le", f"c(dt)={c0:.3e}, c(dt/2)={c1:.3e}")
-        )
+        checks.append(_check_le("dissipation", c1, 2.0 * c0 + floor,
+                                f"c(dt)={c0:.3e}, c(dt/2)={c1:.3e}"))
         tables["dissipation"] = {"dt": dt0, "c": c0, "c_half": c1}
     else:
-        checks.append(CheckResult("dissipation", float("nan"), 0.0, False, "le",
-                                  "not runnable: infeasible closed loop"))
+        checks.append(_check_le("dissipation", float("nan"), 0.0,
+                                "not runnable: infeasible closed loop"))
 
     # optional: uniform coercivity and a global-attraction spot check
-    if feasible and plant.global_ok:
+    if fmap.feasible and plant.global_ok:
         n_samples = int(cfg["coercivity_samples"])
         sigma_sq = uniform_coercivity_check(
             fmap, n_samples=n_samples, radius=radius, seed=seed
@@ -546,13 +533,11 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
         dev1 = np.sqrt(2.0 * run.v[-1])
         bound = float(np.exp(-kappa * t_spot) * ratio_bound)
         value = dev1 / dev0 if dev0 > 0 else 0.0
-        checks.append(
-            CheckResult("global_attraction", value, bound, bool(value <= bound),
-                        "le", f"rho-norm decay over T={t_spot:.3g}")
-        )
+        checks.append(_check_le("global_attraction", value, bound,
+                                f"rho-norm decay over T={t_spot:.3g}"))
 
     # optional: dense-oracle agreement for linear plants
-    if plant.lip_F == 0.0 and feasible and plant.dim <= 200:
+    if plant.lip_F == 0.0 and fmap.feasible and plant.dim <= 200:
         checks.extend(_oracle_checks(plant, fmap, tables, rng))
 
     return VerificationReport(checks=checks, tables=tables)
@@ -565,8 +550,7 @@ def _oracle_checks(plant, fmap, tables, rng):
     d = 0.1 * plant.space_H.sample_ball(rng, 1.0)
     oracle = dense_linear_oracle(plant, d, y_ref)
     if not oracle.feasible:
-        return [CheckResult("oracle_equilibrium", float("nan"), 0.0, False, "le",
-                            oracle.note)]
+        return [_check_le("oracle_equilibrium", float("nan"), 0.0, oracle.note)]
 
     m_err = np.max(np.abs(oracle.m_matrix - fmap.m_lin))
     m_scale = max(np.max(np.abs(oracle.m_matrix)), 1e-14)

@@ -243,6 +243,9 @@ BAD_VALUES = {
     "benchmark_dim_out_neg": ("gains", SCALAR_PLANT,
                               "kind = linear_benchmark\n    dim_out = -2\n",
                               "[plant] dim_out = '-2': must be an integer >= 1"),
+    "benchmark_dim_out_past_dim": ("gains", SCALAR_PLANT,
+                                   "kind = linear_benchmark\n    dim = 2\n    dim_out = 5\n",
+                                   "dim_out must be <= the state dimension 2, got 5"),
     "benchmark_seed": ("gains", SCALAR_PLANT, "kind = linear_benchmark\n    seed = -1\n",
                        "[plant] seed = '-1': must be an integer >= 0"),
     "sine_gordon_n": ("gains", SCALAR_PLANT, "kind = sine_gordon\n    n = 2\n",
@@ -309,7 +312,7 @@ def _default(function, keyword):
 # section suffix, every run that did not diverge is fitted over 1 / kappa,
 # the sweep takes --workers and the battery --seed.
 REMOVED_KEYS = {
-    "tau_extra": ("forwarding", "0", _default(forwarding.build_forwarding, "tau_extra"), 0.0),
+    "tau_extra": ("forwarding", "0", None, None),
     "res_tol": ("sweep", "1e-4", cli.SWEEP_RES_TOL, 1e-4),
     "workers": ("sweep", "1", None, None),
     "label": ("scenario.1", "1", None, None),
@@ -317,8 +320,10 @@ REMOVED_KEYS = {
     "report_window": ("scenario.1", "5", None, None),
     "seed": ("verify", "0", _default(verify.run_battery, "seed"), 0),
     "radius": ("verify", "1.0", verify.SAMPLE_RADIUS, 1.0),
-    "fd_eps": ("verify", "1e-3, 1e-4", _default(verify.fd_check_dM, "eps_ladder"),
-               (1e-3, 1e-4)),
+    "fd_eps": ("verify", "1e-3, 1e-4", verify.FD_EPS, (1e-3, 1e-4)),
+    "monotonicity_samples": ("verify", "25", verify.MONOTONICITY_SAMPLES, 25),
+    "contraction_pairs": ("verify", "3", verify.CONTRACTION_PAIRS, 3),
+    "decay_dirs": ("verify", "3", verify.DECAY_DIRS, 3),
     "oracle_dts": ("verify", "1e-2, 5e-3, 2.5e-3", verify.ORACLE_DTS, (1e-2, 5e-3, 2.5e-3)),
 }
 COMMAND_OF = {"forwarding": "gains", "sweep": "sweep", "scenario.1": "simulate",
@@ -888,7 +893,7 @@ def test_converged_sweep_cell_evaluates_each_state_once(tmp_path, monkeypatch):
     y_ref = np.array([0.01])
     ws, zs, eq = find_equilibrium(plant, fmap, d, y_ref, dt=0.5, t_budget=1200)
     run = simulate(plant, fmap, Scenario(y_ref=y_ref, T=eq.t_reached, dt=0.5, d=d))
-    rep = convergence_report(run, fmap, ws, zs, window=1.0 / fmap.kappa)
+    rep = convergence_report(run, fmap, ws, zs)
     assert (row["drift_residual"], row["output_residual"], row["t_reached"]) == \
         (eq.drift_residual, eq.output_residual, eq.t_reached)
     assert (row["fitted_rate"], row["averaged_output_error"]) == \
@@ -952,7 +957,7 @@ def test_scenario_evaluates_each_state_once(tmp_path, monkeypatch, t, w0_norm):
     y_ref, d, w0 = cli._scenario_vectors(plant, cfg.scenarios[0], cfg.seed, 0)
     run = simulate(plant, fmap, Scenario(y_ref=y_ref, T=t, dt=0.5, d=d, w0=w0))
     ws, zs, eq = find_equilibrium(plant, fmap, d, y_ref, dt=0.5, t_budget=1500)
-    rep = convergence_report(run, fmap, ws, zs, window=1.0 / fmap.kappa)
+    rep = convergence_report(run, fmap, ws, zs)
     assert doc["equilibrium"] == dataclasses.asdict(eq)
     for key in ("final_output_error", "averaged_output_error", "fitted_rate",
                 "lyapunov_monotone", "max_lyapunov_jump"):

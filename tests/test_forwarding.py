@@ -32,7 +32,7 @@ def make_random_fmap(**kw):
 
 @pytest.mark.parametrize("name, value", [
     ("dt_quad", 0.0), ("dt_quad", np.nan), ("tail_tol", 0.0), ("tail_tol", np.inf),
-    ("tau_max", -1.0), ("tau_max", np.nan), ("tau_extra", -1000.0), ("tau_extra", np.inf),
+    ("tau_max", -1.0), ("tau_max", np.nan),
 ])
 def test_build_forwarding_refuses_bad_horizon(name, value):
     kwargs = {"dt_quad": 0.01, name: value}
@@ -92,11 +92,13 @@ def test_eval_M_scalar_closed_form():
 
 
 def test_eval_M_refinement_agreement():
-    # coarse evaluation vs brute force at dt_quad/10 with doubled horizon
+    # coarse evaluation vs brute force at dt_quad/10 with doubled horizon: a
+    # tail tolerance e^(-alpha tau) times smaller adds tau to the horizon
     p = make_scalar_plant()
     coarse = build_forwarding(p, dt_quad=5e-4, tail_tol=1e-8)
     tau = coarse.horizon(1.0)
-    fine = build_forwarding(p, dt_quad=5e-5, tail_tol=1e-8, tau_extra=tau)
+    fine = build_forwarding(p, dt_quad=5e-5, tail_tol=1e-8 * np.exp(-p.alpha_cert * tau))
+    assert fine.horizon(1.0) == pytest.approx(2 * tau)
     w = np.array([1.0])
     got = StateEvaluation(coarse, w).M()[0]
     assert got == pytest.approx(StateEvaluation(fine, w).M()[0], rel=1e-5)
@@ -110,7 +112,7 @@ def test_integral_formula_consistency():
     w = np.array([0.8])
     dtq = 5e-4
     ev = StateEvaluation(build_forwarding(p, dt_quad=dtq, tail_tol=1e-12), w)
-    lhs = p.solver.solve_a(w - ev.q)[0]
+    lhs = np.linalg.solve(p.A, w - ev.q)[0]
     errs = []
     for tau in (2.0, 8.0):
         traj = flow(p, w, tau, dtq)
@@ -337,9 +339,10 @@ def test_functional_equation_scalar_refines():
     p = make_scalar_plant()
     w = np.array([0.9])
     coarse = build_forwarding(p, dt_quad=0.02, tail_tol=1e-7)
-    fine = build_forwarding(
-        p, dt_quad=0.01, tail_tol=1e-7, tau_extra=2.0 / p.alpha_cert
-    )
+    # a tail tolerance e^2 times smaller lengthens the horizon by 2 / alpha
+    fine = build_forwarding(p, dt_quad=0.01, tail_tol=1e-7 * np.exp(-2.0))
+    assert fine.horizon(np.linalg.norm(w)) == pytest.approx(
+        coarse.horizon(np.linalg.norm(w)) + 2.0 / p.alpha_cert)
     r0 = functional_equation_residual(coarse, w)
     r1 = functional_equation_residual(fine, w)
     assert r0 <= 1e-3

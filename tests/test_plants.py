@@ -41,6 +41,14 @@ def test_benchmark_rejects_bad_sizes():
             make_linear_benchmark(5, dim_out=dim_out)
 
 
+def test_benchmark_refuses_more_outputs_than_states():
+    # dim_out > n is refused, not clamped to n
+    with pytest.raises(ValueError,
+                       match="dim_out must be <= the state dimension 2, got 5"):
+        make_linear_benchmark(2, dim_out=5)
+    assert make_linear_benchmark(2, dim_out=2).space_Z.dim == 2
+
+
 @pytest.mark.parametrize("a", [-1.0, 0.0])
 def test_scalar_linear_without_decay_has_no_certificate(a):
     # dw/dt + a w = b u does not contract for a <= 0

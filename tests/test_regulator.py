@@ -328,7 +328,7 @@ def test_report_constant_at_equilibrium(fast_loop):
         plant, fmap, None, np.array([0.3]), dt=0.05, t_budget=200.0
     )
     sc = Scenario(y_ref=np.array([0.3]), T=5.0, dt=0.05, w0=ws, z0=zs)
-    rep = convergence_report(simulate(plant, fmap, sc), fmap, ws, zs, window=2.0)
+    rep = convergence_report(simulate(plant, fmap, sc), fmap, ws, zs)
     assert rep.fitted_rate is None  # deviation never enters the fit band
     assert rep.averaged_output_error < 1e-9
     assert abs(rep.max_lyapunov_jump) < 1e-12
@@ -341,7 +341,7 @@ def test_report_rate_matches_slow_mode(unit_loop):
         plant, fmap, None, np.array([0.2]), dt=0.05, t_budget=400.0
     )
     sc = Scenario(y_ref=np.array([0.2]), T=150.0, dt=0.05)
-    rep = convergence_report(simulate(plant, fmap, sc), fmap, ws, zs, window=1 / fmap.kappa)
+    rep = convergence_report(simulate(plant, fmap, sc), fmap, ws, zs)
     assert rep.fitted_rate is not None
     assert rep.fitted_rate == pytest.approx(0.25, rel=0.1)
     assert rep.fitted_rate >= fmap.kappa / 2
@@ -354,10 +354,17 @@ def test_report_average_covers_window_not_whole_run(fast_loop):
     sc = Scenario(y_ref=np.array([0.3]), T=60.0, dt=0.05)
     r = simulate(plant, fmap, sc)
     ws, zs, _ = find_equilibrium(plant, fmap, None, np.array([0.3]), dt=0.05, t_budget=200.0)
-    rep_tail = convergence_report(r, fmap, ws, zs, window=5.0)
-    rep_all = convergence_report(r, fmap, ws, zs, window=60.0)
-    # the early transient only contaminates the long-window average
-    assert rep_tail.averaged_output_error < rep_all.averaged_output_error
+    rep = convergence_report(r, fmap, ws, zs)
+    # the root mean square of the output error over the trailing 1 / kappa = 3
+    # time units (60 steps), by the trapezoid rule
+    err_sq = (r.y[:, 0] - 0.3) ** 2
+    tail = err_sq[-61:]
+    tail_avg = np.sqrt(0.05 * (tail.sum() - 0.5 * (tail[0] + tail[-1])) / 3.0)
+    assert 1.0 / fmap.kappa == pytest.approx(3.0)
+    assert rep.averaged_output_error == pytest.approx(tail_avg, rel=1e-12)
+    # the early transient only contaminates the whole-run average
+    run_avg = np.sqrt(0.05 * (err_sq.sum() - 0.5 * (err_sq[0] + err_sq[-1])) / 60.0)
+    assert rep.averaged_output_error < run_avg
 
 
 # -- invariants ---------------------------------------------------------------

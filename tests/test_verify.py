@@ -92,10 +92,11 @@ def test_oracle_trajectory_matches_simulate_first_order():
 def test_fd_table_second_order_in_eps():
     plant = make_scalar_plant(a=2.0, c=0.1)
     fmap = build_forwarding(plant, dt_quad=0.002, tail_tol=1e-10)
-    tab = fd_check_dM(fmap, np.array([0.8]), np.array([1.0]), (1e-2, 1e-3, 1e-4))
-    assert tab.errors[0] > tab.errors[1] > tab.errors[2]
+    tab = fd_check_dM(fmap, np.array([0.8]), np.array([1.0]))
+    assert tab.eps == verify.FD_EPS == (1e-3, 1e-4)
+    assert tab.errors[0] > tab.errors[1]
     assert all(o > 1.9 for o in tab.orders)
-    assert tab.errors[2] < 1e-4
+    assert tab.errors[1] < 1e-4
 
 
 def test_fd_table_linear_plant_at_floor():
@@ -106,18 +107,18 @@ def test_fd_table_linear_plant_at_floor():
     assert all(e < 1e-9 for e in tab.errors)
 
 
+def test_fd_eps_is_a_decreasing_ladder():
+    # fd_check_dM's observed orders need positive, strictly decreasing steps
+    eps = verify.FD_EPS
+    assert len(eps) >= 2 and all(e > 0 for e in eps)
+    assert all(a > b for a, b in zip(eps, eps[1:]))
+
+
 def test_fd_table_zero_direction():
     plant = make_scalar_plant(a=2.0, c=0.1)
     fmap = build_forwarding(plant, dt_quad=0.01, tail_tol=1e-8)
     tab = fd_check_dM(fmap, np.array([0.5]), np.zeros(1))
     assert all(e == 0.0 for e in tab.errors)
-
-
-def test_fd_table_rejects_unsorted_ladder():
-    plant = make_scalar_plant(a=2.0, c=0.1)
-    fmap = build_forwarding(plant, dt_quad=0.01, tail_tol=1e-8)
-    with pytest.raises(ValueError):
-        fd_check_dM(fmap, np.ones(1), np.ones(1), (1e-4, 1e-3))
 
 
 # -- functional-equation residual under dt_quad refinement ---------------------
@@ -196,8 +197,7 @@ def test_battery_rejects_unknown_config_key():
 
 
 @pytest.mark.parametrize("key", [
-    "monotonicity_samples", "contraction_pairs", "decay_dirs", "funceq_samples",
-    "duality_pairs", "dissipation_runs", "coercivity_samples",
+    "funceq_samples", "duality_pairs", "dissipation_runs", "coercivity_samples",
 ])
 def test_battery_rejects_zero_sample_count(key):
     # with no sample a sampled check would read its start value as a pass
@@ -216,7 +216,7 @@ def test_battery_rejects_zero_sample_count(key):
     ("oracle_dts", (1e-2, 0.0)),
 ])
 def test_battery_rejects_bad_ladder_before_any_check(monkeypatch, key, ladder):
-    # the ladders are code (fd_check_dM's default eps_ladder, ORACLE_DTS),
+    # the ladders are code (FD_EPS, ORACLE_DTS),
     # not battery keys: a config that passes one, good or bad, is refused
     # before any check runs
     plant = make_scalar_linear()
