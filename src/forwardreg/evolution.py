@@ -16,19 +16,24 @@ Jacobians are J_k = K diag(D_k) S with the slopes D_k = sigma'(S w_k).
 These flows and the quadratures of the forwarding module all run on two
 kernels, :func:`forward_sweep` and its exact transpose :func:`reverse_sweep`,
 so this module alone fixes the discrete step, trapezoid weights and transpose.
-Both apply K and S through stacked operands built once per step size
-([P; S], dt P K and [P^T; -dt K^T P^T] with P = (I + dt A)^{-1}), one
-product each per node, and build no map per node. Both sweep a state vector
-or a (dim, s) block of s states, each column to its own horizon; the
-reverse sweep takes the slopes as one (n + 1, m) block, or (n + 1, m, s)
-for a block of states, and a vector state may carry any number of
-cotangent columns.
+Both read a :class:`SweepStep`, built once per step size: P, a row-major
+P^T, and the maps x -> S x, (x, phi) -> x - dt K phi and their transposes.
+Each node takes exactly one product with P (forward) or P^T (reverse) and
+builds no map. Where S is a contiguous block of identity rows (sine-Gordon's
+[I 0], Wilson-Cowan's I), S x is a gather and S^T a scatter; where K is a
+uniformly scaled block of identity columns (sine-Gordon's gamma [0; I]),
+K phi is a scatter and K^T a gather. Any other S or K is a dense product.
+Both kernels sweep a state vector or a (dim, s) block of s states, each
+column to its own horizon; the reverse sweep takes the slopes as one
+(n + 1, m) block, or (n + 1, m, s) for a block of states, and a vector state
+may carry any number of cotangent columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -39,6 +44,7 @@ __all__ = [
     "Plant",
     "Trajectory",
     "OperatorSolver",
+    "SweepStep",
     "trapezoid_weights",
     "forward_sweep",
     "reverse_sweep",
@@ -50,28 +56,96 @@ __all__ = [
 ]
 
 
-class OperatorSolver:
-    """Products with the IMEX step inverse (I + dt A)^{-1}.
+class SweepStep(NamedTuple):
+    """The IMEX step at one dt, as the sweep kernels apply it.
 
-    One row-major P per distinct dt is cached; ``solve_step`` and
-    :meth:`Plant.sweep_matrices` read it, so products with P round alike.
+    ``p`` is P = (I + dt A)^{-1} and ``pt`` its transpose, both row-major.
+    The four maps act on axis 0, so each takes a vector or a (dim, s) block:
+    ``gather_s(x)`` = S x, ``scatter_k(x, phi)`` = x - dt K phi,
+    ``gather_k(a)`` = dt K^T a and ``scatter_s(a, b)`` = a + S^T b, which
+    may write into ``a``.
     """
 
-    def __init__(self, a_matrix: np.ndarray):
+    dt: float
+    p: np.ndarray
+    pt: np.ndarray
+    gather_s: Callable
+    scatter_k: Callable
+    gather_k: Callable
+    scatter_s: Callable
+
+
+def _identity_block(mat: np.ndarray) -> Optional[tuple[slice, float]]:
+    """(rows, g) when the (m, n) ``mat`` is g times the identity rows ``rows``
+    of I_n, a contiguous block; None otherwise."""
+    m, n = mat.shape
+    if not m:
+        return slice(0, 0), 1.0
+    first = int(np.argmax(mat[0] != 0))
+    g = float(mat[0, first])
+    if first + m > n or not np.array_equal(mat, g * np.eye(m, n, k=first)):
+        return None
+    return slice(first, first + m), g
+
+
+class OperatorSolver:
+    """The IMEX step inverse (I + dt A)^{-1} and the K, S maps of the sweeps.
+
+    One :class:`SweepStep` per distinct dt is cached; ``solve_step`` and the
+    sweeps read its P, so products with P round alike. Whether S and K are
+    identity blocks is decided once, here, from the plant's arrays.
+    """
+
+    def __init__(self, a_matrix: np.ndarray, k_matrix: np.ndarray, s_matrix: np.ndarray):
         self._a = np.asarray(a_matrix, dtype=float)
         self._dim = self._a.shape[0]
-        self._step_inv: dict[float, np.ndarray] = {}
+        self._k = np.ascontiguousarray(k_matrix, dtype=float)
+        self._k_block = _identity_block(self._k.T)
+        s_matrix = np.ascontiguousarray(s_matrix, dtype=float)
+        s_block = _identity_block(s_matrix)
+        if s_block is not None and s_block[1] == 1.0:
+            rows = s_block[0]
 
-    def _step_inverse(self, dt: float) -> np.ndarray:
+            def scatter_s(a, b):
+                a[rows] += b
+                return a
+
+            self._s_maps = (itemgetter(rows), scatter_s)
+        else:
+            st = np.ascontiguousarray(s_matrix.T)
+            self._s_maps = (s_matrix.__matmul__, lambda a, b: a + st @ b)
+        self._steps: dict[float, SweepStep] = {}
+
+    def _k_maps(self, dt: float) -> tuple[Callable, Callable]:
+        """(x, phi) -> x - dt K phi and a -> dt K^T a."""
+        if self._k_block is None:
+            dtk = dt * self._k
+            dtkt = np.ascontiguousarray(dtk.T)
+            return (lambda x, phi: x - dtk @ phi), dtkt.__matmul__
+        rows, g = self._k_block
+        c = dt * g
+
+        def scatter_k(x, phi):
+            x = x.copy()
+            x[rows] -= c * phi
+            return x
+
+        return scatter_k, lambda a: c * a[rows]
+
+    def step(self, dt: float) -> SweepStep:
+        """The step at ``dt``, built on first use."""
         key = float(dt)
-        if key not in self._step_inv:
+        if key not in self._steps:
             eye = np.eye(self._dim)
-            self._step_inv[key] = np.ascontiguousarray(
-                sla.lu_solve(sla.lu_factor(eye + dt * self._a), eye))
-        return self._step_inv[key]
+            p = np.ascontiguousarray(sla.lu_solve(sla.lu_factor(eye + dt * self._a), eye))
+            gather_s, scatter_s = self._s_maps
+            scatter_k, gather_k = self._k_maps(key)
+            self._steps[key] = SweepStep(key, p, np.ascontiguousarray(p.T),
+                                         gather_s, scatter_k, gather_k, scatter_s)
+        return self._steps[key]
 
     def solve_step(self, dt: float, b: np.ndarray) -> np.ndarray:
-        return self._step_inverse(dt) @ b
+        return self.step(dt).p @ b
 
 
 @dataclass
@@ -101,6 +175,7 @@ class Plant:
     B: np.ndarray
     C: np.ndarray
     solver: OperatorSolver = field(init=False)
+    flat_at_origin: bool = field(init=False)
     alpha_cert: Optional[float]
     lip_F: float
     K: Optional[np.ndarray] = None
@@ -129,8 +204,8 @@ class Plant:
             )
         if np.any(self.sigma(np.zeros(m)) != 0.0):
             raise ValueError("sigma(0) must be 0")
-        self.solver = OperatorSolver(self.A)
-        self._sweeps: dict = {}
+        self.flat_at_origin = not np.any(self.dsigma(np.zeros(m)))
+        self.solver = OperatorSolver(self.A, self.K, self.S)
 
     @property
     def dim(self) -> int:
@@ -145,19 +220,6 @@ class Plant:
     def dF(self, w: np.ndarray) -> np.ndarray:
         """Dense Jacobian K diag(sigma'(S w)) S of F at w."""
         return self.K @ (self.dsigma(self.S @ w)[:, None] * self.S)
-
-    def sweep_matrices(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """([P; S], dt P K, [P^T; -dt K^T P^T]) with P = (I + dt A)^{-1}.
-
-        The stacked operands of :func:`forward_sweep` and
-        :func:`reverse_sweep` at step dt, built once per distinct dt.
-        """
-        key = float(dt)
-        if key not in self._sweeps:
-            p = self.solver._step_inverse(dt)
-            pk = dt * (p @ self.K)
-            self._sweeps[key] = (np.vstack([p, self.S]), pk, np.vstack([p.T, -pk.T]))
-        return self._sweeps[key]
 
     def require_alpha(self) -> float:
         if self.alpha_cert is None:
@@ -210,17 +272,19 @@ def trapezoid_weights(nq) -> np.ndarray:
 
 
 def forward_sweep(
-    ps: np.ndarray, pk: np.ndarray, dt: float, x0: np.ndarray, phi_at: Callable, nq
+    step: SweepStep, x0: np.ndarray, phi_at: Callable, nq
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward recursion x_{k+1} = P (x_k - dt K phi_k), phi_k = phi_at(k, S x_k).
 
-    The one loop over flow and quadrature nodes, with ``ps`` = [P; S] and
-    ``pk`` = dt P K from :meth:`Plant.sweep_matrices`: each node takes one
-    product with each. With phi = sigma it is the IMEX flow of F; with
-    phi_k(y) = D_k y, D_k = sigma'(S w_k) along a base trajectory, it is the
-    discrete tangent step T_k = P (I - dt K diag(D_k) S). Returns the states
-    x_0..x_n and the trapezoid sum of phi_0..phi_n with step dt, so the
-    quadrature of g_k = K phi_k is K times it.
+    The one loop over flow and quadrature nodes, on the :class:`SweepStep`
+    of :meth:`OperatorSolver.step`: each node takes one product with P, and
+    gathers S x and scatters K phi through the step's maps. With phi = sigma
+    it is the IMEX flow of F; with phi_k(y) = D_k y, D_k = sigma'(S w_k)
+    along a base trajectory, it is the discrete tangent step
+    T_k = P (I - dt K diag(D_k) S). Returns the states x_0..x_n and the
+    trapezoid sum of phi_0..phi_n with step dt, so the quadrature of
+    g_k = K phi_k is K times it. phi_at may get a view of x_k, and must not
+    write into it.
 
     ``x0`` is a vector with the int horizon ``nq`` = n, or a (dim, s) block
     of s columns with an int array ``nq`` of their own horizons: the block
@@ -229,36 +293,34 @@ def forward_sweep(
     gets (m, s) blocks. Products of (dim, dim) with (dim, 1) are matrix-vector
     products, so a block of one column is bitwise the vector sweep.
     """
-    wq = dt * trapezoid_weights(nq)
+    wq = step.dt * trapezoid_weights(nq)
     n = len(wq) - 1
     # one state's weights as floats: a product with a float costs less per node
     wq = wq.tolist() if wq.ndim == 1 else wq
-    dim = x0.shape[0]
+    p, gather_s, scatter_k = step.p, step.gather_s, step.scatter_k
     states = np.empty((n + 1,) + x0.shape)
-    states[0] = x0
-    q = np.zeros(pk.shape[1:] + x0.shape[1:])
-    x = x0
-    for k in range(n):
-        u = ps @ x
-        phi = phi_at(k, u[dim:])
+    states[0] = x = x0
+    phi = phi_at(0, gather_s(x))
+    q = wq[0] * phi
+    for k in range(1, n + 1):
+        x = np.matmul(p, scatter_k(x, phi), out=states[k])
+        phi = phi_at(k, gather_s(x))
         q += wq[k] * phi
-        x = u[:dim] - pk @ phi
-        states[k + 1] = x
-    q += wq[n] * phi_at(n, ps[dim:] @ x)
     return states, q
 
 
 def reverse_sweep(
-    pkt: np.ndarray, dt: float, K: np.ndarray, S: np.ndarray, D: np.ndarray,
-    psi: np.ndarray, lam: np.ndarray, nq,
+    step: SweepStep, D: np.ndarray, psi: np.ndarray, lam: np.ndarray, nq
 ) -> np.ndarray:
     """Exact transpose of :func:`forward_sweep` with phi_k(y) = D_k y, in reverse.
 
-    Each step applies T_k^T = P^T + S^T D_k (-dt K^T P^T), with ``pkt`` the
-    [P^T; -dt K^T P^T] of :meth:`Plant.sweep_matrices`. Returns the cotangents
-    r_0..r_n of x_0..x_n for the output psi . K q + lam . x_n, so it equals
-    x_0 . r_0 to roundoff, column by column. Callers pass psi and lam in
-    Gram-multiplied coordinates; the rows are in the same coordinates.
+    Each step applies T_k^T = P^T - dt S^T D_k K^T P^T on the same
+    :class:`SweepStep` as the forward sweep: a = P^T r, then
+    r = a + S^T D_k (c_k dt K^T psi - dt K^T a), one product with P^T per
+    node. Returns the cotangents r_0..r_n of x_0..x_n for the output
+    psi . K q + lam . x_n, so it equals x_0 . r_0 to roundoff, column by
+    column. Callers pass psi and lam in Gram-multiplied coordinates; the rows
+    are in the same coordinates.
 
     For one state, ``D`` holds the (n + 1, m) slopes, ``nq`` = n is an int,
     and ``psi`` and ``lam`` are vectors or (dim, c) blocks swept together.
@@ -269,22 +331,22 @@ def reverse_sweep(
     """
     c = trapezoid_weights(nq)
     n = len(c) - 1
-    dim, st = S.shape[1], S.T
+    pt, gather_k, scatter_s = step.pt, step.gather_k, step.scatter_s
     d = D[..., None] if D.ndim == psi.ndim else D
     # c_k dt K^T psi at every node, c the trapezoid weights; one state's
     # inner nodes (c_k = 1) share kpsi instead of taking a row each
-    kpsi = dt * (K.T @ psi)
+    kpsi = gather_k(psi)
     if c.ndim == 1:
         ckpsi = [kpsi] * (n + 1)
         ckpsi[0] = ckpsi[n] = c[0] * kpsi
     else:
         ckpsi = c[:, None, :] * kpsi
     rows = np.empty((n + 1,) + psi.shape)
-    r = lam + st @ (d[n] * ckpsi[n])
+    r = scatter_s(lam.copy(), d[n] * ckpsi[n])
     rows[n] = r
     for k in range(n - 1, -1, -1):
-        u = pkt @ r
-        r = u[:dim] + st @ (d[k] * (ckpsi[k] + u[dim:]))
+        a = pt @ r
+        r = scatter_s(a, d[k] * (ckpsi[k] - gather_k(a)))
         rows[k] = r
     return rows
 
@@ -296,10 +358,8 @@ def flow(plant: Plant, w0: np.ndarray, T: float, dt: float) -> Trajectory:
     """
     _check_step_size(plant, dt)
     n = max(int(round(T / dt)), 0)
-    ps, pk, _ = plant.sweep_matrices(dt)
-    states, _ = forward_sweep(
-        ps, pk, dt, np.asarray(w0, dtype=float), lambda k, y: plant.sigma(y), n
-    )
+    states, _ = forward_sweep(plant.solver.step(dt), np.asarray(w0, dtype=float),
+                              lambda k, y: plant.sigma(y), n)
     return Trajectory(dt * np.arange(n + 1), states)
 
 
@@ -310,11 +370,11 @@ def tangent_flow(plant: Plant, base: Trajectory, h: np.ndarray) -> Trajectory:
     at the stored base state of the step's left endpoint. Slopes are taken
     per node: a block as long as these flows would raise peak memory.
     """
-    ps, pk, _ = plant.sweep_matrices(base.dt)
-    S, states = plant.S, base.states
+    step = plant.solver.step(base.dt)
+    gather_s, states = step.gather_s, base.states
     tangent, _ = forward_sweep(
-        ps, pk, base.dt, np.asarray(h, dtype=float),
-        lambda k, y: plant.dsigma(S @ states[k]) * y, len(base) - 1,
+        step, np.asarray(h, dtype=float),
+        lambda k, y: plant.dsigma(gather_s(states[k])) * y, len(base) - 1,
     )
     return Trajectory(base.times.copy(), tangent)
 
@@ -328,9 +388,8 @@ def adjoint_tangent_flow(plant: Plant, base: Trajectory, zeta: np.ndarray) -> Tr
     are indexed forward in time, states[-1] == zeta to roundoff.
     """
     gram = plant.space_H
-    _, _, pkt = plant.sweep_matrices(base.dt)
     rows = reverse_sweep(
-        pkt, base.dt, plant.K, plant.S, plant.dsigma(base.states @ plant.S.T),
+        plant.solver.step(base.dt), plant.dsigma(base.states @ plant.S.T),
         np.zeros(plant.dim), gram.apply_gram(np.asarray(zeta, dtype=float)),
         len(base) - 1,
     )

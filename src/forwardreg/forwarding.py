@@ -204,31 +204,37 @@ class StateEvaluation:
         self.fmap = fmap
         self.plant = plant = fmap.plant
         self.w = np.asarray(w, dtype=float)
-        # each column's horizon in nodes; none for a linear plant or a zero state
-        nqs = [max(int(math.ceil(fmap.horizon(w_norm) / fmap.dt_quad)), 1) if w_norm else 0
-               for w_norm in (plant.space_H.norm(x) if plant.lip_F else 0.0
-                              for x in self.w.reshape(plant.dim, -1).T)]
+
+        def nodes(x):
+            """One column's horizon in nodes."""
+            if not plant.lip_F:
+                return 0  # F = 0: Q and its derivative quadrature vanish
+            w_norm = plant.space_H.norm(x)
+            if not w_norm and plant.flat_at_origin:
+                return 0  # dF(0) = 0: Q vanishes to second order at the origin
+            return max(int(math.ceil(fmap.horizon(w_norm) / fmap.dt_quad)), 1)
+
+        nqs = [nodes(x) for x in self.w.reshape(plant.dim, -1).T]
         self.nqs = np.array(nqs) if self.w.ndim == 2 else nqs[0]
         self.nq = max(nqs)
         if self.nq == 0:
-            # linear path: Q and its derivative quadrature vanish identically
+            # linear path: M = -C A^{-1} w and dM = -C A^{-1}
             self.base_states = None
             self.q = np.zeros_like(self.w)
             return
-        self._ps, self._pk, self._pkt = plant.sweep_matrices(fmap.dt_quad)
+        self._step = plant.solver.step(fmap.dt_quad)
+        # the slopes sigma'(S x_k) at every base node, dF(x_k) = K diag(D_k) S,
+        # come from the S x_k that the base sweep gathers anyway
+        gathered = []
+
+        def sigma_at(k, y):
+            gathered.append(y)
+            return plant.sigma(y)
+
         # trapezoid accumulation of Q = int F(T_t w) dt along the base flow
-        self.base_states, qs = forward_sweep(
-            self._ps, self._pk, fmap.dt_quad, self.w,
-            lambda k, y: plant.sigma(y), self.nqs,
-        )
+        self.base_states, qs = forward_sweep(self._step, self.w, sigma_at, self.nqs)
         self.q = plant.K @ qs
-        # slopes sigma'(S x_k) at every base node: dF(x_k) = K diag(D_k) S;
-        # a block takes the product column by column, as one state would
-        states = self.base_states
-        if self.w.ndim == 2:
-            states = np.ascontiguousarray(np.moveaxis(states, 2, 0))
-        slopes = plant.dsigma(states @ plant.S.T)
-        self._slopes = slopes if self.w.ndim == 1 else np.moveaxis(slopes, 0, 2)
+        self._slopes = plant.dsigma(np.array(gathered))
 
     # -- primal evaluations -------------------------------------------------
 
@@ -242,9 +248,7 @@ class StateEvaluation:
         if self.nq == 0:
             return self.fmap.m_lin @ h
         D = self._slopes
-        _, qs = forward_sweep(
-            self._ps, self._pk, self.fmap.dt_quad, h, lambda k, y: D[k] * y, self.nqs
-        )
+        _, qs = forward_sweep(self._step, h, lambda k, y: D[k] * y, self.nqs)
         return self.fmap.m_lin @ (h - self.plant.K @ qs)
 
     # -- adjoint evaluations ------------------------------------------------
@@ -261,11 +265,7 @@ class StateEvaluation:
         psi_t = self.fmap._mlin_t_gz @ np.asarray(zeta, dtype=float)
         if self.nq == 0:
             return psi_t
-        plant = self.plant
-        r = reverse_sweep(
-            self._pkt, self.fmap.dt_quad, plant.K, plant.S, self._slopes, psi_t,
-            np.zeros_like(psi_t), self.nqs,
-        )
+        r = reverse_sweep(self._step, self._slopes, psi_t, np.zeros_like(psi_t), self.nqs)
         return psi_t - r[0]
 
     def dM_adjoint(self, zeta: np.ndarray) -> np.ndarray:

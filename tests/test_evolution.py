@@ -18,7 +18,7 @@ from forwardreg.evolution import (
     trapezoid_weights,
 )
 from forwardreg.forwarding import build_forwarding
-from forwardreg.plants import make_linear_benchmark, make_sine_gordon
+from forwardreg.plants import make_linear_benchmark, make_sine_gordon, make_wilson_cowan
 from forwardreg.regulator import Scenario, simulate
 from forwardreg.spaces import SpaceSpec
 from helpers import make_random_plant, make_scalar_plant
@@ -101,30 +101,96 @@ def test_adjoint_tangent_duality_exact():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def sweep_step(rng, dim, blocks):
+    """The step of a random A at a random dt, with S and K drawn as identity
+    blocks (S = [0 I 0], K = g [0; I; 0]) when ``blocks``, else dense."""
+    if blocks:
+        m = int(rng.integers(1, dim + 1))
+        S = np.eye(m, dim, k=int(rng.integers(0, dim - m + 1)))
+        K = rng.uniform(0.1, 2.0) * np.eye(dim, m, k=-int(rng.integers(0, dim - m + 1)))
+    else:
+        m = int(rng.integers(1, 9))
+        K = rng.standard_normal((dim, m))
+        S = rng.standard_normal((m, dim))
+    a = rng.standard_normal((dim, dim)) / np.sqrt(dim) + 3.0 * np.eye(dim)
+    return OperatorSolver(a, K, S).step(float(rng.uniform(0.01, 1.0))), K, S
+
+
 @settings(max_examples=30, deadline=None)
-@given(dim=st.integers(1, 8), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
-def test_reverse_sweep_is_the_exact_transpose(dim, n, seed):
-    # psi . q + lam . x_n == x_0 . r_0 for any dense P and J_k = K diag(D_k) S
+@given(dim=st.integers(1, 8), n=st.integers(1, 10), blocks=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_reverse_sweep_is_the_exact_transpose(dim, n, blocks, seed):
+    # psi . q + lam . x_n == x_0 . r_0 for J_k = K diag(D_k) S, with S and K
+    # gathered and scattered or dense
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 9))
-    p = rng.standard_normal((dim, dim))
-    K = rng.standard_normal((dim, m))
-    S = rng.standard_normal((m, dim))
-    D = rng.standard_normal((n + 1, m))
+    step, K, S = sweep_step(rng, dim, blocks)
+    D = rng.standard_normal((n + 1, K.shape[1]))
     x0, psi, lam = rng.standard_normal((3, dim))
-    dt = float(rng.uniform(0.01, 1.0))
-    pk = dt * (p @ K)
-    states, qs = forward_sweep(np.vstack([p, S]), pk, dt, x0, lambda k, y: D[k] * y, n)
-    pkt = np.vstack([p.T, -pk.T])
-    r = reverse_sweep(pkt, dt, K, S, D, psi, lam, n)
+    states, qs = forward_sweep(step, x0, lambda k, y: D[k] * y, n)
+    r = reverse_sweep(step, D, psi, lam, n)
     assert psi @ (K @ qs) + lam @ states[n] == pytest.approx(x0 @ r[0], rel=1e-10)
     # a (dim, c) block sweeps each column as its own vector sweep would
     psis, lams = rng.standard_normal((2, dim, 3))
-    block = reverse_sweep(pkt, dt, K, S, D, psis, lams, n)
+    block = reverse_sweep(step, D, psis, lams, n)
     for j in range(3):
-        col = reverse_sweep(pkt, dt, K, S, D, psis[:, j], lams[:, j], n)
+        col = reverse_sweep(step, D, psis[:, j], lams[:, j], n)
         np.testing.assert_allclose(block[:, :, j], col, rtol=1e-12,
                                    atol=1e-12 * np.abs(col).max())
+
+
+@pytest.mark.parametrize("blocks", [True, False])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_sweeps_match_the_dense_recursion(blocks, cols):
+    # both kernel paths against x' = P (x - dt K phi) and its transpose
+    # r = T_k^T r' + c_k S^T D_k dt K^T psi, T_k = P (I - dt K diag(D_k) S),
+    # written out with the dense K and S
+    rng = np.random.default_rng(17 if blocks else 18)
+    dim, n = 9, 6
+    step, K, S = sweep_step(rng, dim, blocks)
+    p, dt = step.p, step.dt
+    shape = (dim,) if cols is None else (dim, cols)
+    D = rng.standard_normal((n + 1, K.shape[1]) + shape[1:])
+    x0, psi, lam = rng.standard_normal((3,) + shape)
+    nq = n if cols is None else np.full(cols, n)
+    states, qs = forward_sweep(step, x0, lambda k, y: D[k] * y, nq)
+    rows = reverse_sweep(step, D, psi, lam, nq)
+    c = trapezoid_weights(n)
+    x, q = x0, 0.0
+    ref_r = [None] * (n + 1)
+    for k in range(n + 1):
+        phi = D[k] * (S @ x)
+        q = q + dt * c[k] * phi
+        np.testing.assert_allclose(states[k], x, rtol=1e-13, atol=1e-13 * np.abs(x).max())
+        x = p @ (x - dt * K @ phi)
+    np.testing.assert_allclose(qs, q, rtol=1e-13, atol=1e-13 * np.abs(q).max())
+    r = lam + S.T @ (D[n] * (c[n] * dt * (K.T @ psi)))
+    ref_r[n] = r
+    for k in range(n - 1, -1, -1):
+        a = p.T @ r
+        r = a - dt * S.T @ (D[k] * (K.T @ a)) + S.T @ (D[k] * (c[k] * dt * (K.T @ psi)))
+        ref_r[k] = r
+    np.testing.assert_allclose(rows, np.array(ref_r), rtol=1e-13,
+                               atol=1e-13 * np.abs(ref_r).max())
+
+
+def test_identity_block_operands_are_gathered_and_scattered():
+    # sine-Gordon's S = [I 0] and K = gamma [0; I] are slices in its step, so
+    # the step holds no (dim, m) or (m, dim) array; Wilson-Cowan's S = I is a
+    # slice too, but its kernel K stays a dense product
+    def held(fn):
+        cells = [cell.cell_contents for cell in getattr(fn, "__closure__", None) or ()]
+        return [v for v in cells + [getattr(fn, "__self__", None)]
+                if isinstance(v, np.ndarray)]
+
+    sg = make_sine_gordon(N=10).solver.step(0.5)
+    for fn in (sg.gather_s, sg.scatter_k, sg.gather_k, sg.scatter_s):
+        assert held(fn) == []
+    assert sg.p.shape == sg.pt.shape == (20, 20) and sg.pt.flags.c_contiguous
+    plant = make_wilson_cowan(n=8)
+    wc = plant.solver.step(0.5)
+    assert held(wc.gather_s) == held(wc.scatter_s) == []
+    np.testing.assert_array_equal(*held(wc.scatter_k), 0.5 * plant.K)
+    np.testing.assert_array_equal(*held(wc.gather_k), 0.5 * plant.K.T)
 
 
 def test_trapezoid_weights():
@@ -136,35 +202,29 @@ def test_trapezoid_weights():
 
 
 @settings(max_examples=30, deadline=None)
-@given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_block_sweeps_are_column_sweeps(dim, seed):
+@given(dim=st.integers(1, 8), blocks=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_sweeps_are_column_sweeps(dim, blocks, seed):
     # each column of a block sweeps to its own horizon, as its vector sweep
     # would, and the block reverse sweep is the exact transpose column by column
     rng = np.random.default_rng(seed)
-    m, s = int(rng.integers(1, 9)), 4
+    step, K, S = sweep_step(rng, dim, blocks)
+    s = 4
     nqs = np.append(rng.integers(1, 10, size=s - 1), 0)
     n = nqs.max()
-    p = rng.standard_normal((dim, dim)) / np.sqrt(dim)
-    K = rng.standard_normal((dim, m))
-    S = rng.standard_normal((m, dim))
-    D = rng.standard_normal((n + 1, m, s))
+    D = rng.standard_normal((n + 1, K.shape[1], s))
     x0, psi = rng.standard_normal((2, dim, s))
-    dt = float(rng.uniform(0.01, 1.0))
-    ps, pk = np.vstack([p, S]), dt * (p @ K)
-    pkt = np.vstack([p.T, -pk.T])
-    states, qs = forward_sweep(ps, pk, dt, x0, lambda k, y: D[k] * y, nqs)
-    rows = reverse_sweep(pkt, dt, K, S, D, psi, np.zeros((dim, s)), nqs)
+    states, qs = forward_sweep(step, x0, lambda k, y: D[k] * y, nqs)
+    rows = reverse_sweep(step, D, psi, np.zeros((dim, s)), nqs)
     assert states.shape == (n + 1, dim, s) and rows.shape == (n + 1, dim, s)
     for j, nq in enumerate(nqs):
         col_states, col_q = forward_sweep(
-            ps, pk, dt, x0[:, j], lambda k, y: D[k, :, j] * y, int(nq))
+            step, x0[:, j], lambda k, y: D[k, :, j] * y, int(nq))
         scale = np.abs(col_states).max()
         np.testing.assert_allclose(states[:nq + 1, :, j], col_states, rtol=1e-13,
                                    atol=1e-13 * scale)
         np.testing.assert_allclose(qs[:, j], col_q, rtol=1e-13,
                                    atol=1e-13 * np.abs(col_q).max())
-        col_rows = reverse_sweep(pkt, dt, K, S, D[:, :, j], psi[:, j], np.zeros(dim),
-                                 int(nq))
+        col_rows = reverse_sweep(step, D[:, :, j], psi[:, j], np.zeros(dim), int(nq))
         np.testing.assert_allclose(rows[:nq + 1, :, j], col_rows, rtol=1e-13,
                                    atol=1e-13 * np.abs(col_rows).max())
         assert not np.any(rows[nq + 1:, :, j])
@@ -231,7 +291,7 @@ def test_plant_refuses_misshaped_operator(name):
 def test_solver_transpose_consistency():
     rng = np.random.default_rng(51)
     a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-    s = OperatorSolver(a)
+    s = OperatorSolver(a, np.zeros((5, 0)), np.zeros((0, 5)))
     b = rng.standard_normal(5)
     dt = 0.3
     np.testing.assert_allclose((np.eye(5) + dt * a) @ s.solve_step(dt, b), b, atol=1e-12)
@@ -242,7 +302,7 @@ def test_solve_step_reads_the_sweep_inverse():
     plant = make_sine_gordon(N=12)
     rng = np.random.default_rng(7)
     for dt in (0.5, 0.05):
-        p = plant.sweep_matrices(dt)[0][:plant.dim]
+        p = plant.solver.step(dt).p
         for b in (rng.standard_normal(plant.dim), rng.standard_normal((plant.dim, 3))):
             assert np.array_equal(plant.solver.solve_step(dt, b), p @ b)
 

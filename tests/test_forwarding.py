@@ -1,5 +1,6 @@
 """Forwarding map evaluations, adjoint duality, gains, coercivity."""
 
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from forwardreg.plants import (
     make_wilson_cowan,
 )
 from forwardreg.spaces import adjoint
+from forwardreg.verify import FD_TOL, fd_check_dM
 from helpers import make_random_plant, make_scalar_plant
 
 
@@ -151,12 +153,24 @@ def test_eval_dM_zero_direction():
 
 
 def test_eval_dM_at_origin_is_linear_part():
+    # dF(0) = 0 (sigma = sin x - x): a zero state takes no nodes, and dM(0)
+    # is -C A^{-1}
+    plant = make_sine_gordon(N=8)
+    fmap = build_forwarding(plant, dt_quad=0.5, tail_tol=1e-6)
+    h = np.random.default_rng(3).standard_normal(plant.dim)
+    ev = StateEvaluation(fmap, np.zeros(plant.dim))
+    assert ev.nq == 0
+    np.testing.assert_allclose(ev.dM(h), fmap.m_lin @ h, rtol=1e-12)
+
+
+def test_eval_dM_at_origin_matches_finite_differences():
+    # the tanh plant has dF(0) = K != 0, so the origin runs the quadrature
     fmap = make_random_fmap()
-    rng = np.random.default_rng(3)
-    h = rng.standard_normal(6)
-    np.testing.assert_allclose(
-        StateEvaluation(fmap, np.zeros(6)).dM(h), fmap.m_lin @ h, rtol=1e-12
-    )
+    h = np.random.default_rng(3).standard_normal(6)
+    ev = StateEvaluation(fmap, np.zeros(6))
+    assert ev.nq == math.ceil(fmap.horizon(0.0) / fmap.dt_quad)
+    assert max(fd_check_dM(fmap, np.zeros(6), h).errors) < FD_TOL
+    assert not np.allclose(ev.dM(h), fmap.m_lin @ h, rtol=1e-3)
 
 
 def test_eval_dM_linearity():
@@ -371,8 +385,10 @@ def test_horizon_grows_with_norm_and_clamps():
 
 
 def test_zero_state_skips_quadrature():
-    fmap = make_random_fmap()
-    ev = StateEvaluation(fmap, np.zeros(6))
+    # the cubic plant has dF(0) = 0; the tanh plant's origin takes nodes
+    # (test_eval_dM_at_origin_matches_finite_differences)
+    fmap = build_forwarding(make_scalar_plant(), dt_quad=0.01, tail_tol=1e-8)
+    ev = StateEvaluation(fmap, np.zeros(1))
     assert ev.nq == 0
 
 
@@ -411,7 +427,7 @@ def block_fmap(plant, dt_quad):
 @BLOCK_PLANTS
 def test_state_block_matches_single_states(make_plant, dt_quad):
     # per column: the state's own horizon, M and B* dM* eta of its own
-    # evaluation; the zero column skips the quadrature
+    # evaluation; the zero column skips the quadrature where dF(0) = 0
     plant = make_plant()
     fmap = block_fmap(plant, dt_quad)
     ws = block_of_states(plant, 3)
@@ -419,7 +435,7 @@ def test_state_block_matches_single_states(make_plant, dt_quad):
     ev = StateEvaluation(fmap, ws)
     singles = [StateEvaluation(fmap, w) for w in ws.T]
     np.testing.assert_array_equal(ev.nqs, [e.nq for e in singles])
-    assert ev.nqs[0] == 0 and len(set(ev.nqs)) == ws.shape[1]
+    assert (ev.nqs[0] == 0) == plant.flat_at_origin and len(set(ev.nqs)) == ws.shape[1]
     assert ev.nq == max(ev.nqs)
     m, u = ev.M(), ev.dM_adjoint_B(eta)
     for j, single in enumerate(singles):

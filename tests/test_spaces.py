@@ -32,6 +32,22 @@ def test_gram_solve_roundtrip():
     np.testing.assert_allclose(sp.solve_gram(sp.apply_gram(x)), x, atol=1e-12)
 
 
+def test_solve_gram_is_bitwise_cho_solve():
+    # LAPACK potrs called directly: the same bits as scipy's wrapper, and a
+    # non-finite column of a block stays in that column
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((7, 7))
+    sp = SpaceSpec(7, m @ m.T + 7 * np.eye(7), "H")
+    block = rng.standard_normal((7, 3))
+    block[2, 1] = np.inf
+    for x in (rng.standard_normal(7), block):
+        got = sp.solve_gram(x)
+        want = sla.cho_solve((sp.chol_lower, True), x, check_finite=False)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.all(np.isfinite(sp.solve_gram(block)[:, [0, 2]]))
+
+
 def test_adjoint_duality_dense():
     # (L x, y)_cod == (x, L* y)_dom for random weighted spaces
     rng = np.random.default_rng(7)
