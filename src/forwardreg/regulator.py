@@ -13,14 +13,15 @@ tail averaging; at any discrete fixed point the z-update forces C w = y_ref
 exactly, so the located equilibrium is a true regulation point up to the
 stagnation tolerance. Several searches (a sweep's cells) step in lockstep as
 the columns of one block, each with its own disturbance, reference,
-stagnation rule and tail.
+stagnation rule and tail; several runs (the battery's) do the same, each
+with its own initial state, step size dt and horizon.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import Optional
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "EquilibriumResult",
     "feedback",
     "simulate",
+    "simulate_lockstep",
     "find_equilibrium",
     "find_equilibrium_recorded",
     "find_equilibrium_along",
@@ -173,70 +175,98 @@ def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
 
     ``w`` (dim,) and ``z`` (dim_Z,) step one run. (dim, s) and (dim_Z, s)
     blocks step s runs in lockstep, column j with the disturbance d[:, j]
-    and the reference y_ref[:, j]. A caller may ``send`` the indices of the
-    columns to keep; the others leave the block before the step. A block of
-    one column steps bitwise as the vector run.
+    and the reference y_ref[:, j]. ``dt`` is a float, or an (s,) array that
+    gives column j its own step dt[j]; each distinct dt's P then acts on its
+    own columns. A caller may ``send`` the indices of the columns to keep;
+    the others leave the block, with their dt, before the step. A block that
+    is down to one column is stepped, and yielded, as the vector run: that is
+    cheaper, and bitwise the same.
     """
+    column = False
     while True:
+        if not column and w.ndim == 2 and w.shape[1] == 1:
+            column = True
+            w, z, d, y_ref = (a[:, 0] for a in (w, z, d, y_ref))
+            dt = float(np.ravel(dt)[0])
         ev = StateEvaluation(fmap, w)
         m = ev.M()
         u = ev.dM_adjoint_B(z - m)
         y = plant.C @ w
         keep = yield w, z, m, u, y
-        if keep is not None:
+        if keep is not None and not column:
             w, z, u, y, d, y_ref = (a[:, keep] for a in (w, z, u, y, d, y_ref))
-        w = plant.solver.solve_step(dt, w - dt * plant.F(w) + dt * (plant.B @ u + d))
+            if isinstance(dt, np.ndarray):
+                dt = dt[keep]
+        w = _solve_step(plant, dt, w - dt * plant.F(w) + dt * (plant.B @ u + d))
         z = z + dt * (y - y_ref)
 
 
-def _record(fmap: ForwardingMap, states, scenario: Scenario, n: int) -> RunResult:
-    """The recording loop: states 0..n of ``states`` with V at each.
+def _solve_step(plant, dt, rhs):
+    """(I + dt A)^{-1} rhs for a scalar ``dt``, or per column for an (s,) array."""
+    if not isinstance(dt, np.ndarray):
+        return plant.solver.solve_step(dt, rhs)
+    out = np.empty_like(rhs)
+    for step in np.unique(dt):
+        cols = np.flatnonzero(dt == step)
+        out[:, cols] = plant.solver.solve_step(float(step), rhs[:, cols])
+    return out
 
-    Stops at the first state whose V is not finite or whose H-norm passes
-    the divergence guard, and returns the run up to that state.
+
+def _record(fmap: ForwardingMap, states, scenarios: list, ns: list) -> list:
+    """The recording loop: run j over its states 0..ns[j], with V at each.
+
+    ``states`` yields (dim, s) and (dim_Z, s) blocks, column j the run of
+    ``scenarios[j]``, or vectors while one run is left. A run leaves the
+    block at its state ns[j], or at the first state whose V is not finite or
+    whose H-norm passes the divergence guard; the others run on, and
+    ``states`` is sent the columns that stay. Returns one RunResult per
+    scenario, up to the state where it left.
     """
     plant = fmap.plant
-    space_h, space_z = plant.space_H, plant.space_Z
-    dim_u = plant.space_U.dim
-    times = scenario.dt * np.arange(n + 1)
-    w_hist = np.empty((n + 1, plant.dim))
-    z_hist = np.empty((n + 1, space_z.dim))
-    y_hist = np.empty((n + 1, space_z.dim))
-    u_hist = np.empty((n + 1, dim_u))
-    m_hist = np.empty((n + 1, space_z.dim))
-    v_hist = np.empty(n + 1)
-
-    diverged = False
-    for k, (w, z, m, u, y) in enumerate(islice(states, n + 1)):
-        w_hist[k], z_hist[k], y_hist[k], u_hist[k], m_hist[k] = w, z, y, u, m
-        v_hist[k] = _energy(fmap, w, z - m)
-        if not np.isfinite(v_hist[k]) or space_h.norm(w) > _DIVERGENCE_GUARD:
-            diverged = True
+    space_h = plant.space_H
+    state = next(states)
+    # per run: w, z, m, u and y (the order of the yielded state), then V
+    hist = [[np.empty((n + 1, a.shape[0])) for a in state] + [np.empty(n + 1)]
+            for n in ns]
+    ends = list(ns)
+    diverged = [False] * len(ns)
+    live = list(range(len(ns)))
+    for k in count():
+        keep = []
+        columns = (state,) if state[0].ndim == 1 else zip(*(a.T for a in state))
+        for p, (j, (w, z, m, u, y)) in enumerate(zip(live, columns)):
+            w_h, z_h, m_h, u_h, y_h, v_h = hist[j]
+            w_h[k], z_h[k], m_h[k], u_h[k], y_h[k] = w, z, m, u, y
+            v_h[k] = _energy(fmap, w, z - m)
+            if not np.isfinite(v_h[k]) or space_h.norm(w) > _DIVERGENCE_GUARD:
+                diverged[j], ends[j] = True, k
+            elif k < ns[j]:
+                keep.append(p)
+        if len(keep) == len(live):
+            state = next(states)
+        elif keep:
+            state = states.send(keep)
+            live = [live[p] for p in keep]
+        else:
             break
-
-    end = k + 1
-    return RunResult(
-        times=times[:end],
-        w=w_hist[:end],
-        z=z_hist[:end],
-        y=y_hist[:end],
-        u=u_hist[:end],
-        m=m_hist[:end],
-        v=v_hist[:end],
-        diverged=diverged,
-        scenario=scenario,
-    )
+    out = []
+    for sc, (w, z, m, u, y, v), end, div in zip(scenarios, hist, ends, diverged):
+        end += 1
+        out.append(RunResult(times=sc.dt * np.arange(end), w=w[:end], z=z[:end],
+                             y=y[:end], u=u[:end], m=m[:end], v=v[:end],
+                             diverged=div, scenario=sc))
+    return out
 
 
 def _search(plant, fmap, states, d, y_ref, dt, n, rows=None):
     """The stagnation rule over states 1..n of runs from the origin, per column.
 
-    ``states`` yields the states from state 1 on: vectors of one run, or
-    (dim, s) and (dim_Z, s) blocks of s runs from :func:`_closed_loop`, which
-    is sent the columns that stay whenever one leaves. Every 50 states each
-    column's mean drift speed is checked. A column leaves once its speed is
-    at most 1e-10 (converged), when its state norm is not finite, or at
-    state n. Returns one entry per column: (w*, z*, result), with the mean
+    ``states`` yields the states from state 1 on: (dim, s) and (dim_Z, s)
+    blocks of s runs from :func:`_closed_loop`, or vectors while one run is
+    left; it is sent the columns that stay whenever one leaves. Every 50
+    states each column's mean drift speed is checked. A column leaves once
+    its speed is at most 1e-10 (converged), when its state norm is not
+    finite, or at state n. Returns one entry per column: (w*, z*, result), with the mean
     of the column's last 20 states and its residuals, or, for a column whose
     state stopped being finite, the FloatingPointError naming the step.
     Memory is each column's 20-state tail, whatever the budget; ``rows``,
@@ -327,12 +357,30 @@ def simulate(plant: Plant, fmap: ForwardingMap, scenario: Scenario) -> RunResult
     result with ``diverged=True`` when the H-norm of the state passes 1e6
     or V stops being finite.
     """
+    return simulate_lockstep(plant, fmap, [scenario])[0]
+
+
+def simulate_lockstep(plant: Plant, fmap: ForwardingMap, scenarios: list) -> list:
+    """:func:`simulate` for several scenarios, stepped in lockstep as one block.
+
+    Each scenario keeps its own w0, z0, d, y_ref, dt and T; its run leaves
+    the block at its own last state, or where it diverges, while the others
+    run on. Returns one RunResult per scenario. One scenario gives the
+    vector run; in a wider block the runs agree with their own
+    :func:`simulate` to roundoff.
+    """
     if plant is not fmap.plant:
         raise ValueError("fmap was built for a different plant")
     _require_feasible(fmap)
-    w0, z0, d, y_ref, n = _prep_scenario(plant, scenario)
-    states = _closed_loop(plant, fmap, w0, z0, d, y_ref, scenario.dt)
-    return _record(fmap, states, scenario, n)
+    if not scenarios:
+        return []
+    preps = [_prep_scenario(plant, sc) for sc in scenarios]
+    if any(p[3].ndim != 1 for p in preps):
+        raise ValueError("a simulated scenario's y_ref must be one vector")
+    w0, z0, d, y_ref = (np.column_stack([p[i] for p in preps]) for i in range(4))
+    dt = np.array([sc.dt for sc in scenarios])
+    states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
+    return _record(fmap, states, scenarios, [p[4] for p in preps])
 
 
 def find_equilibrium(
@@ -414,7 +462,7 @@ def find_equilibrium_recorded(
         if res.converged:
             k = res.iterations
             scenario = Scenario(y_ref=y_ref[:, j], T=res.t_reached, dt=dt, d=d[:, j])
-            run = (_record(fmap, zip(*(r[j, :k + 1] for r in rows)), scenario, k)
+            run = (_record(fmap, zip(*(r[j, :k + 1] for r in rows)), [scenario], [k])[0]
                    if k <= n // s else simulate(plant, fmap, scenario))
         found[j] = out + (run,)
     return found

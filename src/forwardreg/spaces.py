@@ -49,6 +49,9 @@ class SpaceSpec:
             self.chol_lower = np.linalg.cholesky(gram)  # gram = L @ L.T, L lower
         except np.linalg.LinAlgError:
             raise ValueError("gram matrix must be positive definite") from None
+        # dpotrs reads a Fortran-ordered factor; handed the row-major one,
+        # f2py would copy it on every solve
+        self._chol_fortran = np.asfortranarray(self.chol_lower)
         self.dim = int(dim)
         self.gram = gram
         self.label = label
@@ -70,7 +73,7 @@ class SpaceSpec:
         block does not stop the others. LAPACK ``dpotrs`` is called directly:
         ``cho_solve``'s wrapper costs several times the solve at these sizes.
         """
-        out, info = dpotrs(self.chol_lower, x, lower=1)
+        out, info = dpotrs(self._chol_fortran, x, lower=1)
         if info:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return out

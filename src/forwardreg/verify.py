@@ -10,7 +10,7 @@ rather than through the forwarding module, so agreement is meaningful.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ from .forwarding import (
     functional_equation_residual,
     uniform_coercivity_check,
 )
-from .regulator import Scenario, find_equilibrium, simulate
+from .regulator import Scenario, find_equilibrium, simulate, simulate_lockstep
 
 __all__ = [
     "LinearOracle",
@@ -242,33 +242,27 @@ def linearized_decay_samples(
     return worst
 
 
-def dissipation_constant(
-    plant: Plant,
-    fmap: ForwardingMap,
-    *,
-    dt: float,
-    T: float,
-    n_runs: int,
-    radius: float,
-    seed: int = 0,
-) -> float:
-    """Fit c in the per-step bound dV/dt <= -(a/2)||w||^2 - (r/2)||u||^2 + c dt.
-
-    Runs d = 0, y_ref = 0 loops from random initial states and returns the
-    smallest c that covers every step of every run (clipped at 0).
-    """
-    alpha = plant.require_alpha()
-    rho = fmap.rho
+def _dissipation_scenarios(plant: Plant, *, dt, T, n_runs, radius, seed) -> list:
+    """The d = 0, y_ref = 0 scenarios of the dissipation fit, their random
+    initial states drawn from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    space_h = plant.space_H
-    space_u = plant.space_U
     dim_z = plant.space_Z.dim
-    worst = 0.0
+    scenarios = []
     for _ in range(n_runs):
         w0 = smooth_sample(plant, rng, radius)
         z0 = radius * 0.1 * rng.standard_normal(dim_z)
-        sc = Scenario(y_ref=np.zeros(dim_z), T=T, dt=dt, w0=w0, z0=z0)
-        run = simulate(plant, fmap, sc)
+        scenarios.append(Scenario(y_ref=np.zeros(dim_z), T=T, dt=dt, w0=w0, z0=z0))
+    return scenarios
+
+
+def _dissipation_fit(plant: Plant, fmap: ForwardingMap, runs: list, dt: float) -> float:
+    """The smallest c >= 0 that covers every step of ``runs``, all at step dt."""
+    alpha = plant.require_alpha()
+    rho = fmap.rho
+    space_h = plant.space_H
+    space_u = plant.space_U
+    worst = 0.0
+    for run in runs:
         for k in range(len(run) - 1):
             dv = (run.v[k + 1] - run.v[k]) / dt
             wk = run.w[k]
@@ -281,6 +275,28 @@ def dissipation_constant(
             if defect > worst:
                 worst = defect
     return worst / dt
+
+
+def dissipation_constant(
+    plant: Plant,
+    fmap: ForwardingMap,
+    *,
+    dt: float,
+    T: float,
+    n_runs: int,
+    radius: float,
+    seed: int = 0,
+) -> float:
+    """Fit c in the per-step bound dV/dt <= -(a/2)||w||^2 - (r/2)||u||^2 + c dt.
+
+    Runs d = 0, y_ref = 0 loops from random initial states, stepped as one
+    lockstep block, and returns the smallest c that covers every step of
+    every run (clipped at 0).
+    """
+    plant.require_alpha()
+    scenarios = _dissipation_scenarios(plant, dt=dt, T=T, n_runs=n_runs, radius=radius,
+                                       seed=seed)
+    return _dissipation_fit(plant, fmap, simulate_lockstep(plant, fmap, scenarios), dt)
 
 
 # -- check battery ------------------------------------------------------------
@@ -484,31 +500,47 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     }
     checks.append(_check_le("dm_fd", min(fd_table.errors), FD_TOL))
 
-    # Lyapunov dissipation with c fitted at dt and re-fitted at dt/2. The
-    # inequality is per-step, so a few hundred steps per run suffice; capping
-    # by step count keeps stiff-loop plants (small stable dt) affordable.
+    # Lyapunov dissipation with c fitted at dt and re-fitted at dt/2 on the
+    # same samples. The inequality is per-step, so a few hundred steps per
+    # run suffice; capping by step count keeps stiff-loop plants (small
+    # stable dt) affordable. The global-attraction spot run joins in when the
+    # plant carries the global flag, its w0 drawn right after the FD sample;
+    # all these closed loops step as one lockstep block.
     if fmap.feasible:
         dt0 = DISSIPATION_DT
         if fmap.loop_gain > 0:
             dt0 = min(dt0, 0.5 / fmap.loop_gain)
         t_run = min(2.0 / alpha, 300.0 * dt0)
-        c0 = dissipation_constant(
-            plant, fmap, dt=dt0, T=t_run, n_runs=int(cfg["dissipation_runs"]),
-            radius=radius, seed=seed,
-        )
-        c1 = dissipation_constant(
-            plant, fmap, dt=dt0 / 2, T=t_run, n_runs=int(cfg["dissipation_runs"]),
-            radius=radius, seed=seed,
-        )
+        n_runs = int(cfg["dissipation_runs"])
+        scenarios = _dissipation_scenarios(plant, dt=dt0, T=t_run, n_runs=n_runs,
+                                           radius=radius, seed=seed)
+        scenarios += [replace(sc, dt=dt0 / 2) for sc in scenarios]
+        if plant.global_ok:
+            kappa = fmap.kappa
+            t_spot = 2.0 / kappa
+            dt_spot = min(DISSIPATION_DT * 10, t_spot / 100.0)
+            if fmap.loop_gain > 0:
+                dt_spot = min(dt_spot, 0.5 / fmap.loop_gain)
+            # step-count cap as above; the decay bound scales with the
+            # shortened horizon, so the check stays honest, just less ambitious
+            capped = 2000.0 * dt_spot < t_spot
+            t_spot = min(t_spot, 2000.0 * dt_spot)
+            w0 = smooth_sample(plant, rng, radius)
+            scenarios.append(Scenario(y_ref=np.zeros(space_z.dim), T=t_spot, dt=dt_spot,
+                                      w0=w0))
+        runs = simulate_lockstep(plant, fmap, scenarios)
+        c0 = _dissipation_fit(plant, fmap, runs[:n_runs], dt0)
+        c1 = _dissipation_fit(plant, fmap, runs[n_runs:2 * n_runs], dt0 / 2)
         floor = 1e-8
         checks.append(_check_le("dissipation", c1, 2.0 * c0 + floor,
                                 f"c(dt)={c0:.3e}, c(dt/2)={c1:.3e}"))
-        tables["dissipation"] = {"dt": dt0, "c": c0, "c_half": c1}
+        tables["dissipation"] = {"dt": dt0, "c": c0, "c_half": c1, "t_run": t_run,
+                                 "runs": n_runs}
     else:
         checks.append(_check_le("dissipation", float("nan"), 0.0,
                                 "not runnable: infeasible closed loop"))
 
-    # optional: uniform coercivity and a global-attraction spot check
+    # optional: uniform coercivity and the global-attraction spot check
     if fmap.feasible and plant.global_ok:
         n_samples = int(cfg["coercivity_samples"])
         sigma_sq = uniform_coercivity_check(
@@ -518,23 +550,14 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
             _check_ge("uniform_coercivity", sigma_sq, fmap.lam_tilde,
                       f"{n_samples} samples, radius {radius}")
         )
-        kappa = fmap.kappa
-        t_spot = 2.0 / kappa
-        dt_spot = min(DISSIPATION_DT * 10, t_spot / 100.0)
-        if fmap.loop_gain > 0:
-            dt_spot = min(dt_spot, 0.5 / fmap.loop_gain)
-        # step-count cap as above; the decay bound scales with the shortened
-        # horizon, so the check stays honest, just less ambitious
-        t_spot = min(t_spot, 2000.0 * dt_spot)
-        w0 = smooth_sample(plant, rng, radius)
-        sc = Scenario(y_ref=np.zeros(space_z.dim), T=t_spot, dt=dt_spot, w0=w0)
-        run = simulate(plant, fmap, sc)
+        run = runs[-1]
         dev0 = np.sqrt(2.0 * run.v[0])
         dev1 = np.sqrt(2.0 * run.v[-1])
         bound = float(np.exp(-kappa * t_spot) * ratio_bound)
         value = dev1 / dev0 if dev0 > 0 else 0.0
         checks.append(_check_le("global_attraction", value, bound,
                                 f"rho-norm decay over T={t_spot:.3g}"))
+        tables["global_attraction"] = {"dt": dt_spot, "t": t_spot, "step_capped": capped}
 
     # optional: dense-oracle agreement for linear plants
     if plant.lip_F == 0.0 and fmap.feasible and plant.dim <= 200:

@@ -7,12 +7,14 @@ from forwardreg.forwarding import StateEvaluation, build_forwarding
 from forwardreg.plants import make_linear_benchmark, make_scalar_linear, make_sine_gordon
 from forwardreg.regulator import (
     _DIVERGENCE_GUARD,
+    _closed_loop,
     Scenario,
     convergence_report,
     feedback,
     find_equilibrium,
     find_equilibrium_recorded,
     simulate,
+    simulate_lockstep,
 )
 
 from helpers import make_scalar_plant
@@ -317,6 +319,70 @@ def test_lockstep_column_that_stops_being_finite_leaves_alone(unit_loop):
         assert got[2] == want[2]
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert np.array_equal(got[3].w, want[3].w) and np.array_equal(got[3].v, want[3].v)
+
+
+# -- lockstep simulation ------------------------------------------------------
+
+
+def wave_scenarios(plant):
+    """Three wave-loop scenarios with their own w0, z0, d, y_ref, dt and T."""
+    rng = np.random.default_rng(11)
+    space_h, dim_z = plant.space_H, plant.space_Z.dim
+    return [
+        Scenario(y_ref=np.full(dim_z, 0.01), T=20.0, dt=0.5,
+                 w0=0.3 * space_h.sample_sphere(rng)),
+        Scenario(y_ref=np.zeros(dim_z), T=12.5, dt=0.25, z0=np.full(dim_z, 0.2),
+                 d=0.01 * space_h.sample_sphere(rng)),
+        Scenario(y_ref=np.full(dim_z, -0.02), T=30.0, dt=0.5,
+                 w0=0.5 * space_h.sample_sphere(rng), z0=np.full(dim_z, -0.1)),
+    ]
+
+
+def test_lockstep_block_matches_each_run(wave_loop):
+    # mixed dt and T: each column steps with its own P and leaves at its own
+    # horizon, the last one on its own
+    plant, fmap = wave_loop
+    scenarios = wave_scenarios(plant)
+    runs = simulate_lockstep(plant, fmap, scenarios)
+    assert [len(r) for r in runs] == [41, 51, 61]
+    for run, sc in zip(runs, scenarios):
+        want = simulate(plant, fmap, sc)
+        assert run.scenario is sc and not run.diverged
+        assert np.array_equal(run.times, want.times)
+        assert_runs_close(run, want, 1e-12)
+
+
+def test_lockstep_column_that_diverges_is_cut_alone(fast_loop):
+    # dt = 1 makes the explicit z-step unstable: that column is cut where its
+    # own run is, and the two others run to their ends
+    plant, fmap = fast_loop
+    scenarios = [
+        Scenario(y_ref=np.array([0.2]), T=10.0, dt=0.05, w0=np.array([0.4])),
+        Scenario(y_ref=np.array([0.3]), T=400.0, dt=1.0),
+        Scenario(y_ref=np.array([0.3]), T=60.0, dt=0.1, d=np.array([0.05])),
+    ]
+    runs = simulate_lockstep(plant, fmap, scenarios)
+    for run, sc in zip(runs, scenarios):
+        want = simulate(plant, fmap, sc)
+        assert run.diverged == want.diverged
+        assert_runs_close(run, want, 1e-12)
+    assert runs[1].diverged and len(runs[1]) < 401
+    assert [len(runs[0]), len(runs[2])] == [201, 601]
+
+
+def test_lockstep_of_one_scenario_is_bitwise_simulate(wave_loop):
+    # a block of one column steps as the vector loop, bit for bit
+    plant, fmap = wave_loop
+    sc = wave_scenarios(plant)[1]
+    (run,) = simulate_lockstep(plant, fmap, [sc])
+    want = simulate(plant, fmap, sc)
+    for name in ("times", "w", "z", "y", "u", "m", "v"):
+        assert np.array_equal(getattr(run, name), getattr(want, name)), name
+    assert run.diverged == want.diverged
+    vector = _closed_loop(plant, fmap, np.zeros(plant.dim), sc.z0, sc.d, sc.y_ref, sc.dt)
+    for k, state in zip(range(len(run)), vector):
+        for got, ref in zip((run.w, run.z, run.m, run.u, run.y), state):
+            assert np.array_equal(got[k], ref)
 
 
 # -- convergence report -------------------------------------------------------

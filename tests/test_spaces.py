@@ -110,7 +110,8 @@ def test_sample_ball_inside():
 
 
 def test_space_factors_its_gram_once(monkeypatch):
-    # chol_lower serves every Gram solve; no second factor is kept
+    # the Gram is factored once: the solves read a Fortran-ordered copy of
+    # chol_lower, not a second factor
     calls = []
     for module, name in ((np.linalg, "cholesky"), (sla, "cholesky"), (sla, "cho_factor")):
         def counted(*args, _orig=getattr(module, name), **kwargs):

@@ -174,6 +174,30 @@ def test_dissipation_constant_zero_for_calm_linear_loop():
     assert c == 0.0
 
 
+def test_dissipation_constant_is_the_defect_maximum_of_each_run():
+    # the lockstep fit equals the largest step defect of solo runs of the
+    # same samples, divided by dt (c > 0 on this plant)
+    plant = make_linear_benchmark(8, 0.6, seed=2, dim_out=1)
+    fmap = build_forwarding(plant, dt_quad=0.02)
+    dt, T, radius, seed = 0.05, 2.0, 1.0, 4
+    c = dissipation_constant(plant, fmap, dt=dt, T=T, n_runs=3, radius=radius, seed=seed)
+    rng = np.random.default_rng(seed)
+    space_h, space_u, dim_z = plant.space_H, plant.space_U, plant.space_Z.dim
+    worst = 0.0
+    for _ in range(3):
+        w0 = smooth_sample(plant, rng, radius)
+        z0 = radius * 0.1 * rng.standard_normal(dim_z)
+        run = simulate(plant, fmap, Scenario(y_ref=np.zeros(dim_z), T=T, dt=dt,
+                                             w0=w0, z0=z0))
+        for k in range(len(run) - 1):
+            w, u = run.w[k], run.u[k]
+            worst = max(worst, (run.v[k + 1] - run.v[k]) / dt
+                        + 0.5 * plant.alpha_cert * space_h.inner(w, w)
+                        + 0.5 * fmap.rho * space_u.inner(u, u))
+    assert worst > 0.0
+    assert c == pytest.approx(worst / dt, rel=1e-10, abs=1e-12)
+
+
 # -- battery ------------------------------------------------------------------
 
 
