@@ -4,82 +4,26 @@ Numerical forwarding design: Gram-weighted state spaces, IMEX evolution of
 semilinear plants, quadrature evaluation of the forwarding map and its
 adjoint derivative, the integrator-plus-forwarding feedback loop, and a
 verification battery for the standing assumptions.
+
+The package namespace is the union of its modules' ``__all__``; each public
+name is listed once, in the module that defines it.
 """
 
 __version__ = "0.1.0"
 
-from .spaces import SpaceSpec, adjoint, weighted_singular_values
-from .evolution import (
-    OperatorSolver,
-    Plant,
-    Trajectory,
-    adjoint_tangent_flow,
-    contraction_check,
-    estimate_alpha,
-    flow,
-    tangent_flow,
-)
-from .forwarding import (
-    ForwardingMap,
-    StateEvaluation,
-    assemble_feedback_matrix,
-    build_forwarding,
-    functional_equation_residual,
-    linear_forwarding,
-    uniform_coercivity_check,
-)
-from .regulator import (
-    EquilibriumResult,
-    RegulationReport,
-    RunResult,
-    Scenario,
-    convergence_report,
-    feedback,
-    find_equilibrium,
-    find_equilibrium_along,
-    find_equilibrium_recorded,
-    simulate,
-)
-from .plants import (
-    make_linear_benchmark,
-    make_scalar_linear,
-    make_sine_gordon,
-    make_wilson_cowan,
-)
-from .verify import (
-    CheckResult,
-    FDCheckTable,
-    LinearOracle,
-    VerificationReport,
-    contraction_samples,
-    dense_linear_oracle,
-    dissipation_constant,
-    fd_check_dM,
-    linearized_decay_samples,
-    run_battery,
-    smooth_sample,
-)
+from .spaces import *
+from .evolution import *
+from .forwarding import *
+from .regulator import *
+from .plants import *
+from .verify import *
 
 __all__ = [
     "__version__",
-    # spaces
-    "SpaceSpec", "adjoint", "weighted_singular_values",
-    # evolution
-    "OperatorSolver", "Plant", "Trajectory", "adjoint_tangent_flow",
-    "contraction_check", "estimate_alpha", "flow", "tangent_flow",
-    # forwarding
-    "ForwardingMap", "StateEvaluation", "assemble_feedback_matrix",
-    "build_forwarding", "functional_equation_residual", "linear_forwarding",
-    "uniform_coercivity_check",
-    # regulator
-    "EquilibriumResult", "RegulationReport", "RunResult", "Scenario",
-    "convergence_report", "feedback", "find_equilibrium", "find_equilibrium_along",
-    "find_equilibrium_recorded", "simulate",
-    # plants
-    "make_linear_benchmark", "make_scalar_linear", "make_sine_gordon",
-    "make_wilson_cowan",
-    # verify
-    "CheckResult", "FDCheckTable", "LinearOracle", "VerificationReport",
-    "contraction_samples", "dense_linear_oracle", "dissipation_constant",
-    "fd_check_dM", "linearized_decay_samples", "run_battery", "smooth_sample",
+    *spaces.__all__,
+    *evolution.__all__,
+    *forwarding.__all__,
+    *regulator.__all__,
+    *plants.__all__,
+    *verify.__all__,
 ]

@@ -279,7 +279,7 @@ def cmd_gains(cfg: RunConfig) -> int:
         "b_norm": fmap.b_norm,
         "ca_inv_norm": fmap.ca_inv_norm,
         "loop_gain": fmap.loop_gain,
-        "dim_Z": fmap.dim_Z,
+        "dim_Z": plant.space_Z.dim,
         "plant": plant.name,
     }
     cfg.outdir.mkdir(parents=True, exist_ok=True)

@@ -387,13 +387,13 @@ def adjoint_tangent_flow(plant: Plant, base: Trajectory, zeta: np.ndarray) -> Tr
     (tangent(h)[-1], zeta)_H == (h, adjoint(zeta)[0])_H to roundoff. States
     are indexed forward in time, states[-1] == zeta to roundoff.
     """
-    gram = plant.space_H
+    space = plant.space_H
     rows = reverse_sweep(
         plant.solver.step(base.dt), plant.dsigma(base.states @ plant.S.T),
-        np.zeros(plant.dim), gram.apply_gram(np.asarray(zeta, dtype=float)),
+        np.zeros(plant.dim), space.gram @ np.asarray(zeta, dtype=float),
         len(base) - 1,
     )
-    return Trajectory(base.times.copy(), gram.solve_gram(rows.T).T)
+    return Trajectory(base.times.copy(), space.solve_gram(rows.T).T)
 
 
 def estimate_alpha(

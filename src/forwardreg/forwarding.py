@@ -127,10 +127,6 @@ class ForwardingMap:
             self.rho = None
             self.kappa = None
 
-    @property
-    def dim_Z(self) -> int:
-        return self.plant.space_Z.dim
-
     def horizon(self, w_norm: float) -> float:
         """Quadrature horizon for a state of the given H-norm.
 
@@ -187,8 +183,9 @@ def build_forwarding(
 class StateEvaluation:
     """All forwarding evaluations at one state, sharing one base trajectory.
 
-    The base flow T_t w is integrated once on the quadrature grid; M, dM in
-    any direction, and the adjoint actions all reuse it. Closed-loop stepping
+    The base flow T_t w is integrated once on the quadrature grid; M comes
+    from it, and dM in any direction and the adjoint actions reuse its
+    slopes sigma'(S T_t w), the only part of it kept. Closed-loop stepping
     builds one of these per state and calls M and the adjoint from it.
 
     ``w`` is a state (dim,) or a (dim, s) block of s states evaluated
@@ -219,7 +216,6 @@ class StateEvaluation:
         self.nq = max(nqs)
         if self.nq == 0:
             # linear path: M = -C A^{-1} w and dM = -C A^{-1}
-            self.base_states = None
             self.q = np.zeros_like(self.w)
             return
         self._step = plant.solver.step(fmap.dt_quad)
@@ -232,7 +228,7 @@ class StateEvaluation:
             return plant.sigma(y)
 
         # trapezoid accumulation of Q = int F(T_t w) dt along the base flow
-        self.base_states, qs = forward_sweep(self._step, self.w, sigma_at, self.nqs)
+        _, qs = forward_sweep(self._step, self.w, sigma_at, self.nqs)
         self.q = plant.K @ qs
         self._slopes = plant.dsigma(np.array(gathered))
 
@@ -288,7 +284,7 @@ def assemble_feedback_matrix(fmap: ForwardingMap, w: np.ndarray) -> np.ndarray:
     One base trajectory and one adjoint sweep of the whole Z basis as a
     block. Used for the coercivity constant and its uniform sampled check.
     """
-    return StateEvaluation(fmap, w).dM_adjoint_B(np.eye(fmap.dim_Z))
+    return StateEvaluation(fmap, w).dM_adjoint_B(np.eye(fmap.plant.space_Z.dim))
 
 
 def uniform_coercivity_check(

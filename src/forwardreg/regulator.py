@@ -151,17 +151,26 @@ def _energy(fmap: ForwardingMap, w: np.ndarray, eta: np.ndarray) -> float:
 
 def _prep_scenario(plant: Plant, scenario: Scenario):
     """(w0, z0, d, y_ref, n) of a scenario; a (dim_Z, s) ``y_ref`` makes
-    the origin a block of s columns. A ``d`` of None is zeros shaped like
-    w0, so the loop always adds a disturbance."""
+    the origin a block of s columns. w0, z0 and d must then be (dim, s),
+    (dim_Z, s) and (dim, s) blocks, and are checked here. A field of None is
+    zeros, so the loop always adds a disturbance."""
     dim_z = plant.space_Z.dim
     y_ref = scenario.y_ref
     if y_ref.shape[0] != dim_z or y_ref.ndim > 2:
         raise ValueError(f"y_ref must have shape ({dim_z},) or ({dim_z}, s), "
                          f"got {y_ref.shape}")
     cols = y_ref.shape[1:]
-    w0 = np.zeros((plant.dim,) + cols) if scenario.w0 is None else np.asarray(scenario.w0, float)
-    z0 = np.zeros((dim_z,) + cols) if scenario.z0 is None else np.asarray(scenario.z0, float)
-    d = np.zeros_like(w0) if scenario.d is None else np.asarray(scenario.d, float)
+
+    def checked(name, dim):
+        value, shape = getattr(scenario, name), (dim,) + cols
+        if value is None:
+            return np.zeros(shape)
+        value = np.asarray(value, dtype=float)
+        if value.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+        return value
+
+    w0, z0, d = checked("w0", plant.dim), checked("z0", dim_z), checked("d", plant.dim)
     n = max(int(round(scenario.T / scenario.dt)), 1)
     return w0, z0, d, y_ref, n
 

@@ -62,9 +62,6 @@ class SpaceSpec:
     def norm(self, x: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
 
-    def apply_gram(self, x: np.ndarray) -> np.ndarray:
-        return self.gram @ x
-
     def solve_gram(self, x: np.ndarray) -> np.ndarray:
         """G^{-1} x for a vector or each column of a block.
 

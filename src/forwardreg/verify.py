@@ -34,7 +34,6 @@ from .regulator import Scenario, find_equilibrium, simulate, simulate_lockstep
 __all__ = [
     "LinearOracle",
     "dense_linear_oracle",
-    "FDCheckTable",
     "fd_check_dM",
     "CheckResult",
     "VerificationReport",
@@ -150,16 +149,10 @@ def dense_linear_oracle(
 # -- finite-difference differential check -------------------------------------
 
 
-@dataclass
-class FDCheckTable:
-    eps: tuple
-    errors: tuple
-    orders: tuple
-
-
-def fd_check_dM(fmap: ForwardingMap, w: np.ndarray, h: np.ndarray) -> FDCheckTable:
-    """Central-difference quotients of M against dM along one direction,
-    one per step of ``FD_EPS``."""
+def fd_check_dM(fmap: ForwardingMap, w: np.ndarray, h: np.ndarray) -> dict:
+    """Central-difference quotients of M against dM along one direction, one
+    per step of ``FD_EPS``: the ``{"eps", "errors", "orders"}`` table that
+    verify.json stores, each a list."""
     dm = StateEvaluation(fmap, w).dM(h)
     space_z = fmap.plant.space_Z
     scale = max(space_z.norm(dm), 1e-14)
@@ -175,7 +168,7 @@ def fd_check_dM(fmap: ForwardingMap, w: np.ndarray, h: np.ndarray) -> FDCheckTab
             orders.append(float(np.log(e0 / e1) / np.log(x0 / x1)))
         else:
             orders.append(float("nan"))
-    return FDCheckTable(eps=FD_EPS, errors=tuple(errors), orders=tuple(orders))
+    return {"eps": list(FD_EPS), "errors": errors, "orders": orders}
 
 
 # -- sampling helpers ---------------------------------------------------------
@@ -492,13 +485,8 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     # dM finite differences
     w = smooth_sample(plant, rng, radius)
     h = space_h.sample_sphere(rng)
-    fd_table = fd_check_dM(fmap, w, h)
-    tables["fd_check_dM"] = {
-        "eps": list(fd_table.eps),
-        "errors": list(fd_table.errors),
-        "orders": list(fd_table.orders),
-    }
-    checks.append(_check_le("dm_fd", min(fd_table.errors), FD_TOL))
+    tables["fd_check_dM"] = fd_table = fd_check_dM(fmap, w, h)
+    checks.append(_check_le("dm_fd", min(fd_table["errors"]), FD_TOL))
 
     # Lyapunov dissipation with c fitted at dt and re-fitted at dt/2 on the
     # same samples. The inequality is per-step, so a few hundred steps per

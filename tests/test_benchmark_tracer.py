@@ -55,6 +55,6 @@ def test_traced_plant_runs_the_forwarding_kernels():
         ev = forwarding.StateEvaluation(fmap, w)
         assert ev.nq > 0
         k = forwarding.assemble_feedback_matrix(fmap, w)
-        assert k.shape == (fmap.dim_Z, fmap.dim_Z) and np.all(np.isfinite(k))
+        assert k.shape == (plant.space_Z.dim,) * 2 and np.all(np.isfinite(k))
     finally:
         tracer.uninstall()

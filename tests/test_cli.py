@@ -406,11 +406,21 @@ def test_config_lint(path):
 
 
 def test_package_exports_resolve():
+    # each public name is listed once, in the module that defines it; the
+    # package exports the modules' lists in order
     import forwardreg
+    from forwardreg import evolution, plants, regulator, spaces
 
-    missing = [name for name in forwardreg.__all__ if not hasattr(forwardreg, name)]
-    assert not missing
+    modules = (spaces, evolution, forwarding, regulator, plants, verify)
+    assert forwardreg.__all__ == ["__version__"] + [
+        name for mod in modules for name in mod.__all__]
     assert len(set(forwardreg.__all__)) == len(forwardreg.__all__)
+    for mod in modules:
+        for name in mod.__all__:
+            obj = getattr(forwardreg, name)
+            assert obj is getattr(mod, name), name
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == mod.__name__, name
 
 
 # -- gains ----------------------------------------------------------------------

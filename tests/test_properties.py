@@ -54,7 +54,7 @@ def test_dM_matches_finite_differences_in_the_unit_ball(fmap, seed, radius):
     # the cubic plant's lip_F holds on |w| <= 2, so the FD states stay covered
     w, h = state(fmap, seed, radius)
     tab = fd_check_dM(fmap, w, h)
-    assert max(tab.errors) < FD_TOL
+    assert max(tab["errors"]) < FD_TOL
 
 
 @PROPERTY

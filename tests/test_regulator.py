@@ -53,6 +53,31 @@ def test_simulate_rejects_mismatched_reference(unit_loop):
         simulate(plant, fmap, Scenario(y_ref=np.zeros(2), T=1.0, dt=0.1))
 
 
+@pytest.fixture(scope="module")
+def sine_gordon_loop():
+    plant = make_sine_gordon(N=12, gamma=0.05)
+    return plant, build_forwarding(plant, dt_quad=0.5, tail_tol=1e-6)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # a (dim, 2) w0 once ran as a hidden 2-column block and returned column 0
+    ("w0", np.zeros((24, 2)), r"w0 must have shape \(24,\), got \(24, 2\)"),
+    ("d", np.zeros(5), r"d must have shape \(24,\), got \(5,\)"),
+    ("z0", np.zeros(3), r"z0 must have shape \(1,\), got \(3,\)"),
+], ids=["w0", "d", "z0"])
+def test_simulate_names_a_misshapen_field(sine_gordon_loop, field, value, message):
+    plant, fmap = sine_gordon_loop
+    sc = Scenario(y_ref=np.zeros(1), T=1.0, dt=0.1, **{field: value})
+    with pytest.raises(ValueError, match=message):
+        simulate(plant, fmap, sc)
+
+
+def test_find_equilibrium_names_a_misshapen_disturbance(sine_gordon_loop):
+    plant, fmap = sine_gordon_loop
+    with pytest.raises(ValueError, match=r"d must have shape \(24,\), got \(5,\)"):
+        find_equilibrium(plant, fmap, np.zeros(5), np.zeros(1), dt=0.1, t_budget=1.0)
+
+
 # -- feedback and Lyapunov hand values ----------------------------------------
 
 
