@@ -12,7 +12,7 @@ quadrature steps, so duality holds to roundoff. The base flow, the tangent
 quadrature and its adjoint run on the two sweep kernels of
 :mod:`forwardreg.evolution` (``forward_sweep`` and ``reverse_sweep``). With
 F(w) = K sigma(S w), the slopes sigma'(S T_t w) of the whole base trajectory
-come from one vectorized call, and the adjoint sweeps any block of Z
+come from a single vectorized call, and the adjoint sweeps any block of Z
 directions at once: the dim_Z columns of the feedback matrix take one sweep.
 A (dim, s) block of states is evaluated as one too, each column to its own
 horizon: the lockstep equilibrium search steps its cells this way.

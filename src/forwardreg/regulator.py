@@ -20,7 +20,7 @@ with its own initial state, step size dt and horizon.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, count, islice
 from typing import Optional
 
@@ -149,30 +149,30 @@ def _energy(fmap: ForwardingMap, w: np.ndarray, eta: np.ndarray) -> float:
     return 0.5 * space_h.inner(w, w) + 0.5 * fmap.rho * space_z.inner(eta, eta)
 
 
-def _prep_scenario(plant: Plant, scenario: Scenario):
-    """(w0, z0, d, y_ref, n) of a scenario; a (dim_Z, s) ``y_ref`` makes
-    the origin a block of s columns. w0, z0 and d must then be (dim, s),
-    (dim_Z, s) and (dim, s) blocks, and are checked here. A field of None is
-    zeros, so the loop always adds a disturbance."""
-    dim_z = plant.space_Z.dim
-    y_ref = scenario.y_ref
-    if y_ref.shape[0] != dim_z or y_ref.ndim > 2:
-        raise ValueError(f"y_ref must have shape ({dim_z},) or ({dim_z}, s), "
-                         f"got {y_ref.shape}")
-    cols = y_ref.shape[1:]
+def _start(plant: Plant, fmap: ForwardingMap, scenarios: list):
+    """(w0, z0, d, y_ref, ns): where every closed loop begins.
 
-    def checked(name, dim):
-        value, shape = getattr(scenario, name), (dim,) + cols
-        if value is None:
-            return np.zeros(shape)
-        value = np.asarray(value, dtype=float)
-        if value.shape != shape:
-            raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
-        return value
-
-    w0, z0, d = checked("w0", plant.dim), checked("z0", dim_z), checked("d", plant.dim)
-    n = max(int(round(scenario.T / scenario.dt)), 1)
-    return w0, z0, d, y_ref, n
+    Checks that ``fmap`` is feasible and was built for ``plant``, and each
+    scenario's w0, z0, d and y_ref against (dim,), (dim_Z,), (dim,) and
+    (dim_Z,); a field of None is zeros, so the loop always adds a
+    disturbance. Returns the fields stacked as columns, column j that of
+    ``scenarios[j]``, and the step count of each scenario.
+    """
+    if plant is not fmap.plant:
+        raise ValueError("fmap was built for a different plant")
+    _require_feasible(fmap)
+    dims = {"w0": plant.dim, "z0": plant.space_Z.dim, "d": plant.dim,
+            "y_ref": plant.space_Z.dim}
+    columns = {name: [] for name in dims}
+    for sc in scenarios:
+        for name, dim in dims.items():
+            value = getattr(sc, name)
+            value = np.zeros(dim) if value is None else np.asarray(value, dtype=float)
+            if value.shape != (dim,):
+                raise ValueError(f"{name} must have shape {(dim,)}, got {value.shape}")
+            columns[name].append(value)
+    ns = [max(int(round(sc.T / sc.dt)), 1) for sc in scenarios]
+    return (*(np.column_stack(c) for c in columns.values()), ns)
 
 
 def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
@@ -273,19 +273,18 @@ def _search(plant, fmap, states, d, y_ref, dt, n, rows=None):
     ``states`` yields the states from state 1 on: (dim, s) and (dim_Z, s)
     blocks of s runs from :func:`_closed_loop`, or vectors while one run is
     left; it is sent the columns that stay whenever one leaves. Every 50
-    states each column's mean drift speed is checked. A column leaves once
-    its speed is at most 1e-10 (converged), when its state norm is not
-    finite, or at state n. Returns one entry per column: (w*, z*, result), with the mean
-    of the column's last 20 states and its residuals, or, for a column whose
-    state stopped being finite, the FloatingPointError naming the step.
+    states, and at state n, each column is checked. A column leaves once its
+    mean drift speed is at most 1e-10 (converged; every 50 states only),
+    when its state norm is not finite, or at state n. Returns one entry per
+    column: (w*, z*, result), with the mean of the column's last 20 states
+    and its residuals, or, for a column whose state stopped being finite,
+    the FloatingPointError naming the step.
     Memory is each column's 20-state tail, whatever the budget; ``rows``,
     when given, are (s, c + 1, .) arrays that get w, z, m, u and y of each
     column's states 1..min(k, c) while it stays.
     """
     space_h, space_z = plant.space_H, plant.space_Z
     dim, dim_z = plant.dim, space_z.dim
-    y_ref = y_ref.reshape(dim_z, -1)
-    d = d.reshape(dim, -1)
     live = np.arange(y_ref.shape[1])
     found = [None] * len(live)
     tail_w = deque(maxlen=_TAIL_STEPS)
@@ -302,22 +301,22 @@ def _search(plant, fmap, states, d, y_ref, dt, n, rows=None):
             state = next(states)
             continue
         w, z = state[0].reshape(dim, -1), state[1].reshape(dim_z, -1)
+        check = k % _CHECK_EVERY == 0
+        # gone[p]: True (converged), the error, or False (budget used up)
         gone = {}
-        if k % _CHECK_EVERY == 0:
-            for p in range(len(live)):
-                speed = (space_h.norm(w[:, p] - w_mark[:, p])
-                         + space_z.norm(z[:, p] - z_mark[:, p])) / (_CHECK_EVERY * dt)
-                if speed <= _STAG_TOL:
-                    gone[p] = True
-                elif not np.isfinite(space_h.norm(w[:, p])):
-                    gone[p] = FloatingPointError(
-                        f"equilibrium search diverged: the state is not finite at "
-                        f"step {k} (t = {k * dt:.6g})"
-                    )
+        for p in range(len(live)):
+            if check and (space_h.norm(w[:, p] - w_mark[:, p]) + space_z.norm(
+                    z[:, p] - z_mark[:, p])) / (_CHECK_EVERY * dt) <= _STAG_TOL:
+                gone[p] = True
+            elif not np.isfinite(space_h.norm(w[:, p])):
+                gone[p] = FloatingPointError(
+                    f"equilibrium search diverged: the state is not finite at "
+                    f"step {k} (t = {k * dt:.6g})"
+                )
+            elif k == n:
+                gone[p] = False
+        if check:
             w_mark, z_mark = w, z
-        if k == n:
-            gone = {p: gone.get(p, False) for p in range(len(live))}
-        # gone[p]: True (converged), False (budget used up) or the error
         for p, how in gone.items():
             j = live[p]
             found[j] = how if isinstance(how, Exception) else _equilibrium(
@@ -378,18 +377,11 @@ def simulate_lockstep(plant: Plant, fmap: ForwardingMap, scenarios: list) -> lis
     vector run; in a wider block the runs agree with their own
     :func:`simulate` to roundoff.
     """
-    if plant is not fmap.plant:
-        raise ValueError("fmap was built for a different plant")
-    _require_feasible(fmap)
     if not scenarios:
         return []
-    preps = [_prep_scenario(plant, sc) for sc in scenarios]
-    if any(p[3].ndim != 1 for p in preps):
-        raise ValueError("a simulated scenario's y_ref must be one vector")
-    w0, z0, d, y_ref = (np.column_stack([p[i] for p in preps]) for i in range(4))
+    w0, z0, d, y_ref, ns = _start(plant, fmap, scenarios)
     dt = np.array([sc.dt for sc in scenarios])
-    states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
-    return _record(fmap, states, scenarios, [p[4] for p in preps])
+    return _record(fmap, _closed_loop(plant, fmap, w0, z0, d, y_ref, dt), scenarios, ns)
 
 
 def find_equilibrium(
@@ -410,7 +402,8 @@ def find_equilibrium(
     at the averaged point. A run that exhausts the budget without stagnating
     returns ``converged=False``; per the local theory this can simply mean
     (d, y_ref) are too large for the basin. A run whose state is no longer
-    finite at a check raises FloatingPointError naming the step.
+    finite at a check or at its last state raises FloatingPointError naming
+    the step.
 
     The search records nothing: its memory is the 20-state tail, whatever
     the budget. :func:`find_equilibrium_recorded` searches several cells in
@@ -419,9 +412,8 @@ def find_equilibrium(
     the origin; both give this function's results (the first to roundoff
     in a block of more than one cell).
     """
-    _require_feasible(fmap)
     budget = Scenario(y_ref=y_ref, T=t_budget, dt=dt, d=d)
-    w0, z0, d, y_ref, n = _prep_scenario(plant, budget)
+    w0, z0, d, y_ref, (n,) = _start(plant, fmap, [budget])
     states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
     next(states)  # states 1..n: the origin itself is never part of the tail
     return _one(_search(plant, fmap, states, d, y_ref, dt, n))
@@ -430,7 +422,7 @@ def find_equilibrium(
 def find_equilibrium_recorded(
     plant: Plant,
     fmap: ForwardingMap,
-    d: Optional[np.ndarray],
+    d: np.ndarray,
     y_ref: np.ndarray,
     *,
     dt: float,
@@ -438,28 +430,28 @@ def find_equilibrium_recorded(
 ) -> list:
     """:func:`find_equilibrium` for s cells in lockstep, plus the runs they visited.
 
-    Column j of ``d`` (a (dim, s) block, or None for no disturbance) and of
-    ``y_ref`` ((dim_Z, s)) is cell j. The cells step as one block, each with
-    its own stagnation rule and tail, and a cell leaves the block when it
-    converges, uses up the budget or stops being finite. Returns one entry
-    per cell: ``(w*, z*, result, run)``, or the FloatingPointError of a cell
-    whose state stopped being finite, while the other cells run on. For a
-    converged cell ``run`` is the closed-loop run over
-    ``[0, result.t_reached]`` from the origin; it is None otherwise. A block
-    of one cell gives ``find_equilibrium`` and ``simulate`` bitwise; in a
-    wider block the columns agree with them to roundoff.
+    Column j of ``d`` ((dim, s)) and of ``y_ref`` ((dim_Z, s)) is cell j.
+    The cells step as one block, each with its own stagnation rule and
+    tail, and a cell leaves the block when it converges, uses up the budget
+    or stops being finite. Returns one entry per cell: ``(w*, z*, result,
+    run)``, or the FloatingPointError of a cell whose state stopped being
+    finite, while the other cells run on. For a converged cell ``run`` is
+    the closed-loop run over ``[0, result.t_reached]`` from the origin; it
+    is None otherwise. A block of one cell gives ``find_equilibrium`` and
+    ``simulate`` bitwise; in a wider block the columns agree with them to
+    roundoff.
 
     Each of the s cells keeps copies of its first n // s + 1 states, n =
     t_budget / dt, so the copies of a block take the memory of one cell's
     run for the duration of the call. A cell that converges within them
     builds its run from them; one that converges later is simulated again.
     """
-    _require_feasible(fmap)
-    budget = Scenario(y_ref=y_ref, T=t_budget, dt=dt, d=d)
-    w0, z0, d, y_ref, n = _prep_scenario(plant, budget)
+    cells = [Scenario(y_ref=y_j, T=t_budget, dt=dt, d=d_j)
+             for d_j, y_j in zip(d.T, y_ref.T, strict=True)]
+    w0, z0, d, y_ref, (n, *_) = _start(plant, fmap, cells)
     states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
     state = next(states)
-    s = y_ref.shape[1]
+    s = len(cells)
     rows = [np.empty((s, n // s + 1, a.shape[0])) for a in state]
     for r, a in zip(rows, state):
         r[:, 0] = a.T
@@ -470,7 +462,7 @@ def find_equilibrium_recorded(
         res, run = out[2], None
         if res.converged:
             k = res.iterations
-            scenario = Scenario(y_ref=y_ref[:, j], T=res.t_reached, dt=dt, d=d[:, j])
+            scenario = replace(cells[j], T=res.t_reached)
             run = (_record(fmap, zip(*(r[j, :k + 1] for r in rows)), [scenario], [k])[0]
                    if k <= n // s else simulate(plant, fmap, scenario))
         found[j] = out + (run,)
@@ -494,11 +486,11 @@ def find_equilibrium_along(
     if np.any(run.w[0]) or np.any(run.z[0]):
         return find_equilibrium(plant, fmap, sc.d, sc.y_ref, dt=sc.dt,
                                 t_budget=t_budget)
-    _require_feasible(fmap)
     budget = Scenario(y_ref=sc.y_ref, T=t_budget, dt=sc.dt, d=sc.d)
-    _, _, d, y_ref, n = _prep_scenario(plant, budget)
+    _, _, d, y_ref, (n,) = _start(plant, fmap, [budget])
     recorded = zip(run.w[1:], run.z[1:], run.m[1:], run.u[1:], run.y[1:])
-    onward = _closed_loop(plant, fmap, run.w[-1], run.z[-1], d, y_ref, sc.dt)
+    w, z = run.w[-1][:, None], run.z[-1][:, None]  # one column, as d and y_ref
+    onward = _closed_loop(plant, fmap, w, z, d, y_ref, sc.dt)
     states = chain(recorded, islice(onward, 1, None))
     return _one(_search(plant, fmap, states, d, y_ref, sc.dt, n))
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from forwardreg import regulator
 from forwardreg.forwarding import StateEvaluation, build_forwarding
 from forwardreg.plants import make_linear_benchmark, make_scalar_linear, make_sine_gordon
 from forwardreg.regulator import (
@@ -64,18 +65,42 @@ def sine_gordon_loop():
     ("w0", np.zeros((24, 2)), r"w0 must have shape \(24,\), got \(24, 2\)"),
     ("d", np.zeros(5), r"d must have shape \(24,\), got \(5,\)"),
     ("z0", np.zeros(3), r"z0 must have shape \(1,\), got \(3,\)"),
-], ids=["w0", "d", "z0"])
+    # a Scenario is one run: a (dim_Z, 2) y_ref is not a block of two
+    ("y_ref", np.zeros((1, 2)), r"y_ref must have shape \(1,\), got \(1, 2\)"),
+], ids=["w0", "d", "z0", "y_ref"])
 def test_simulate_names_a_misshapen_field(sine_gordon_loop, field, value, message):
     plant, fmap = sine_gordon_loop
-    sc = Scenario(y_ref=np.zeros(1), T=1.0, dt=0.1, **{field: value})
+    sc = Scenario(T=1.0, dt=0.1, **{"y_ref": np.zeros(1), field: value})
     with pytest.raises(ValueError, match=message):
         simulate(plant, fmap, sc)
+    with pytest.raises(ValueError, match=message):
+        simulate_lockstep(plant, fmap, [sc])
 
 
 def test_find_equilibrium_names_a_misshapen_disturbance(sine_gordon_loop):
     plant, fmap = sine_gordon_loop
     with pytest.raises(ValueError, match=r"d must have shape \(24,\), got \(5,\)"):
         find_equilibrium(plant, fmap, np.zeros(5), np.zeros(1), dt=0.1, t_budget=1.0)
+
+
+@pytest.mark.parametrize("start", [
+    lambda plant, fmap: simulate(plant, fmap, Scenario(y_ref=np.zeros(1), T=1.0, dt=0.1)),
+    lambda plant, fmap: simulate_lockstep(
+        plant, fmap, [Scenario(y_ref=np.zeros(1), T=1.0, dt=0.1)]),
+    lambda plant, fmap: find_equilibrium(plant, fmap, None, np.full(1, 0.01), dt=0.5,
+                                         t_budget=400.0),
+    # at this budget both cells' runs come from their copies, not from simulate
+    lambda plant, fmap: find_equilibrium_recorded(
+        plant, fmap, np.zeros((24, 2)), np.full((1, 2), 0.01), dt=0.5, t_budget=400.0),
+], ids=["simulate", "simulate_lockstep", "find_equilibrium", "find_equilibrium_recorded"])
+def test_every_closed_loop_refuses_a_foreign_plant(sine_gordon_loop, monkeypatch, start):
+    # another plant of the same family is not the plant fmap was built for;
+    # the refusal comes before the loop takes a step
+    _, fmap = sine_gordon_loop
+    other = make_sine_gordon(N=12, gamma=0.05)
+    monkeypatch.setattr(regulator, "_closed_loop", None)
+    with pytest.raises(ValueError, match="fmap was built for a different plant"):
+        start(other, fmap)
 
 
 # -- feedback and Lyapunov hand values ----------------------------------------
@@ -240,6 +265,16 @@ def test_find_equilibrium_reports_overflow_stop(fast_loop):
             )
 
 
+def test_find_equilibrium_catches_an_overflow_at_its_last_state(unit_loop):
+    # 40 steps end between two 50-step checks; the overflowed last state
+    # must raise, not come back as an unconverged equilibrium of inf
+    plant, fmap = unit_loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="not finite at step 40 "):
+            find_equilibrium(plant, fmap, np.array([1e308]), np.array([0.3]), dt=0.05,
+                             t_budget=2.0)
+
+
 def test_find_equilibrium_is_the_simulated_tail_mean(fast_loop):
     # both drivers step the same loop: the search's point is the mean of the
     # last 20 states of a run over the horizon the search reached
@@ -344,6 +379,20 @@ def test_lockstep_column_that_stops_being_finite_leaves_alone(unit_loop):
         assert got[2] == want[2]
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert np.array_equal(got[3].w, want[3].w) and np.array_equal(got[3].v, want[3].v)
+
+
+def test_lockstep_column_that_overflows_by_its_last_state_is_an_error(unit_loop):
+    # the budget of 40 steps ends before the first 50-step check: the
+    # middle cell's overflowed last state is its error, not a row of inf
+    plant, fmap = unit_loop
+    d = np.array([[0.05, 1e308, 0.0]])
+    y_ref = np.full((1, 3), 0.3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = find_equilibrium_recorded(plant, fmap, d, y_ref, dt=0.05, t_budget=2.0)
+    assert isinstance(found[1], FloatingPointError)
+    assert "not finite at step 40 " in str(found[1])
+    for cell in (found[0], found[2]):
+        assert not cell[2].converged and np.isfinite(cell[2].drift_residual)
 
 
 # -- lockstep simulation ------------------------------------------------------
