@@ -42,7 +42,6 @@ from .spaces import SpaceSpec
 
 __all__ = [
     "Plant",
-    "Trajectory",
     "OperatorSolver",
     "SweepStep",
     "trapezoid_weights",
@@ -229,21 +228,6 @@ class Plant:
         return self.alpha_cert
 
 
-@dataclass
-class Trajectory:
-    """States of a flow on a uniform grid; states[k] is the state at times[k]."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
 def _check_step_size(plant: Plant, dt: float) -> None:
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -351,49 +335,51 @@ def reverse_sweep(
     return rows
 
 
-def flow(plant: Plant, w0: np.ndarray, T: float, dt: float) -> Trajectory:
+def flow(plant: Plant, w0: np.ndarray, T: float, dt: float) -> np.ndarray:
     """Integrate the uncontrolled plant on [0, T] with fixed step dt.
 
-    The horizon is rounded to a whole number of steps.
+    The horizon is rounded to a whole number n of steps. Returns the
+    (n + 1, dim) states; row k is the state at time dt * k.
     """
     _check_step_size(plant, dt)
     n = max(int(round(T / dt)), 0)
     states, _ = forward_sweep(plant.solver.step(dt), np.asarray(w0, dtype=float),
                               lambda k, y: plant.sigma(y), n)
-    return Trajectory(dt * np.arange(n + 1), states)
+    return states
 
 
-def tangent_flow(plant: Plant, base: Trajectory, h: np.ndarray) -> Trajectory:
+def tangent_flow(plant: Plant, base: np.ndarray, dt: float, h: np.ndarray) -> np.ndarray:
     """First-variation flow dv/dt + A v + dF(w(t)) v = 0 along ``base``.
 
-    Same IMEX scheme and grid as the base trajectory: the dF term is frozen
-    at the stored base state of the step's left endpoint. Slopes are taken
-    per node: a block as long as these flows would raise peak memory.
+    ``base`` holds the states of a :func:`flow` at step ``dt``; the tangent
+    states share its grid. The dF term is frozen at the stored base state of
+    the step's left endpoint. Slopes are taken per node: a block as long as
+    these flows would raise peak memory.
     """
-    step = plant.solver.step(base.dt)
-    gather_s, states = step.gather_s, base.states
+    step = plant.solver.step(dt)
+    gather_s = step.gather_s
     tangent, _ = forward_sweep(
         step, np.asarray(h, dtype=float),
-        lambda k, y: plant.dsigma(gather_s(states[k])) * y, len(base) - 1,
+        lambda k, y: plant.dsigma(gather_s(base[k])) * y, len(base) - 1,
     )
-    return Trajectory(base.times.copy(), tangent)
+    return tangent
 
 
-def adjoint_tangent_flow(plant: Plant, base: Trajectory, zeta: np.ndarray) -> Trajectory:
+def adjoint_tangent_flow(plant: Plant, base: np.ndarray, dt: float, zeta: np.ndarray) -> np.ndarray:
     """Exact discrete adjoint of :func:`tangent_flow`, propagated in reverse.
 
     Each tangent step is T_k = (I + dt A)^{-1} (I - dt dF(w_k)); the adjoint
-    trajectory applies the Gram-weighted T_k* backwards from ``zeta`` so that
+    states apply the Gram-weighted T_k* backwards from ``zeta`` so that
     (tangent(h)[-1], zeta)_H == (h, adjoint(zeta)[0])_H to roundoff. States
     are indexed forward in time, states[-1] == zeta to roundoff.
     """
     space = plant.space_H
     rows = reverse_sweep(
-        plant.solver.step(base.dt), plant.dsigma(base.states @ plant.S.T),
+        plant.solver.step(dt), plant.dsigma(base @ plant.S.T),
         np.zeros(plant.dim), space.gram @ np.asarray(zeta, dtype=float),
         len(base) - 1,
     )
-    return Trajectory(base.times.copy(), space.solve_gram(rows.T).T)
+    return space.solve_gram(rows.T).T
 
 
 def estimate_alpha(
@@ -441,8 +427,6 @@ def contraction_check(
         return 0.0
     worst = 0.0
     for k in range(len(t1)):
-        ratio = space.norm(t1.states[k] - t2.states[k]) / (
-            np.exp(-alpha * t1.times[k]) * d0
-        )
+        ratio = space.norm(t1[k] - t2[k]) / (np.exp(-alpha * (dt * k)) * d0)
         worst = max(worst, ratio)
     return float(worst)

@@ -3,8 +3,10 @@
 The loop augments the plant with an output integrator dz/dt = C w - y_ref
 and applies u = B* dM(w)* (z - M(w)). States advance by the plant's IMEX
 step with forcing B u + d; z advances by explicit Euler with the current
-output (the z-dynamics are not stiff, and this keeps the step matrices
-identical to the open loop). The candidate Lyapunov function is
+output, which keeps the step matrices identical to the open loop. The
+eta = z - M(w) block is stiff, with eigenvalues up to ``fmap.loop_gain``: the
+explicit z-step needs dt * loop_gain < 2, and the battery caps the step of
+its closed loops at 0.5 / loop_gain. The candidate Lyapunov function is
 
     V(w, z) = 1/2 ||w||_H^2 + (rho/2) ||z - M(w)||_Z^2.
 

@@ -10,6 +10,7 @@ rather than through the forwarding module, so agreement is meaningful.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -52,25 +53,20 @@ __all__ = [
 class LinearOracle:
     """Exact closed-loop reference for a linear plant (F = 0)."""
 
-    feasible: bool
     m_matrix: np.ndarray
     closed_matrix: np.ndarray
     w_star: np.ndarray
     z_star: np.ndarray
     eta_star: np.ndarray
     spectral_abscissa: float
-    note: str = ""
 
     def trajectory(self, w0, z0, T: float, dt: float):
-        """Exact samples of the closed loop at t = 0, dt, ..., via expm."""
-        if not self.feasible:
-            raise ValueError(f"oracle infeasible: {self.note}")
+        """Exact (w, z) samples of the closed loop at t = 0, dt, ..., via expm."""
         n = self.m_matrix.shape[1]
         steps = max(int(round(T / dt)), 1)
         stepper = sla.expm(dt * self.closed_matrix)
         x_star = np.concatenate([self.w_star, self.eta_star])
         dx = np.concatenate([w0, z0 - self.m_matrix @ w0]) - x_star
-        times = dt * np.arange(steps + 1)
         w = np.empty((steps + 1, n))
         z = np.empty((steps + 1, self.m_matrix.shape[0]))
         for k in range(steps + 1):
@@ -78,7 +74,7 @@ class LinearOracle:
             w[k] = x[:n]
             z[k] = x[n:] + self.m_matrix @ x[:n]
             dx = stepper @ dx
-        return times, w, z
+        return w, z
 
 
 def dense_linear_oracle(
@@ -93,9 +89,8 @@ def dense_linear_oracle(
         dw/dt   = -A w + B K eta + d
         deta/dt = -M B K eta - M d - y_ref,   M = -C A^{-1},  K = B* M*.
 
-    Equilibria come from one dense solve; a singular closed-loop matrix
-    (equivalently a rank-deficient C A^{-1} B) yields an infeasible report
-    instead of an exception.
+    Equilibria come from one dense solve; a singular closed-loop matrix, that
+    is a rank-deficient C A^{-1} B, raises ``np.linalg.LinAlgError``.
     """
     n = plant.dim
     if n > 200:
@@ -121,22 +116,11 @@ def dense_linear_oracle(
 
     svals = np.linalg.svd(closed, compute_uv=False)
     if svals[-1] <= 1e-12 * svals[0]:
-        nan = float("nan")
-        return LinearOracle(
-            feasible=False,
-            m_matrix=m,
-            closed_matrix=closed,
-            w_star=np.full(n, nan),
-            z_star=np.full(dim_z, nan),
-            eta_star=np.full(dim_z, nan),
-            spectral_abscissa=nan,
-            note="singular closed-loop matrix (rank-deficient C A^-1 B)",
-        )
+        raise np.linalg.LinAlgError("singular closed-loop matrix (rank-deficient C A^-1 B)")
 
     x_star = sla.solve(closed, -affine)
     w_star, eta_star = x_star[:n], x_star[n:]
     return LinearOracle(
-        feasible=True,
         m_matrix=m,
         closed_matrix=closed,
         w_star=w_star,
@@ -226,11 +210,10 @@ def linearized_decay_samples(
     for _ in range(n_dirs):
         w0 = smooth_sample(plant, rng, radius)
         h = space.sample_sphere(rng)
-        base = flow(plant, w0, T, dt)
-        tan = tangent_flow(plant, base, h)
-        n0 = space.norm(tan.states[0])
-        for t, v in zip(tan.times[1:], tan.states[1:]):
-            ratio = space.norm(v) / (n0 * np.exp(-alpha * t))
+        tan = tangent_flow(plant, flow(plant, w0, T, dt), dt, h)
+        n0 = space.norm(tan[0])
+        for k in range(1, len(tan)):
+            ratio = space.norm(tan[k]) / (n0 * np.exp(-alpha * (dt * k)))
             worst = max(worst, ratio)
     return worst
 
@@ -327,17 +310,28 @@ class VerificationReport:
         return [c.name for c in self.checks if not c.passed]
 
     def to_json(self) -> str:
+        """Strict JSON: a non-finite number, in a check or a table, is null."""
         doc = {
             "overall": self.overall,
             "checks": {c.name: c.as_dict() for c in self.checks},
             "tables": self.tables,
         }
-        return json.dumps(doc, indent=2, sort_keys=True, default=float)
+        return json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, default=float)
+
+
+def _finite_or_null(x):
+    """``x`` with every non-finite float in it, nested in dicts and lists, as None."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 # the battery's bounds, its base flow step, the radius of its sampled states,
 # the FD steps of fd_check_dM and the oracle's step sizes (each ladder
-# strictly decreasing, the oracle's of two or more for an observed order) are
+# strictly decreasing, the oracle's of two or more for an observed order, and
+# scaled down, ratios kept, where its first step exceeds 0.5 / loop_gain) are
 # fixed here, not read from a config, so no config can loosen the contract
 MONOTONICITY_TOL = 1e-3
 CONTRACTION_SLACK = 0.05
@@ -385,6 +379,11 @@ def _check_le(name, value, bound, note=""):
 
 def _check_ge(name, value, bound, note=""):
     return CheckResult(name, float(value), float(bound), bool(value >= bound), "ge", note)
+
+
+def _stable_dt(fmap: ForwardingMap, dt: float) -> float:
+    """``dt`` capped at 0.5 / loop_gain, a quarter of the z-step's stability limit."""
+    return min(dt, 0.5 / fmap.loop_gain) if fmap.loop_gain > 0 else dt
 
 
 def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None,
@@ -495,9 +494,7 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
     # plant carries the global flag, its w0 drawn right after the FD sample;
     # all these closed loops step as one lockstep block.
     if fmap.feasible:
-        dt0 = DISSIPATION_DT
-        if fmap.loop_gain > 0:
-            dt0 = min(dt0, 0.5 / fmap.loop_gain)
+        dt0 = _stable_dt(fmap, DISSIPATION_DT)
         t_run = min(2.0 / alpha, 300.0 * dt0)
         n_runs = int(cfg["dissipation_runs"])
         scenarios = _dissipation_scenarios(plant, dt=dt0, T=t_run, n_runs=n_runs,
@@ -506,9 +503,7 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
         if plant.global_ok:
             kappa = fmap.kappa
             t_spot = 2.0 / kappa
-            dt_spot = min(DISSIPATION_DT * 10, t_spot / 100.0)
-            if fmap.loop_gain > 0:
-                dt_spot = min(dt_spot, 0.5 / fmap.loop_gain)
+            dt_spot = _stable_dt(fmap, min(DISSIPATION_DT * 10, t_spot / 100.0))
             # step-count cap as above; the decay bound scales with the
             # shortened horizon, so the check stays honest, just less ambitious
             capped = 2000.0 * dt_spot < t_spot
@@ -559,9 +554,10 @@ def _oracle_checks(plant, fmap, tables, rng):
     dim_z = plant.space_Z.dim
     y_ref = 0.1 * rng.standard_normal(dim_z)
     d = 0.1 * plant.space_H.sample_ball(rng, 1.0)
-    oracle = dense_linear_oracle(plant, d, y_ref)
-    if not oracle.feasible:
-        return [_check_le("oracle_equilibrium", float("nan"), 0.0, oracle.note)]
+    try:
+        oracle = dense_linear_oracle(plant, d, y_ref)
+    except np.linalg.LinAlgError as exc:
+        return [_check_le("oracle_equilibrium", float("nan"), 0.0, str(exc))]
 
     m_err = np.max(np.abs(oracle.m_matrix - fmap.m_lin))
     m_scale = max(np.max(np.abs(oracle.m_matrix)), 1e-14)
@@ -569,7 +565,7 @@ def _oracle_checks(plant, fmap, tables, rng):
     out.append(_check_le("oracle_abscissa", oracle.spectral_abscissa, 0.0,
                          "closed loop must be Hurwitz when lambda > 0, alpha > 0"))
 
-    dt_eq = min(0.05, 0.5 / fmap.loop_gain) if fmap.loop_gain > 0 else 0.05
+    dt_eq = _stable_dt(fmap, 0.05)
     ws, zs, res = find_equilibrium(
         plant, fmap, d, y_ref, dt=dt_eq, t_budget=max(200.0, 60.0 / fmap.kappa)
     )
@@ -580,7 +576,8 @@ def _oracle_checks(plant, fmap, tables, rng):
     out.append(_check_le("oracle_equilibrium", eq_err, 1e-8,
                          f"converged={res.converged}"))
 
-    dts = ORACLE_DTS
+    scale = _stable_dt(fmap, ORACLE_DTS[0]) / ORACLE_DTS[0]
+    dts = [dt * scale for dt in ORACLE_DTS]
     t_span = 1.0
     w0 = plant.space_H.sample_ball(rng, 1.0)
     z0 = rng.standard_normal(dim_z)
@@ -588,17 +585,16 @@ def _oracle_checks(plant, fmap, tables, rng):
     for dt in dts:
         sc = Scenario(y_ref=y_ref, T=t_span, dt=dt, d=d, w0=w0, z0=z0)
         run = simulate(plant, fmap, sc)
-        _, w_ref, z_ref = oracle.trajectory(w0, z0, t_span, dt)
-        err = max(
-            max(plant.space_H.norm(a - b) for a, b in zip(run.w, w_ref)),
-            max(plant.space_Z.norm(a - b) for a, b in zip(run.z, z_ref)),
-        )
-        errs.append(err)
+        w_ref, z_ref = oracle.trajectory(w0, z0, t_span, dt)
+        errs.append(max(
+            max(plant.space_H.norm(a - b) for a, b in zip(run.w, w_ref, strict=True)),
+            max(plant.space_Z.norm(a - b) for a, b in zip(run.z, z_ref, strict=True)),
+        ))
     orders = [
         float(np.log(e0 / e1) / np.log(d0 / d1))
         for (e0, e1), (d0, d1) in zip(zip(errs, errs[1:]), zip(dts, dts[1:]))
     ]
-    tables["oracle_trajectory"] = {"dts": list(dts), "errors": errs, "orders": orders}
+    tables["oracle_trajectory"] = {"dts": dts, "errors": errs, "orders": orders}
     out.append(_check_ge("oracle_trajectory_order", min(orders), 0.9,
                          f"errors {errs[0]:.2e} -> {errs[-1]:.2e}"))
     return out

@@ -1,9 +1,20 @@
-"""Small plant factories shared by the test modules."""
+"""Small plant factories and a strict JSON reader shared by the test modules."""
+
+import json
 
 import numpy as np
 
 from forwardreg.evolution import Plant
 from forwardreg.spaces import SpaceSpec
+
+
+def load_strict_json(path):
+    """The JSON document in ``path``; a NaN, Infinity or -Infinity token,
+    which RFC 8259 does not allow, raises ValueError."""
+    def refuse(token):
+        raise ValueError(f"{path}: non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def make_scalar_plant(a=2.0, c=0.1):

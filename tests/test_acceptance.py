@@ -77,7 +77,7 @@ def test_criterion_1_linear_oracle_equivalence(capfd):
     for dt in (1e-2, 5e-3, 2.5e-3):
         run = simulate(plant, fmap,
                        Scenario(y_ref=y_ref, T=2.0, dt=dt, d=d, w0=w0, z0=z0))
-        _, w_ref, z_ref = oracle.trajectory(w0, z0, 2.0, dt)
+        w_ref, z_ref = oracle.trajectory(w0, z0, 2.0, dt)
         errs.append(max(
             plant.space_H.norm(run.w[k] - w_ref[k])
             + plant.space_Z.norm(run.z[k] - z_ref[k])

@@ -4,7 +4,8 @@ For each workload at seed 1 this runs perfbench/run.py's preflight and one
 untimed pass of gains, simulate, verify and sweep, and holds the artifacts
 to perfbench/reference.json as a benchmark run does. A change that moves a
 recorded number or a verdict, or turns a sweep cell into a NaN row, fails
-here and not only in a benchmark run.
+here and not only in a benchmark run. Every JSON artifact of the pass must
+also be strict RFC 8259 JSON, with no NaN or Infinity token.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from forwardreg import cli
+from helpers import load_strict_json
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = sorted(path.stem for path in (PERFBENCH / "configs").glob("*.ini"))
@@ -40,3 +42,7 @@ def test_benchmark_pass_meets_its_reference(bench, workload, tmp_path):
     reference = gate.load_reference()["workloads"][workload]
     assert gate.check(reference, SEED, codes, summary) == {}
     assert gate.sweep_cell_errors(summary) == 0
+    written = sorted(tmp_path.rglob("*.json"))
+    assert any(path.name == "verify.json" for path in written)
+    for path in written:
+        load_strict_json(path)

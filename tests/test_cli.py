@@ -17,6 +17,7 @@ import pytest
 
 from forwardreg import cli, forwarding, verify
 from forwardreg.regulator import Scenario, convergence_report, find_equilibrium, simulate
+from helpers import load_strict_json
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -1006,6 +1007,17 @@ def test_shipped_negative_config_fails(tmp_path):
     assert code == 1
     with pytest.warns(UserWarning):
         assert cli.main(["gains", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_shipped_negative_config_writes_strict_json(tmp_path):
+    # its failed checks carry NaN values and a NaN bound; RFC 8259 has no NaN
+    with pytest.warns(UserWarning):
+        cli.main(["verify", "--config", str(CONFIG_DIR / "sine_gordon_infeasible.ini"),
+                  "--out", str(tmp_path)])
+    doc = load_strict_json(tmp_path / "verify.json")
+    for name in ("contraction", "linearized_decay", "dissipation"):
+        assert doc["checks"][name]["value"] is None
+    assert doc["checks"]["monotonicity"]["bound"] is None
 
 
 def test_shipped_sine_gordon_config_gains(tmp_path):

@@ -28,7 +28,7 @@ def test_flow_scalar_hand_value():
     # hand computation: (I + dt a) w' = w - dt c w^3 with dt=0.01, w=1:
     # w' = (1 - 0.001) / 1.02
     p = make_scalar_plant(a=2.0, c=0.1)
-    w1 = flow(p, np.array([1.0]), 0.01, 0.01).states[1]
+    w1 = flow(p, np.array([1.0]), 0.01, 0.01)[1]
     assert w1[0] == pytest.approx((1.0 - 0.001) / 1.02, rel=1e-14)
 
 
@@ -47,7 +47,7 @@ def test_flow_matches_bernoulli_closed_form():
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         traj = flow(p, np.array([1.0]), 0.5, dt)
-        errs.append(abs(traj.states[-1, 0] - wT_exact))
+        errs.append(abs(traj[-1, 0] - wT_exact))
     # first-order scheme: error halves with dt
     assert errs[0] < 5e-3
     order1 = np.log2(errs[0] / errs[1])
@@ -57,10 +57,11 @@ def test_flow_matches_bernoulli_closed_form():
 
 def test_trajectory_grid():
     p = make_scalar_plant()
+    # T / dt rounds to 10 steps: the states at 0, 0.1, ..., 1.0
     traj = flow(p, np.array([0.5]), 1.0, 0.1)
-    assert len(traj) == 11
-    assert traj.dt == pytest.approx(0.1)
-    np.testing.assert_allclose(traj.times, 0.1 * np.arange(11))
+    assert traj.shape == (11, 1)
+    assert traj[0, 0] == 0.5
+    assert flow(p, np.array([0.5]), 0.96, 0.1).shape == (11, 1)
 
 
 def test_apply_nonlinear_A():
@@ -76,12 +77,12 @@ def test_tangent_flow_matches_finite_difference():
     h = rng.standard_normal(p.dim)
     T, dt = 1.0, 0.01
     base = flow(p, w0, T, dt)
-    v = tangent_flow(p, base, h)
+    v = tangent_flow(p, base, dt, h)
     eps = 1e-6
     fp = flow(p, w0 + eps * h, T, dt)
     fm = flow(p, w0 - eps * h, T, dt)
-    fd = (fp.states[-1] - fm.states[-1]) / (2 * eps)
-    np.testing.assert_allclose(v.states[-1], fd, atol=1e-7)
+    fd = (fp[-1] - fm[-1]) / (2 * eps)
+    np.testing.assert_allclose(v[-1], fd, atol=1e-7)
 
 
 def test_adjoint_tangent_duality_exact():
@@ -90,14 +91,15 @@ def test_adjoint_tangent_duality_exact():
     p = make_random_plant(dim=7, seed=9)
     rng = np.random.default_rng(41)
     w0 = rng.standard_normal(p.dim) * 0.3
-    base = flow(p, w0, 0.8, 0.02)
+    dt = 0.02
+    base = flow(p, w0, 0.8, dt)
     for _ in range(5):
         h = rng.standard_normal(p.dim)
         zeta = rng.standard_normal(p.dim)
-        v = tangent_flow(p, base, h)
-        r = adjoint_tangent_flow(p, base, zeta)
-        lhs = p.space_H.inner(v.states[-1], zeta)
-        rhs = p.space_H.inner(h, r.states[0])
+        v = tangent_flow(p, base, dt, h)
+        r = adjoint_tangent_flow(p, base, dt, zeta)
+        lhs = p.space_H.inner(v[-1], zeta)
+        rhs = p.space_H.inner(h, r[0])
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 

@@ -118,7 +118,7 @@ def test_integral_formula_consistency():
     errs = []
     for tau in (2.0, 8.0):
         traj = flow(p, w, tau, dtq)
-        direct = np.trapezoid(traj.states[:, 0], dx=dtq)
+        direct = np.trapezoid(traj[:, 0], dx=dtq)
         errs.append(abs(direct - lhs))
     assert errs[1] < errs[0] / 3
     assert errs[1] < 5e-4
@@ -139,7 +139,7 @@ def test_base_trajectory_is_the_plant_flow(make_plant, dt_quad):
     ev = StateEvaluation(fmap, w)
     assert ev.nq > 1
     traj = flow(plant, w, ev.nq * dt_quad, dt_quad)
-    assert np.array_equal(ev._slopes, plant.dsigma(traj.states @ plant.S.T))
+    assert np.array_equal(ev._slopes, plant.dsigma(traj @ plant.S.T))
 
 
 # -- dM ----------------------------------------------------------------------

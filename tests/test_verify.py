@@ -32,7 +32,6 @@ def rank_deficient_benchmark(dim=6, alpha=0.8, seed=1):
 def test_oracle_scalar_hand_assembly():
     plant = make_scalar_plant(a=2.0, c=0.0)
     orc = dense_linear_oracle(plant, None, np.array([0.2]))
-    assert orc.feasible
     assert orc.m_matrix[0, 0] == pytest.approx(-0.5)
     # [w, eta] block triangular form: [[-2, -1/2], [0, -1/4]]
     assert np.allclose(orc.closed_matrix, [[-2.0, -0.5], [0.0, -0.25]])
@@ -53,21 +52,16 @@ def test_oracle_rejects_nonlinear_plants():
         dense_linear_oracle(make_scalar_plant(a=2.0, c=0.1), None, np.zeros(1))
 
 
-def test_oracle_singular_loop_is_reported_not_raised():
+def test_oracle_refuses_a_singular_loop_by_name():
     plant = rank_deficient_benchmark()
-    orc = dense_linear_oracle(plant, None, np.zeros(2))
-    assert not orc.feasible
-    assert "rank" in orc.note or "singular" in orc.note
-    assert np.isnan(orc.spectral_abscissa)
-    with pytest.raises(ValueError):
-        orc.trajectory(np.zeros(6), np.zeros(2), 1.0, 0.1)
+    with pytest.raises(np.linalg.LinAlgError, match="singular closed-loop matrix"):
+        dense_linear_oracle(plant, None, np.zeros(2))
 
 
 def test_oracle_abscissa_negative_on_seeded_benchmarks():
     for seed in range(4):
         plant = make_linear_benchmark(10, alpha=0.6, seed=seed)
         orc = dense_linear_oracle(plant, None, np.zeros(2))
-        assert orc.feasible
         assert orc.spectral_abscissa < 0.0
 
 
@@ -80,7 +74,7 @@ def test_oracle_trajectory_matches_simulate_first_order():
     for dt in (1e-2, 5e-3, 2.5e-3):
         sc = Scenario(y_ref=np.array([0.2]), T=1.0, dt=dt, d=np.array([0.1]), w0=w0, z0=z0)
         run = simulate(plant, fmap, sc)
-        _, w_ref, z_ref = orc.trajectory(w0, z0, 1.0, dt)
+        w_ref, z_ref = orc.trajectory(w0, z0, 1.0, dt)
         errs.append(max(np.abs(run.w - w_ref).max(), np.abs(run.z - z_ref).max()))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 0.9)
@@ -283,6 +277,32 @@ def test_battery_flags_infeasible_gamma():
     rep = run_battery(plant, fmap, {"funceq_samples": 1, "duality_pairs": 1})
     assert not rep.overall
     assert "monotonicity" in rep.failures()
+
+
+def test_battery_oracle_ladder_is_stable_on_a_stiff_loop():
+    # loop_gain 324: at the unscaled ORACLE_DTS the dt = 0.01 run diverges
+    plant = make_scalar_linear(a=2.0, b=6.0, c=6.0)
+    fmap = build_forwarding(plant, dt_quad=0.01)
+    rep = run_battery(plant, fmap)
+    table = rep.tables["oracle_trajectory"]
+    assert max(table["dts"]) * fmap.loop_gain <= 0.5
+    assert np.allclose(np.array(table["dts"]) / table["dts"][0], [1.0, 0.5, 0.25])
+    assert max(table["errors"]) < 0.1
+    assert rep.overall, rep.failures()
+
+
+def test_battery_reports_a_singular_oracle_as_a_failed_check(monkeypatch):
+    # a feasible loop can still be singular to the oracle's 1e-12 test
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular closed-loop matrix (rank-deficient C A^-1 B)")
+
+    monkeypatch.setattr(verify, "dense_linear_oracle", singular)
+    plant = make_scalar_linear()
+    rep = run_battery(plant, build_forwarding(plant, dt_quad=0.01))
+    check = {c.name: c for c in rep.checks}["oracle_equilibrium"]
+    assert not check.passed and np.isnan(check.value)
+    assert check.note.startswith("singular closed-loop matrix")
+    assert "oracle_trajectory" not in rep.tables
 
 
 def test_battery_flags_rank_deficiency():
