@@ -419,10 +419,9 @@ def _sweep_rows(cfg: RunConfig, cells: list) -> list:
         fmap = build_fmap(plant, cfg)
         y_dir = np.ones(plant.space_Z.dim)
         y_dir /= plant.space_Z.norm(y_dir)
-        y_ref = np.outer(y_dir, [y_norm for _, y_norm in cells])
-        ds = [_sample(plant, np.random.default_rng(cfg.seed), d_norm) for d_norm, _ in cells]
-        d = np.stack([np.zeros(plant.dim) if x is None else x for x in ds], axis=1)
-        found = find_equilibrium_recorded(plant, fmap, d, y_ref, dt=dt, t_budget=t_budget)
+        pairs = [(_sample(plant, np.random.default_rng(cfg.seed), d_norm), y_dir * y_norm)
+                 for d_norm, y_norm in cells]
+        found = find_equilibrium_recorded(plant, fmap, pairs, dt=dt, t_budget=t_budget)
     except (ValueError, ArithmeticError) as exc:
         found = [exc] * len(cells)
     return [_sweep_cell(fmap, d_norm, y_norm, out)

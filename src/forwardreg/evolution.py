@@ -50,8 +50,6 @@ __all__ = [
     "flow",
     "tangent_flow",
     "adjoint_tangent_flow",
-    "estimate_alpha",
-    "contraction_check",
 ]
 
 
@@ -381,52 +379,3 @@ def adjoint_tangent_flow(plant: Plant, base: np.ndarray, dt: float, zeta: np.nda
     )
     return space.solve_gram(rows.T).T
 
-
-def estimate_alpha(
-    plant: Plant,
-    n_samples: int = 50,
-    radius: float = 1.0,
-    seed: int = 0,
-) -> float:
-    """Empirical monotonicity margin over sampled state pairs.
-
-    Draws pairs (w1, w2) from the Gram-weighted ball of the given radius and
-    returns the worst normalized quotient
-    (A(w1) - A(w2), w1 - w2)_H / ||w1 - w2||_H^2.
-    """
-    rng = np.random.default_rng(seed)
-    space = plant.space_H
-    worst = np.inf
-    for _ in range(n_samples):
-        w1 = space.sample_ball(rng, radius)
-        w2 = space.sample_ball(rng, radius)
-        d = w1 - w2
-        nd2 = space.inner(d, d)
-        if nd2 <= 1e-28:
-            continue
-        drift = (plant.A @ w1 + plant.F(w1)) - (plant.A @ w2 + plant.F(w2))
-        q = space.inner(drift, d) / nd2
-        worst = min(worst, q)
-    return float(worst)
-
-
-def contraction_check(
-    plant: Plant, w1: np.ndarray, w2: np.ndarray, T: float, dt: float
-) -> float:
-    """Worst ratio ||T_t w1 - T_t w2||_H / (e^{-alpha t} ||w1 - w2||_H) on the grid.
-
-    alpha is the plant certificate; contraction at that rate holds when the
-    ratio stays at 1 up to the time-stepping bias.
-    """
-    alpha = plant.require_alpha()
-    t1 = flow(plant, w1, T, dt)
-    t2 = flow(plant, w2, T, dt)
-    space = plant.space_H
-    d0 = space.norm(np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float))
-    if d0 == 0.0:
-        return 0.0
-    worst = 0.0
-    for k in range(len(t1)):
-        ratio = space.norm(t1[k] - t2[k]) / (np.exp(-alpha * (dt * k)) * d0)
-        worst = max(worst, ratio)
-    return float(worst)

@@ -41,7 +41,6 @@ __all__ = [
     "build_forwarding",
     "linear_forwarding",
     "assemble_feedback_matrix",
-    "uniform_coercivity_check",
     "functional_equation_residual",
 ]
 
@@ -285,28 +284,6 @@ def assemble_feedback_matrix(fmap: ForwardingMap, w: np.ndarray) -> np.ndarray:
     block. Used for the coercivity constant and its uniform sampled check.
     """
     return StateEvaluation(fmap, w).dM_adjoint_B(np.eye(fmap.plant.space_Z.dim))
-
-
-def uniform_coercivity_check(
-    fmap: ForwardingMap, n_samples: int, radius: float, seed: int = 0
-) -> float:
-    """Min over sampled states of sigma_min(z -> B* dM(w)* z)^2.
-
-    The gain formulas rely on this staying at least lam_tilde = lam/3 over
-    the sampled ball.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    space = fmap.plant.space_H
-    worst = np.inf
-    for _ in range(n_samples):
-        w = space.sample_ball(rng, radius) if radius > 0 else np.zeros(space.dim)
-        k_mat = assemble_feedback_matrix(fmap, w)
-        svals = weighted_singular_values(k_mat, fmap.plant.space_Z, fmap.plant.space_U)
-        smin = float(svals[-1]) if svals.size else 0.0
-        worst = min(worst, smin**2)
-    return float(worst)
 
 
 def functional_equation_residual(fmap: ForwardingMap, w: np.ndarray) -> float:

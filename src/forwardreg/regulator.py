@@ -424,16 +424,16 @@ def find_equilibrium(
 def find_equilibrium_recorded(
     plant: Plant,
     fmap: ForwardingMap,
-    d: np.ndarray,
-    y_ref: np.ndarray,
+    cells: list,
     *,
     dt: float,
     t_budget: float,
 ) -> list:
     """:func:`find_equilibrium` for s cells in lockstep, plus the runs they visited.
 
-    Column j of ``d`` ((dim, s)) and of ``y_ref`` ((dim_Z, s)) is cell j.
-    The cells step as one block, each with its own stagnation rule and
+    ``cells`` holds one ``(d, y_ref)`` pair per cell, ``d`` in H (None means
+    zero) and ``y_ref`` in Z, as :func:`find_equilibrium` takes them. The
+    cells step as one block, each with its own stagnation rule and
     tail, and a cell leaves the block when it converges, uses up the budget
     or stops being finite. Returns one entry per cell: ``(w*, z*, result,
     run)``, or the FloatingPointError of a cell whose state stopped being
@@ -448,8 +448,7 @@ def find_equilibrium_recorded(
     run for the duration of the call. A cell that converges within them
     builds its run from them; one that converges later is simulated again.
     """
-    cells = [Scenario(y_ref=y_j, T=t_budget, dt=dt, d=d_j)
-             for d_j, y_j in zip(d.T, y_ref.T, strict=True)]
+    cells = [Scenario(y_ref=y_j, T=t_budget, dt=dt, d=d_j) for d_j, y_j in cells]
     w0, z0, d, y_ref, (n, *_) = _start(plant, fmap, cells)
     states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
     state = next(states)

@@ -5,6 +5,9 @@ where the eta block decouples (C w cancels against M A w when M = -C A^{-1}),
 and answers with exact equilibria, spectra, and matrix-exponential
 trajectories. Everything here recomputes its reference values from scratch
 rather than through the forwarding module, so agreement is meaningful.
+
+Every sampler of the battery lives here, so the battery draws each of its
+states through this module.
 """
 
 from __future__ import annotations
@@ -17,20 +20,15 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .evolution import (
-    Plant,
-    contraction_check,
-    estimate_alpha,
-    flow,
-    tangent_flow,
-)
+from .evolution import Plant, flow, tangent_flow
 from .forwarding import (
     ForwardingMap,
     StateEvaluation,
+    assemble_feedback_matrix,
     functional_equation_residual,
-    uniform_coercivity_check,
 )
 from .regulator import Scenario, find_equilibrium, simulate, simulate_lockstep
+from .spaces import weighted_singular_values
 
 __all__ = [
     "LinearOracle",
@@ -40,9 +38,11 @@ __all__ = [
     "VerificationReport",
     "run_battery",
     "smooth_sample",
+    "estimate_alpha",
     "dissipation_constant",
     "contraction_samples",
     "linearized_decay_samples",
+    "uniform_coercivity_check",
 ]
 
 
@@ -146,13 +146,14 @@ def fd_check_dM(fmap: ForwardingMap, w: np.ndarray, h: np.ndarray) -> dict:
         minus = StateEvaluation(fmap, w - eps * h).M()
         quotient = (plus - minus) / (2 * eps)
         errors.append(space_z.norm(quotient - dm) / scale)
-    orders = []
-    for (e0, e1), (x0, x1) in zip(zip(errors, errors[1:]), zip(FD_EPS, FD_EPS[1:])):
-        if e0 > 0 and e1 > 0:
-            orders.append(float(np.log(e0 / e1) / np.log(x0 / x1)))
-        else:
-            orders.append(float("nan"))
-    return {"eps": list(FD_EPS), "errors": errors, "orders": orders}
+    return {"eps": list(FD_EPS), "errors": errors, "orders": _observed_orders(errors, FD_EPS)}
+
+
+def _observed_orders(errors, steps) -> list:
+    """log(e0 / e1) / log(h0 / h1) of each two neighbouring errors and their
+    steps; NaN where an error is not positive."""
+    return [float(np.log(e0 / e1) / np.log(h0 / h1)) if e0 > 0 and e1 > 0 else float("nan")
+            for (e0, e1), (h0, h1) in zip(zip(errors, errors[1:]), zip(steps, steps[1:]))]
 
 
 # -- sampling helpers ---------------------------------------------------------
@@ -176,6 +177,30 @@ def smooth_sample(plant: Plant, rng: np.random.Generator, radius: float) -> np.n
     return w
 
 
+def estimate_alpha(plant: Plant, n_samples: int = 50, radius: float = 1.0,
+                   seed: int = 0) -> float:
+    """Empirical monotonicity margin over sampled state pairs.
+
+    Draws pairs (w1, w2) from the Gram-weighted ball of the given radius and
+    returns the worst normalized quotient
+    (A(w1) - A(w2), w1 - w2)_H / ||w1 - w2||_H^2.
+    """
+    rng = np.random.default_rng(seed)
+    space = plant.space_H
+    worst = np.inf
+    for _ in range(n_samples):
+        w1 = space.sample_ball(rng, radius)
+        w2 = space.sample_ball(rng, radius)
+        d = w1 - w2
+        nd2 = space.inner(d, d)
+        if nd2 <= 1e-28:
+            continue
+        drift = (plant.A @ w1 + plant.F(w1)) - (plant.A @ w2 + plant.F(w2))
+        q = space.inner(drift, d) / nd2
+        worst = min(worst, q)
+    return float(worst)
+
+
 def contraction_samples(
     plant: Plant,
     n_pairs: int,
@@ -184,14 +209,27 @@ def contraction_samples(
     dt: float,
     seed: int = 0,
 ) -> float:
-    """Worst trajectory-pair contraction ratio against e^{-alpha t}."""
+    """Worst ratio ||T_t w1 - T_t w2||_H / (e^{-alpha t} ||w1 - w2||_H) over
+    sampled pairs (w1, w2) and the grid t = 0, dt, ..., T.
+
+    alpha is the plant certificate; contraction at that rate holds when the
+    ratio stays at 1 up to the time-stepping bias. A pair with w1 == w2
+    adds nothing.
+    """
+    alpha = plant.require_alpha()
     rng = np.random.default_rng(seed)
+    space = plant.space_H
     worst = 0.0
     for _ in range(n_pairs):
         w1 = smooth_sample(plant, rng, radius)
         w2 = smooth_sample(plant, rng, radius)
-        worst = max(worst, contraction_check(plant, w1, w2, T, dt))
-    return worst
+        d0 = space.norm(w1 - w2)
+        if d0 == 0.0:
+            continue
+        t1, t2 = flow(plant, w1, T, dt), flow(plant, w2, T, dt)
+        for k in range(len(t1)):
+            worst = max(worst, space.norm(t1[k] - t2[k]) / (np.exp(-alpha * (dt * k)) * d0))
+    return float(worst)
 
 
 def linearized_decay_samples(
@@ -216,6 +254,27 @@ def linearized_decay_samples(
             ratio = space.norm(tan[k]) / (n0 * np.exp(-alpha * (dt * k)))
             worst = max(worst, ratio)
     return worst
+
+
+def uniform_coercivity_check(fmap: ForwardingMap, n_samples: int, radius: float,
+                             seed: int = 0) -> float:
+    """Min over sampled states of sigma_min(z -> B* dM(w)* z)^2.
+
+    The gain formulas rely on this staying at least lam_tilde = lam/3 over
+    the sampled ball.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    space = fmap.plant.space_H
+    worst = np.inf
+    for _ in range(n_samples):
+        w = space.sample_ball(rng, radius) if radius > 0 else np.zeros(space.dim)
+        k_mat = assemble_feedback_matrix(fmap, w)
+        svals = weighted_singular_values(k_mat, fmap.plant.space_Z, fmap.plant.space_U)
+        smin = float(svals[-1]) if svals.size else 0.0
+        worst = min(worst, smin**2)
+    return float(worst)
 
 
 def _dissipation_scenarios(plant: Plant, *, dt, T, n_runs, radius, seed) -> list:
@@ -590,10 +649,7 @@ def _oracle_checks(plant, fmap, tables, rng):
             max(plant.space_H.norm(a - b) for a, b in zip(run.w, w_ref, strict=True)),
             max(plant.space_Z.norm(a - b) for a, b in zip(run.z, z_ref, strict=True)),
         ))
-    orders = [
-        float(np.log(e0 / e1) / np.log(d0 / d1))
-        for (e0, e1), (d0, d1) in zip(zip(errs, errs[1:]), zip(dts, dts[1:]))
-    ]
+    orders = _observed_orders(errs, dts)
     tables["oracle_trajectory"] = {"dts": dts, "errors": errs, "orders": orders}
     out.append(_check_ge("oracle_trajectory_order", min(orders), 0.9,
                          f"errors {errs[0]:.2e} -> {errs[-1]:.2e}"))

@@ -9,8 +9,6 @@ from forwardreg.evolution import (
     OperatorSolver,
     Plant,
     adjoint_tangent_flow,
-    contraction_check,
-    estimate_alpha,
     flow,
     forward_sweep,
     reverse_sweep,
@@ -21,6 +19,7 @@ from forwardreg.forwarding import build_forwarding
 from forwardreg.plants import make_linear_benchmark, make_sine_gordon, make_wilson_cowan
 from forwardreg.regulator import Scenario, simulate
 from forwardreg.spaces import SpaceSpec
+from forwardreg.verify import contraction_samples, estimate_alpha
 from helpers import make_random_plant, make_scalar_plant
 
 
@@ -250,7 +249,7 @@ def test_estimate_alpha_flags_violation():
 
 def test_contraction_check_scalar():
     p = make_scalar_plant(a=2.0, c=0.1)
-    ratio = contraction_check(p, np.array([1.0]), np.array([-0.5]), T=2.0, dt=0.01)
+    ratio = contraction_samples(p, n_pairs=3, radius=1.0, T=2.0, dt=0.01)
     assert ratio <= 1.05
 
 
@@ -269,7 +268,7 @@ def test_contraction_check_fails_for_expansive():
         alpha_cert=1.0,
         lip_F=0.0,
     )
-    ratio = contraction_check(p, np.array([1.0]), np.array([0.0]), T=1.0, dt=0.01)
+    ratio = contraction_samples(p, n_pairs=1, radius=1.0, T=1.0, dt=0.01)
     assert ratio > 1.05
 
 

@@ -13,7 +13,6 @@ from forwardreg.forwarding import (
     build_forwarding,
     functional_equation_residual,
     linear_forwarding,
-    uniform_coercivity_check,
 )
 from forwardreg.plants import (
     make_linear_benchmark,
@@ -22,7 +21,7 @@ from forwardreg.plants import (
     make_wilson_cowan,
 )
 from forwardreg.spaces import adjoint
-from forwardreg.verify import FD_TOL, fd_check_dM
+from forwardreg.verify import FD_TOL, fd_check_dM, uniform_coercivity_check
 from helpers import make_random_plant, make_scalar_plant
 
 

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from forwardreg.evolution import estimate_alpha
 from forwardreg.forwarding import linear_forwarding
 from forwardreg.plants import (
     make_linear_benchmark,
@@ -13,6 +12,7 @@ from forwardreg.plants import (
     make_wilson_cowan,
 )
 from forwardreg.spaces import adjoint, weighted_singular_values
+from forwardreg.verify import estimate_alpha
 
 
 # -- linear benchmark ---------------------------------------------------------

@@ -91,7 +91,7 @@ def test_find_equilibrium_names_a_misshapen_disturbance(sine_gordon_loop):
                                          t_budget=400.0),
     # at this budget both cells' runs come from their copies, not from simulate
     lambda plant, fmap: find_equilibrium_recorded(
-        plant, fmap, np.zeros((24, 2)), np.full((1, 2), 0.01), dt=0.5, t_budget=400.0),
+        plant, fmap, [(None, np.full(1, 0.01))] * 2, dt=0.5, t_budget=400.0),
 ], ids=["simulate", "simulate_lockstep", "find_equilibrium", "find_equilibrium_recorded"])
 def test_every_closed_loop_refuses_a_foreign_plant(sine_gordon_loop, monkeypatch, start):
     # another plant of the same family is not the plant fmap was built for;
@@ -319,12 +319,10 @@ def wave_loop():
 
 
 def lockstep_cells(plant, d_norms, y_norms):
-    """(d block or None, y_ref block, per-cell d) of cells with one d direction."""
+    """(d or None, y_ref) cells with one d direction."""
     direction = plant.space_H.sample_sphere(np.random.default_rng(0))
-    ds = [None if dn == 0 else dn * direction for dn in d_norms]
-    block = np.column_stack([np.zeros(plant.dim) if d is None else d for d in ds])
-    y_ref = np.outer(np.ones(plant.space_Z.dim), y_norms)
-    return block, y_ref, ds
+    return [(None if dn == 0 else dn * direction, np.full(plant.space_Z.dim, yn))
+            for dn, yn in zip(d_norms, y_norms)]
 
 
 def assert_runs_close(run, want, rtol):
@@ -341,11 +339,11 @@ def test_lockstep_search_matches_cell_by_cell(wave_loop, t_budget, recorded):
     # 200 time units a cell's share of copies (133 of 400 states) ends
     # before it converges, so its run is simulated again
     plant, fmap = wave_loop
-    d, y_ref, ds = lockstep_cells(plant, [0.0, 0.01, 0.02], [0.01, 0.0, 0.02])
-    found = find_equilibrium_recorded(plant, fmap, d, y_ref, dt=0.5, t_budget=t_budget)
+    cells = lockstep_cells(plant, [0.0, 0.01, 0.02], [0.01, 0.0, 0.02])
+    found = find_equilibrium_recorded(plant, fmap, cells, dt=0.5, t_budget=t_budget)
     assert len(found) == 3
-    for j, (ws, zs, res, run) in enumerate(found):
-        want_w, want_z, want = find_equilibrium(plant, fmap, ds[j], y_ref[:, j],
+    for (ws, zs, res, run), (d, y_ref) in zip(found, cells):
+        want_w, want_z, want = find_equilibrium(plant, fmap, d, y_ref,
                                                 dt=0.5, t_budget=t_budget)
         assert res.converged and (res.converged, res.iterations, res.t_reached) == \
             (want.converged, want.iterations, want.t_reached)
@@ -354,8 +352,7 @@ def test_lockstep_search_matches_cell_by_cell(wave_loop, t_budget, recorded):
         for key in ("drift_residual", "output_residual"):
             assert getattr(res, key) == pytest.approx(getattr(want, key), rel=1e-10,
                                                       abs=1e-13)
-        sim = simulate(plant, fmap, Scenario(y_ref=y_ref[:, j], T=res.t_reached, dt=0.5,
-                                             d=ds[j]))
+        sim = simulate(plant, fmap, Scenario(y_ref=y_ref, T=res.t_reached, dt=0.5, d=d))
         if recorded:
             assert_runs_close(run, sim, 1e-10)
         else:
@@ -363,18 +360,30 @@ def test_lockstep_search_matches_cell_by_cell(wave_loop, t_budget, recorded):
                        for f in ("w", "z", "m", "u", "y", "v"))
 
 
+def test_lockstep_cell_without_disturbance_is_a_zero_disturbance(wave_loop):
+    # a None disturbance is filled with zeros where the loop starts, and only
+    # there: the cell gives the zero cell's equilibrium and run bitwise
+    plant, fmap = wave_loop
+    y_ref = np.full(1, 0.01)
+    (none,), (zero,) = (find_equilibrium_recorded(plant, fmap, [(d, y_ref)], dt=0.5,
+                                                  t_budget=300.0)
+                        for d in (None, np.zeros(plant.dim)))
+    assert none[2].converged and none[2] == zero[2]
+    assert np.array_equal(none[0], zero[0]) and np.array_equal(none[1], zero[1])
+    assert all(np.array_equal(getattr(none[3], f), getattr(zero[3], f))
+               for f in ("times", "w", "z", "m", "u", "y", "v", "diverged"))
+
+
 def test_lockstep_column_that_stops_being_finite_leaves_alone(unit_loop):
     # the middle cell's disturbance overflows the state; it leaves the block
     # at the next check, and the other cells run on as if it had not been there
     plant, fmap = unit_loop
-    d = np.array([[0.05, 1e308, 0.0]])
-    y_ref = np.full((1, 3), 0.3)
+    cells = [(np.array([d]), np.array([0.3])) for d in (0.05, 1e308, 0.0)]
     with np.errstate(over="ignore", invalid="ignore"):
-        found = find_equilibrium_recorded(plant, fmap, d, y_ref, dt=0.05, t_budget=200.0)
+        found = find_equilibrium_recorded(plant, fmap, cells, dt=0.05, t_budget=200.0)
     assert isinstance(found[1], FloatingPointError)
     assert "not finite at step 50 " in str(found[1])
-    others = find_equilibrium_recorded(plant, fmap, d[:, [0, 2]], y_ref[:, [0, 2]],
-                                       dt=0.05, t_budget=200.0)
+    others = find_equilibrium_recorded(plant, fmap, cells[::2], dt=0.05, t_budget=200.0)
     for got, want in zip((found[0], found[2]), others):
         assert got[2] == want[2]
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -385,10 +394,9 @@ def test_lockstep_column_that_overflows_by_its_last_state_is_an_error(unit_loop)
     # the budget of 40 steps ends before the first 50-step check: the
     # middle cell's overflowed last state is its error, not a row of inf
     plant, fmap = unit_loop
-    d = np.array([[0.05, 1e308, 0.0]])
-    y_ref = np.full((1, 3), 0.3)
+    cells = [(np.array([d]), np.array([0.3])) for d in (0.05, 1e308, 0.0)]
     with np.errstate(over="ignore", invalid="ignore"):
-        found = find_equilibrium_recorded(plant, fmap, d, y_ref, dt=0.05, t_budget=2.0)
+        found = find_equilibrium_recorded(plant, fmap, cells, dt=0.05, t_budget=2.0)
     assert isinstance(found[1], FloatingPointError)
     assert "not finite at step 40 " in str(found[1])
     for cell in (found[0], found[2]):

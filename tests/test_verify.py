@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,3 +330,31 @@ def test_battery_json_round_trip_and_determinism():
     assert set(doc["checks"]) == {c.name for c in rep1.checks}
     for entry in doc["checks"].values():
         assert {"value", "bound", "pass"} <= set(entry)
+
+
+def test_battery_reaches_every_check_the_tracer_wraps(monkeypatch):
+    # perfbench/spans.py times each battery check by wrapping its name in
+    # verify; a sampler the battery reached through another module's binding
+    # would escape it. dissipation_constant is the known gap: the battery's
+    # closed loops run through simulate_lockstep.
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    called = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in module.VERIFY_CHECKS:
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    plant = make_scalar_linear()
+    run_battery(plant, build_forwarding(plant, dt_quad=0.01))
+    plant = make_sine_gordon(N=12)
+    assert plant.global_ok
+    counts = dict.fromkeys(verify.BATTERY_DEFAULTS, 1) | {"coercivity_samples": 2}
+    run_battery(plant, build_forwarding(plant, dt_quad=1.0), counts)
+    assert set(module.VERIFY_CHECKS) - {"dissipation_constant"} <= called
