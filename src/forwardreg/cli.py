@@ -34,7 +34,7 @@ from .plants import (
 from .regulator import (
     Scenario,
     convergence_report,
-    find_equilibrium_along,
+    find_equilibrium,
     find_equilibrium_recorded,
     simulate,
 )
@@ -313,8 +313,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         doc = {"label": label, "aborted": run.diverged, "steps": len(run) - 1}
         rep = None
         if not run.diverged:
-            w_star, z_star, eq = find_equilibrium_along(
-                run, fmap, t_budget=sc.get("t_budget", t))
+            w_star, z_star, eq = find_equilibrium(
+                plant, fmap, d, y_ref, dt=dt, t_budget=sc.get("t_budget", t), run=run)
             rep = convergence_report(run, fmap, w_star, z_star)
             doc.update(
                 final_output_error=rep.final_output_error,

@@ -130,16 +130,13 @@ class ForwardingMap:
         """Quadrature horizon for a state of the given H-norm.
 
         Set so the neglected tail lip_F * e^{-alpha tau} ||w|| ||CA^{-1}|| / alpha
-        is below tail_tol, never below 5/alpha, clamped to tau_max.
+        is below tail_tol, never below 5/alpha, clamped to tau_max. Without a
+        contraction certificate the tail bound is unverifiable and the horizon
+        is tau_max; the built-in plant constructors warn of that, once.
         """
         plant = self.plant
         alpha = plant.alpha_cert
         if alpha is None or alpha <= 0:
-            warnings.warn(
-                "no contraction certificate: quadrature tail bound unverifiable, "
-                "using the tau_max ceiling",
-                stacklevel=2,
-            )
             return self.tau_max
         ratio = plant.lip_F * w_norm * self.ca_inv_norm / (alpha * self.tail_tol)
         tau = 5.0 / alpha

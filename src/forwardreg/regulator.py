@@ -41,7 +41,6 @@ __all__ = [
     "simulate_lockstep",
     "find_equilibrium",
     "find_equilibrium_recorded",
-    "find_equilibrium_along",
     "convergence_report",
 ]
 
@@ -145,12 +144,6 @@ def feedback(fmap: ForwardingMap, w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return ev.dM_adjoint_B(z - ev.M())
 
 
-def _energy(fmap: ForwardingMap, w: np.ndarray, eta: np.ndarray) -> float:
-    """V at plant state w and integrator error eta = z - M(w)."""
-    space_h, space_z = fmap.plant.space_H, fmap.plant.space_Z
-    return 0.5 * space_h.inner(w, w) + 0.5 * fmap.rho * space_z.inner(eta, eta)
-
-
 def _start(plant: Plant, fmap: ForwardingMap, scenarios: list):
     """(w0, z0, d, y_ref, ns): where every closed loop begins.
 
@@ -233,8 +226,7 @@ def _record(fmap: ForwardingMap, states, scenarios: list, ns: list) -> list:
     ``states`` is sent the columns that stay. Returns one RunResult per
     scenario, up to the state where it left.
     """
-    plant = fmap.plant
-    space_h = plant.space_H
+    space_h, space_z = fmap.plant.space_H, fmap.plant.space_Z
     state = next(states)
     # per run: w, z, m, u and y (the order of the yielded state), then V
     hist = [[np.empty((n + 1, a.shape[0])) for a in state] + [np.empty(n + 1)]
@@ -248,8 +240,10 @@ def _record(fmap: ForwardingMap, states, scenarios: list, ns: list) -> list:
         for p, (j, (w, z, m, u, y)) in enumerate(zip(live, columns)):
             w_h, z_h, m_h, u_h, y_h, v_h = hist[j]
             w_h[k], z_h[k], m_h[k], u_h[k], y_h[k] = w, z, m, u, y
-            v_h[k] = _energy(fmap, w, z - m)
-            if not np.isfinite(v_h[k]) or space_h.norm(w) > _DIVERGENCE_GUARD:
+            # V, and the H-norm for the guard, from one Gram product of w
+            ww, eta = space_h.inner(w, w), z - m
+            v_h[k] = 0.5 * ww + 0.5 * fmap.rho * space_z.inner(eta, eta)
+            if not np.isfinite(v_h[k]) or np.sqrt(max(ww, 0.0)) > _DIVERGENCE_GUARD:
                 diverged[j], ends[j] = True, k
             elif k < ns[j]:
                 keep.append(p)
@@ -352,14 +346,6 @@ def _equilibrium(plant, fmap, w_star, z_star, d, y_ref, converged, k, dt):
     return w_star, z_star, res
 
 
-def _one(found):
-    """The single column's entry of :func:`_search`, raising its error."""
-    (out,) = found
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
 def simulate(plant: Plant, fmap: ForwardingMap, scenario: Scenario) -> RunResult:
     """Integrate the closed loop over the scenario horizon.
 
@@ -394,6 +380,7 @@ def find_equilibrium(
     *,
     dt: float,
     t_budget: float,
+    run: Optional[RunResult] = None,
 ) -> tuple[np.ndarray, np.ndarray, EquilibriumResult]:
     """Locate the closed-loop equilibrium by budgeted simulation.
 
@@ -401,24 +388,41 @@ def find_equilibrium(
     the state movement over those steps divided by 50 dt. It stops when
     that speed is at most 1e-10 and returns the mean of the last 20 states.
     Residuals report the stationary-equation defect and the regulation error
-    at the averaged point. A run that exhausts the budget without stagnating
-    returns ``converged=False``; per the local theory this can simply mean
-    (d, y_ref) are too large for the basin. A run whose state is no longer
-    finite at a check or at its last state raises FloatingPointError naming
-    the step.
+    at the averaged point. A search that exhausts the budget without
+    stagnating returns ``converged=False``; per the local theory this can
+    simply mean (d, y_ref) are too large for the basin. A search whose state
+    is no longer finite at a check or at its last state raises
+    FloatingPointError naming the step.
 
-    The search records nothing: its memory is the 20-state tail, whatever
-    the budget. :func:`find_equilibrium_recorded` searches several cells in
-    lockstep and also returns the runs they visited, and
-    :func:`find_equilibrium_along` reads the states of a run that starts at
-    the origin; both give this function's results (the first to roundoff
-    in a block of more than one cell).
+    ``run``, when given, is a :func:`simulate` result of this ``d``, ``y_ref``
+    and ``dt`` (None and zeros alike); another scenario's run raises
+    ValueError. A run from the origin holds the search's states 1..n, so the
+    search reads them and steps on from the run's last state only when its
+    budget runs past the run; a run that starts elsewhere is not read. Either
+    way the result is the same. The search records nothing but its 20-state
+    tail; :func:`find_equilibrium_recorded` searches several cells in
+    lockstep and also returns the runs they visited, with this function's
+    results (to roundoff in a block of more than one cell).
     """
     budget = Scenario(y_ref=y_ref, T=t_budget, dt=dt, d=d)
     w0, z0, d, y_ref, (n,) = _start(plant, fmap, [budget])
-    states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
-    next(states)  # states 1..n: the origin itself is never part of the tail
-    return _one(_search(plant, fmap, states, d, y_ref, dt, n))
+    # states 1..n: the origin itself is never part of the tail
+    states = islice(_closed_loop(plant, fmap, w0, z0, d, y_ref, dt), 1, None)
+    if run is not None:
+        _, _, run_d, run_y, _ = _start(plant, fmap, [run.scenario])
+        for name, ours, theirs in (("dt", dt, run.scenario.dt), ("d", d, run_d),
+                                   ("y_ref", y_ref, run_y)):
+            if not np.array_equal(ours, theirs):
+                raise ValueError(f"run is of another scenario: its {name} differs")
+        if not (np.any(run.w[0]) or np.any(run.z[0])):
+            w, z = run.w[-1][:, None], run.z[-1][:, None]  # one column, as d and y_ref
+            onward = _closed_loop(plant, fmap, w, z, d, y_ref, dt)
+            states = chain(zip(run.w[1:], run.z[1:], run.m[1:], run.u[1:], run.y[1:]),
+                           islice(onward, 1, None))
+    (out,) = _search(plant, fmap, states, d, y_ref, dt, n)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def find_equilibrium_recorded(
@@ -468,32 +472,6 @@ def find_equilibrium_recorded(
                    if k <= n // s else simulate(plant, fmap, scenario))
         found[j] = out + (run,)
     return found
-
-
-def find_equilibrium_along(
-    run: RunResult, fmap: ForwardingMap, *, t_budget: float
-) -> tuple[np.ndarray, np.ndarray, EquilibriumResult]:
-    """:func:`find_equilibrium` for the scenario of ``run``, reading its states.
-
-    Gives ``find_equilibrium(fmap.plant, fmap, d, y_ref, dt=dt,
-    t_budget=t_budget)`` for the run's ``d``, ``y_ref`` and ``dt``. When the
-    run starts at the origin, its states 1..n are the search's own, so the
-    search reads them and steps on from the run's last state only when its
-    budget runs past the run. A run that starts elsewhere gets a search of
-    its own.
-    """
-    sc = run.scenario
-    plant = fmap.plant
-    if np.any(run.w[0]) or np.any(run.z[0]):
-        return find_equilibrium(plant, fmap, sc.d, sc.y_ref, dt=sc.dt,
-                                t_budget=t_budget)
-    budget = Scenario(y_ref=sc.y_ref, T=t_budget, dt=sc.dt, d=sc.d)
-    _, _, d, y_ref, (n,) = _start(plant, fmap, [budget])
-    recorded = zip(run.w[1:], run.z[1:], run.m[1:], run.u[1:], run.y[1:])
-    w, z = run.w[-1][:, None], run.z[-1][:, None]  # one column, as d and y_ref
-    onward = _closed_loop(plant, fmap, w, z, d, y_ref, sc.dt)
-    states = chain(recorded, islice(onward, 1, None))
-    return _one(_search(plant, fmap, states, d, y_ref, sc.dt, n))
 
 
 def convergence_report(

@@ -1,9 +1,11 @@
-"""Small plant factories and a strict JSON reader shared by the test modules."""
+"""Small plant factories, a strict JSON reader and an evaluation counter
+shared by the test modules."""
 
 import json
 
 import numpy as np
 
+from forwardreg import forwarding
 from forwardreg.evolution import Plant
 from forwardreg.spaces import SpaceSpec
 
@@ -15,6 +17,19 @@ def load_strict_json(path):
         raise ValueError(f"{path}: non-standard JSON token {token}")
 
     return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def count_evaluations(monkeypatch):
+    """A list that gets one entry per StateEvaluation built from now on."""
+    calls = []
+    init = forwarding.StateEvaluation.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(forwarding.StateEvaluation, "__init__", counted)
+    return calls
 
 
 def make_scalar_plant(a=2.0, c=0.1):

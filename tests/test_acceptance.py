@@ -25,7 +25,6 @@ from forwardreg import (
     dissipation_constant,
     fd_check_dM,
     find_equilibrium,
-    find_equilibrium_along,
     functional_equation_residual,
     linearized_decay_samples,
     make_linear_benchmark,
@@ -221,7 +220,8 @@ def test_criterion_6_sine_gordon_regulation(sine_gordon, capfd):
     assert T <= deadline
     run = simulate(plant, fmap, Scenario(y_ref=y_ref, T=T, dt=dt, d=d))
     # the search from the origin reads the run's states before stepping on
-    ws, zs, eq = find_equilibrium_along(run, fmap, t_budget=deadline)
+    ws, zs, eq = find_equilibrium(plant, fmap, d, y_ref, dt=dt,
+                                  t_budget=deadline, run=run)
     rep = convergence_report(run, fmap, ws, zs)
     elapsed = time.perf_counter() - t0
 

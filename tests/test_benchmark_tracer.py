@@ -58,3 +58,18 @@ def test_traced_plant_runs_the_forwarding_kernels():
         assert k.shape == (plant.space_Z.dim,) * 2 and np.all(np.isfinite(k))
     finally:
         tracer.uninstall()
+
+
+def test_traced_simulate_sees_its_scenarios_search(tmp_path):
+    # the scenario's equilibrium search reads the run's states, and still
+    # runs under the name the tracer wraps
+    config = SPANS.parent / "configs" / "sine_gordon.ini"
+    tracer = load_spans().Tracer("test", "0")
+    try:
+        tracer.install()
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path),
+                         "--seed", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    searches = [sp[5] for sp in tracer.spans if sp[0] == "regulator.equilibrium"]
+    assert [attrs["iterations"] for attrs in searches] == [150]

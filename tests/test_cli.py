@@ -17,7 +17,7 @@ import pytest
 
 from forwardreg import cli, forwarding, verify
 from forwardreg.regulator import Scenario, convergence_report, find_equilibrium, simulate
-from helpers import load_strict_json
+from helpers import count_evaluations, load_strict_json
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -871,18 +871,6 @@ NONLINEAR_INI = """\
     dt = 0.5
     t_budget = 1200
     """
-
-
-def count_evaluations(monkeypatch):
-    calls = []
-    init = forwarding.StateEvaluation.__init__
-
-    def counted(self, *args, **kwargs):
-        calls.append(None)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(forwarding.StateEvaluation, "__init__", counted)
-    return calls
 
 
 def test_converged_sweep_cell_evaluates_each_state_once(tmp_path, monkeypatch):

@@ -480,3 +480,18 @@ def test_singular_A_is_refused_by_name():
         warnings.simplefilter("error")  # no LinAlgWarning on the way
         with pytest.raises(ValueError, match=r"A is singular, so -C A\^\{-1\} is undefined"):
             build_forwarding(plant, dt_quad=0.01, tau_max=10.0)
+
+
+def test_uncertified_map_evaluates_without_a_warning():
+    # the plant constructor warns once that no certificate exists; the
+    # map's evaluations then use the tau_max horizon without warning again
+    with pytest.warns(UserWarning, match="no contraction certificate"):
+        plant = make_sine_gordon(N=12, gamma=0.25)
+    fmap = build_forwarding(plant, dt_quad=0.5, tau_max=40.0)
+    rng = np.random.default_rng(4)
+    w, h = (plant.space_H.sample_ball(rng, 0.1) for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = StateEvaluation(fmap, w)
+        ev.M(), ev.dM(h), ev.dM_adjoint(np.ones(plant.space_Z.dim))
+    assert fmap.horizon(1.0) == fmap.tau_max

@@ -18,7 +18,7 @@ from forwardreg.regulator import (
     simulate_lockstep,
 )
 
-from helpers import make_scalar_plant
+from helpers import count_evaluations, make_scalar_plant
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +401,53 @@ def test_lockstep_column_that_overflows_by_its_last_state_is_an_error(unit_loop)
     assert "not finite at step 40 " in str(found[1])
     for cell in (found[0], found[2]):
         assert not cell[2].converged and np.isfinite(cell[2].drift_residual)
+
+
+# -- search along a run --------------------------------------------------------
+
+
+def wave_search(plant, fmap, run=None):
+    """The wave loop's search of (0.01 d, 0.01), which converges at step 150."""
+    ((d, y_ref),) = lockstep_cells(plant, [0.01], [0.01])
+    return find_equilibrium(plant, fmap, d, y_ref, dt=0.5, t_budget=300.0, run=run)
+
+
+@pytest.mark.parametrize("T, w0_norm", [(100.0, 0.0), (40.0, 0.0), (100.0, 0.3)],
+                         ids=["run_past_the_search", "search_past_the_run",
+                              "run_off_the_origin"])
+def test_find_equilibrium_reading_a_run_is_bitwise_the_search(wave_loop, monkeypatch,
+                                                             T, w0_norm):
+    # a run of 200 steps holds the search's 150 states, which it only reads;
+    # past a run of 80 steps it steps on from the run's last state; a run off
+    # the origin shares no state with it and is not read
+    plant, fmap = wave_loop
+    ((d, y_ref),) = lockstep_cells(plant, [0.01], [0.01])
+    w0 = w0_norm * plant.space_H.sample_sphere(np.random.default_rng(3))
+    run = simulate(plant, fmap, Scenario(y_ref=y_ref, T=T, dt=0.5, d=d, w0=w0))
+    want = wave_search(plant, fmap)
+    assert want[2].converged and want[2].iterations == 150
+    calls = count_evaluations(monkeypatch)
+    got = wave_search(plant, fmap, run)
+    monkeypatch.undo()
+    assert got[2] == want[2]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    if w0_norm == 0:
+        # the states past the run, the run's last state again, and the
+        # residual at the tail mean
+        assert len(calls) <= max(150 - (len(run) - 1), 0) + 2
+    else:
+        assert len(calls) >= 150
+
+
+@pytest.mark.parametrize("field, value", [("dt", 0.25), ("d", None),
+                                          ("y_ref", np.full(1, 0.02))])
+def test_find_equilibrium_refuses_another_scenarios_run(wave_loop, field, value):
+    plant, fmap = wave_loop
+    ((d, y_ref),) = lockstep_cells(plant, [0.01], [0.01])
+    fields = {"y_ref": y_ref, "T": 10.0, "dt": 0.5, "d": d, field: value}
+    run = simulate(plant, fmap, Scenario(**fields))
+    with pytest.raises(ValueError, match=f"run is of another scenario: its {field} "):
+        wave_search(plant, fmap, run)
 
 
 # -- lockstep simulation ------------------------------------------------------
