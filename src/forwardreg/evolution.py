@@ -8,9 +8,9 @@ implicit in A and explicit in F, through one dense P = (I + dt A)^{-1} per dt:
     w' = P (w + dt (f - F(w))).
 
 The tangent flow integrates the first variation along a stored base
-trajectory with the same scheme, and the adjoint flow propagates the exact
-Gram-weighted adjoint of every discrete tangent step in reverse, so discrete
-duality holds to roundoff rather than to O(dt). Along a base trajectory the
+trajectory with the same scheme. The quadrature's adjoint applies the exact
+transpose of every discrete tangent step in reverse, so discrete duality
+holds to roundoff rather than to O(dt). Along a base trajectory the
 Jacobians are J_k = K diag(D_k) S with the slopes D_k = sigma'(S w_k).
 
 These flows and the quadratures of the forwarding module all run on two
@@ -25,8 +25,8 @@ uniformly scaled block of identity columns (sine-Gordon's gamma [0; I]),
 K phi is a scatter and K^T a gather. Any other S or K is a dense product.
 Both kernels sweep a state vector or a (dim, s) block of s states, each
 column to its own horizon; the reverse sweep takes the slopes as one
-(n + 1, m) block, or (n + 1, m, s) for a block of states, and a vector state
-may carry any number of cotangent columns.
+(n + 1, m) block, or (n + 1, m, s) for a block of states, and one state's
+(dim, c) block of directions or cotangents sweeps as one, all on its slopes.
 """
 
 from __future__ import annotations
@@ -268,12 +268,13 @@ def forward_sweep(
     g_k = K phi_k is K times it. phi_at may get a view of x_k, and must not
     write into it.
 
-    ``x0`` is a vector with the int horizon ``nq`` = n, or a (dim, s) block
-    of s columns with an int array ``nq`` of their own horizons: the block
-    sweeps to n = max(nq), and column j sums phi over its nodes 0..nq_j only
-    (:func:`trapezoid_weights`). States are (n + 1,) + x0.shape and phi_at
-    gets (m, s) blocks. Products of (dim, dim) with (dim, 1) are matrix-vector
-    products, so a block of one column is bitwise the vector sweep.
+    ``x0`` is a vector or a (dim, c) block with the int horizon ``nq`` = n,
+    or a (dim, s) block of s columns with an int array ``nq`` of their own
+    horizons: the block sweeps to n = max(nq), and column j sums phi over its
+    nodes 0..nq_j only (:func:`trapezoid_weights`). States are
+    (n + 1,) + x0.shape and phi_at gets (m, c) or (m, s) blocks. Products of
+    (dim, dim) with (dim, 1) are matrix-vector products, so a block of one
+    column is bitwise the vector sweep.
     """
     wq = step.dt * trapezoid_weights(nq)
     n = len(wq) - 1
@@ -291,25 +292,22 @@ def forward_sweep(
     return states, q
 
 
-def reverse_sweep(
-    step: SweepStep, D: np.ndarray, psi: np.ndarray, lam: np.ndarray, nq
-) -> np.ndarray:
+def reverse_sweep(step: SweepStep, D: np.ndarray, psi: np.ndarray, nq) -> np.ndarray:
     """Exact transpose of :func:`forward_sweep` with phi_k(y) = D_k y, in reverse.
 
     Each step applies T_k^T = P^T - dt S^T D_k K^T P^T on the same
     :class:`SweepStep` as the forward sweep: a = P^T r, then
     r = a + S^T D_k (c_k dt K^T psi - dt K^T a), one product with P^T per
-    node. Returns the cotangents r_0..r_n of x_0..x_n for the output
-    psi . K q + lam . x_n, so it equals x_0 . r_0 to roundoff, column by
-    column. Callers pass psi and lam in Gram-multiplied coordinates; the rows
-    are in the same coordinates.
+    node. Returns r_0 alone, the cotangent of x_0 for the output psi . K q,
+    so psi . K q equals x_0 . r_0 to roundoff, column by column. Callers pass
+    psi in Gram-multiplied coordinates; r_0 is in the same coordinates.
 
     For one state, ``D`` holds the (n + 1, m) slopes, ``nq`` = n is an int,
-    and ``psi`` and ``lam`` are vectors or (dim, c) blocks swept together.
-    For a block of s states, ``D`` is (n + 1, m, s), ``nq`` the int array of
-    the columns' horizons and ``psi``, ``lam`` are (dim, s), one cotangent
-    per state; lam is the cotangent of the last node n. A column's sweep is 0
-    past its own end node nq_j and takes its psi weight from there down.
+    and ``psi`` is a vector or a (dim, c) block swept together. For a block
+    of s states, ``D`` is (n + 1, m, s), ``nq`` the int array of the
+    columns' horizons and ``psi`` is (dim, s), one cotangent per state. A
+    column's sweep is 0 past its own end node nq_j and takes its psi weight
+    from there down.
     """
     c = trapezoid_weights(nq)
     n = len(c) - 1
@@ -323,14 +321,11 @@ def reverse_sweep(
         ckpsi[0] = ckpsi[n] = c[0] * kpsi
     else:
         ckpsi = c[:, None, :] * kpsi
-    rows = np.empty((n + 1,) + psi.shape)
-    r = scatter_s(lam.copy(), d[n] * ckpsi[n])
-    rows[n] = r
+    r = scatter_s(np.zeros_like(psi), d[n] * ckpsi[n])
     for k in range(n - 1, -1, -1):
         a = pt @ r
         r = scatter_s(a, d[k] * (ckpsi[k] - gather_k(a)))
-        rows[k] = r
-    return rows
+    return r
 
 
 def flow(plant: Plant, w0: np.ndarray, T: float, dt: float) -> np.ndarray:
@@ -351,31 +346,26 @@ def tangent_flow(plant: Plant, base: np.ndarray, dt: float, h: np.ndarray) -> np
 
     ``base`` holds the states of a :func:`flow` at step ``dt``; the tangent
     states share its grid. The dF term is frozen at the stored base state of
-    the step's left endpoint. Slopes are taken per node: a block as long as
-    these flows would raise peak memory.
+    the step's left endpoint. ``h`` is a direction or a (dim, c) block of
+    them; an (n + 1, dim, s) ``base`` of s runs takes one per run, (dim, s).
+    Slopes are taken per node: a block as long as these flows would raise
+    peak memory.
     """
     step = plant.solver.step(dt)
-    gather_s = step.gather_s
+    gather_s, h = step.gather_s, np.asarray(h, dtype=float)
+    col = (..., None) if base.ndim == h.ndim else ...  # one run's slopes on every column
     tangent, _ = forward_sweep(
-        step, np.asarray(h, dtype=float),
-        lambda k, y: plant.dsigma(gather_s(base[k])) * y, len(base) - 1,
-    )
+        step, h, lambda k, y: plant.dsigma(gather_s(base[k]))[col] * y, len(base) - 1)
     return tangent
 
 
 def adjoint_tangent_flow(plant: Plant, base: np.ndarray, dt: float, zeta: np.ndarray) -> np.ndarray:
-    """Exact discrete adjoint of :func:`tangent_flow`, propagated in reverse.
+    """Exact discrete adjoint of :func:`tangent_flow` at time 0, a dense reference.
 
-    Each tangent step is T_k = (I + dt A)^{-1} (I - dt dF(w_k)); the adjoint
-    states apply the Gram-weighted T_k* backwards from ``zeta`` so that
-    (tangent(h)[-1], zeta)_H == (h, adjoint(zeta)[0])_H to roundoff. States
-    are indexed forward in time, states[-1] == zeta to roundoff.
+    Returns the r with (tangent_flow(h)[-1], zeta)_H == (h, r)_H for every
+    h, to roundoff: r = G_H^{-1} Phi^T G_H zeta, where Phi is the tangent
+    flow's end map, the flow of the identity block on the forward kernel.
     """
     space = plant.space_H
-    rows = reverse_sweep(
-        plant.solver.step(dt), plant.dsigma(base @ plant.S.T),
-        np.zeros(plant.dim), space.gram @ np.asarray(zeta, dtype=float),
-        len(base) - 1,
-    )
-    return space.solve_gram(rows.T).T
-
+    phi = tangent_flow(plant, base, dt, np.eye(plant.dim))[-1]
+    return space.solve_gram(phi.T @ (space.gram @ np.asarray(zeta, dtype=float)))

@@ -235,11 +235,13 @@ class StateEvaluation:
         return self.fmap.m_lin @ (self.w - self.q)
 
     def dM(self, h: np.ndarray) -> np.ndarray:
-        """Differential dM(w) h along the base flow at w."""
+        """Differential dM(w) h along the base flow; one state takes a (dim, c) block too."""
         h = np.asarray(h, dtype=float)
         if self.nq == 0:
             return self.fmap.m_lin @ h
         D = self._slopes
+        if D.ndim == h.ndim:  # one state's slopes act on every column of h
+            D = D[..., None]
         _, qs = forward_sweep(self._step, h, lambda k, y: D[k] * y, self.nqs)
         return self.fmap.m_lin @ (h - self.plant.K @ qs)
 
@@ -257,8 +259,7 @@ class StateEvaluation:
         psi_t = self.fmap._mlin_t_gz @ np.asarray(zeta, dtype=float)
         if self.nq == 0:
             return psi_t
-        r = reverse_sweep(self._step, self._slopes, psi_t, np.zeros_like(psi_t), self.nqs)
-        return psi_t - r[0]
+        return psi_t - reverse_sweep(self._step, self._slopes, psi_t, self.nqs)
 
     def dM_adjoint(self, zeta: np.ndarray) -> np.ndarray:
         return self.plant.space_H.solve_gram(self._adjoint_gram_coords(zeta))

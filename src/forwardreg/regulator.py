@@ -445,13 +445,15 @@ def find_equilibrium_recorded(
     the closed-loop run over ``[0, result.t_reached]`` from the origin; it
     is None otherwise. A block of one cell gives ``find_equilibrium`` and
     ``simulate`` bitwise; in a wider block the columns agree with them to
-    roundoff.
+    roundoff. No cells give [], as :func:`simulate_lockstep` of none does.
 
     Each of the s cells keeps copies of its first n // s + 1 states, n =
     t_budget / dt, so the copies of a block take the memory of one cell's
     run for the duration of the call. A cell that converges within them
     builds its run from them; one that converges later is simulated again.
     """
+    if not cells:
+        return []
     cells = [Scenario(y_ref=y_j, T=t_budget, dt=dt, d=d_j) for d_j, y_j in cells]
     w0, z0, d, y_ref, (n, *_) = _start(plant, fmap, cells)
     states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)

@@ -1,5 +1,7 @@
 """IMEX stepping, flows, tangent/adjoint consistency, contraction checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -85,8 +87,8 @@ def test_tangent_flow_matches_finite_difference():
 
 
 def test_adjoint_tangent_duality_exact():
-    # (v_n, zeta)_H == (h, r_0)_H to roundoff: the adjoint flow reverses the
-    # exact discrete tangent steps, not the continuous equation
+    # (v_n, zeta)_H == (h, r)_H to roundoff: the adjoint is that of the exact
+    # discrete tangent steps, not of the continuous equation
     p = make_random_plant(dim=7, seed=9)
     rng = np.random.default_rng(41)
     w0 = rng.standard_normal(p.dim) * 0.3
@@ -98,7 +100,7 @@ def test_adjoint_tangent_duality_exact():
         v = tangent_flow(p, base, dt, h)
         r = adjoint_tangent_flow(p, base, dt, zeta)
         lhs = p.space_H.inner(v[-1], zeta)
-        rhs = p.space_H.inner(h, r[0])
+        rhs = p.space_H.inner(h, r)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -121,21 +123,22 @@ def sweep_step(rng, dim, blocks):
 @given(dim=st.integers(1, 8), n=st.integers(1, 10), blocks=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_reverse_sweep_is_the_exact_transpose(dim, n, blocks, seed):
-    # psi . q + lam . x_n == x_0 . r_0 for J_k = K diag(D_k) S, with S and K
-    # gathered and scattered or dense
+    # psi . K q == x_0 . r_0 for J_k = K diag(D_k) S, with S and K gathered
+    # and scattered or dense
     rng = np.random.default_rng(seed)
     step, K, S = sweep_step(rng, dim, blocks)
     D = rng.standard_normal((n + 1, K.shape[1]))
-    x0, psi, lam = rng.standard_normal((3, dim))
-    states, qs = forward_sweep(step, x0, lambda k, y: D[k] * y, n)
-    r = reverse_sweep(step, D, psi, lam, n)
-    assert psi @ (K @ qs) + lam @ states[n] == pytest.approx(x0 @ r[0], rel=1e-10)
+    x0, psi = rng.standard_normal((2, dim))
+    _, qs = forward_sweep(step, x0, lambda k, y: D[k] * y, n)
+    r0 = reverse_sweep(step, D, psi, n)
+    assert r0.shape == (dim,)
+    assert psi @ (K @ qs) == pytest.approx(x0 @ r0, rel=1e-10)
     # a (dim, c) block sweeps each column as its own vector sweep would
-    psis, lams = rng.standard_normal((2, dim, 3))
-    block = reverse_sweep(step, D, psis, lams, n)
+    psis = rng.standard_normal((dim, 3))
+    block = reverse_sweep(step, D, psis, n)
     for j in range(3):
-        col = reverse_sweep(step, D, psis[:, j], lams[:, j], n)
-        np.testing.assert_allclose(block[:, :, j], col, rtol=1e-12,
+        col = reverse_sweep(step, D, psis[:, j], n)
+        np.testing.assert_allclose(block[:, j], col, rtol=1e-12,
                                    atol=1e-12 * np.abs(col).max())
 
 
@@ -151,27 +154,23 @@ def test_sweeps_match_the_dense_recursion(blocks, cols):
     p, dt = step.p, step.dt
     shape = (dim,) if cols is None else (dim, cols)
     D = rng.standard_normal((n + 1, K.shape[1]) + shape[1:])
-    x0, psi, lam = rng.standard_normal((3,) + shape)
+    x0, psi = rng.standard_normal((2,) + shape)
     nq = n if cols is None else np.full(cols, n)
     states, qs = forward_sweep(step, x0, lambda k, y: D[k] * y, nq)
-    rows = reverse_sweep(step, D, psi, lam, nq)
+    r0 = reverse_sweep(step, D, psi, nq)
     c = trapezoid_weights(n)
     x, q = x0, 0.0
-    ref_r = [None] * (n + 1)
     for k in range(n + 1):
         phi = D[k] * (S @ x)
         q = q + dt * c[k] * phi
         np.testing.assert_allclose(states[k], x, rtol=1e-13, atol=1e-13 * np.abs(x).max())
         x = p @ (x - dt * K @ phi)
     np.testing.assert_allclose(qs, q, rtol=1e-13, atol=1e-13 * np.abs(q).max())
-    r = lam + S.T @ (D[n] * (c[n] * dt * (K.T @ psi)))
-    ref_r[n] = r
+    r = S.T @ (D[n] * (c[n] * dt * (K.T @ psi)))
     for k in range(n - 1, -1, -1):
         a = p.T @ r
         r = a - dt * S.T @ (D[k] * (K.T @ a)) + S.T @ (D[k] * (c[k] * dt * (K.T @ psi)))
-        ref_r[k] = r
-    np.testing.assert_allclose(rows, np.array(ref_r), rtol=1e-13,
-                               atol=1e-13 * np.abs(ref_r).max())
+    np.testing.assert_allclose(r0, r, rtol=1e-13, atol=1e-13 * np.abs(r).max())
 
 
 def test_identity_block_operands_are_gathered_and_scattered():
@@ -215,8 +214,8 @@ def test_block_sweeps_are_column_sweeps(dim, blocks, seed):
     D = rng.standard_normal((n + 1, K.shape[1], s))
     x0, psi = rng.standard_normal((2, dim, s))
     states, qs = forward_sweep(step, x0, lambda k, y: D[k] * y, nqs)
-    rows = reverse_sweep(step, D, psi, np.zeros((dim, s)), nqs)
-    assert states.shape == (n + 1, dim, s) and rows.shape == (n + 1, dim, s)
+    r0 = reverse_sweep(step, D, psi, nqs)
+    assert states.shape == (n + 1, dim, s) and r0.shape == (dim, s)
     for j, nq in enumerate(nqs):
         col_states, col_q = forward_sweep(
             step, x0[:, j], lambda k, y: D[k, :, j] * y, int(nq))
@@ -225,12 +224,34 @@ def test_block_sweeps_are_column_sweeps(dim, blocks, seed):
                                    atol=1e-13 * scale)
         np.testing.assert_allclose(qs[:, j], col_q, rtol=1e-13,
                                    atol=1e-13 * np.abs(col_q).max())
-        col_rows = reverse_sweep(step, D[:, :, j], psi[:, j], np.zeros(dim), int(nq))
-        np.testing.assert_allclose(rows[:nq + 1, :, j], col_rows, rtol=1e-13,
-                                   atol=1e-13 * np.abs(col_rows).max())
-        assert not np.any(rows[nq + 1:, :, j])
-        assert psi[:, j] @ (K @ qs[:, j]) == pytest.approx(x0[:, j] @ rows[0, :, j],
+        col_r0 = reverse_sweep(step, D[:, :, j], psi[:, j], int(nq))
+        np.testing.assert_allclose(r0[:, j], col_r0, rtol=1e-13,
+                                   atol=1e-13 * np.abs(col_r0).max())
+        assert psi[:, j] @ (K @ qs[:, j]) == pytest.approx(x0[:, j] @ r0[:, j],
                                                            rel=1e-10, abs=1e-12)
+    assert not np.any(r0[:, nqs == 0])  # a horizon of 0 nodes has no cotangent
+
+
+def test_reverse_sweep_memory_does_not_grow_with_the_horizon():
+    # the sweep keeps r_0 alone: at n = 2,000 its peak is far below the
+    # (n + 1, dim, c) history of every node's cotangent
+    rng = np.random.default_rng(5)
+    dim, m, c, n = 50, 20, 4, 2000
+    a = rng.standard_normal((dim, dim)) / np.sqrt(dim) + 3.0 * np.eye(dim)
+    # a small F, so the 2,000 steps contract
+    K, S = rng.standard_normal((2, dim, m)) / dim
+    step = OperatorSolver(a, K, S.T).step(0.1)
+    D = rng.uniform(0.0, 1.0, (n + 1, m))
+    psi = rng.standard_normal((dim, c))
+    reverse_sweep(step, D[:11], psi, 10)  # warm up
+    tracemalloc.start()
+    try:
+        r0 = reverse_sweep(step, D, psi, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r0.shape == (dim, c)
+    assert peak < (n + 1) * dim * c * 8 / 10, peak
 
 
 def test_estimate_alpha_scalar():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from forwardreg.evolution import flow
+from forwardreg.evolution import flow, tangent_flow
 from forwardreg.forwarding import (
     StateEvaluation,
     assemble_feedback_matrix,
@@ -330,6 +330,53 @@ def test_feedback_matrix_is_the_columnwise_adjoint(make_plant, dt_quad):
     cols = np.column_stack([ev.dM_adjoint_B(e) for e in np.eye(plant.space_Z.dim)])
     k = assemble_feedback_matrix(fmap, w)
     np.testing.assert_allclose(k, cols, rtol=1e-12, atol=1e-12 * np.abs(cols).max())
+
+
+DIRECTION_BLOCK_PLANTS = pytest.mark.parametrize(
+    "make_plant, dt_quad",
+    [(lambda: make_wilson_cowan(n=32), 2.5), (lambda: make_sine_gordon(N=12), 1.0)],
+    ids=["wilson_cowan", "sine_gordon"],
+)
+
+
+@DIRECTION_BLOCK_PLANTS
+def test_block_of_directions_is_its_columns(make_plant, dt_quad):
+    # one state's (m,) slopes act on each column of a (dim, c) block, also
+    # when c == m, where slopes taken along the block's last axis would not
+    # raise
+    plant = make_plant()
+    fmap = build_forwarding(plant, dt_quad=dt_quad, tail_tol=1e-4)
+    w = plant.space_H.sample_ball(np.random.default_rng(7), 1.0)
+    ev = StateEvaluation(fmap, w)
+    base = flow(plant, w, 5.0, 0.05)
+    rng = np.random.default_rng(8)
+    m = plant.K.shape[1]
+    assert ev.nq > 1 and m != 3
+
+    def tangent_end(x):
+        return tangent_flow(plant, base, 0.05, x)[-1]
+
+    for c in (m, 3):
+        h = rng.standard_normal((plant.dim, c))
+        for fn in (ev.dM, tangent_end):
+            want = np.column_stack([fn(x) for x in h.T])
+            np.testing.assert_allclose(fn(h), want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+
+@DIRECTION_BLOCK_PLANTS
+def test_feedback_matrix_is_the_adjoint_of_the_jacobian(make_plant, dt_quad):
+    # the forward block path against the reverse one: B* dM* is
+    # G_U^{-1} B^T (G_Z dM)^T with dM the Jacobian of the dim-column block
+    plant = make_plant()
+    fmap = build_forwarding(plant, dt_quad=dt_quad, tail_tol=1e-4)
+    w = plant.space_H.sample_ball(np.random.default_rng(7), 1.0)
+    ev = StateEvaluation(fmap, w)
+    assert ev.nq > 1
+    jac = ev.dM(np.eye(plant.dim))
+    want = plant.space_U.solve_gram(plant.B.T @ (jac.T @ plant.space_Z.gram))
+    np.testing.assert_allclose(assemble_feedback_matrix(fmap, w), want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
 
 
 # -- functional equation ------------------------------------------------------

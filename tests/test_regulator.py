@@ -360,6 +360,12 @@ def test_lockstep_search_matches_cell_by_cell(wave_loop, t_budget, recorded):
                        for f in ("w", "z", "m", "u", "y", "v"))
 
 
+def test_lockstep_of_no_cells_is_empty(wave_loop):
+    plant, fmap = wave_loop
+    assert simulate_lockstep(plant, fmap, []) == []
+    assert find_equilibrium_recorded(plant, fmap, [], dt=0.5, t_budget=300.0) == []
+
+
 def test_lockstep_cell_without_disturbance_is_a_zero_disturbance(wave_loop):
     # a None disturbance is filled with zeros where the loop starts, and only
     # there: the cell gives the zero cell's equilibrium and run bitwise
