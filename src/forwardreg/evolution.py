@@ -24,13 +24,16 @@ builds no map. Where S is a contiguous block of identity rows (sine-Gordon's
 uniformly scaled block of identity columns (sine-Gordon's gamma [0; I]),
 K phi is a scatter and K^T a gather. Any other S or K is a dense product.
 Both kernels sweep a state vector or a (dim, s) block of s states, each
-column to its own horizon; the reverse sweep takes the slopes as one
-(n + 1, m) block, or (n + 1, m, s) for a block of states, and one state's
-(dim, c) block of directions or cotangents sweeps as one, all on its slopes.
+column to its own horizon, which the forward sweep may end early where the
+column's state has decayed (``stop``). The reverse sweep takes the slopes
+as one (n + 1, m) block, or (n + 1, m, s) for a block of states, and one
+state's (dim, c) block of directions or cotangents sweeps as one, all on
+its slopes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
@@ -158,7 +161,10 @@ class Plant:
     (m = 0). ``alpha_cert`` is the certified monotonicity margin of
     A + dF(.) in the H product, or None when the construction could not
     certify one. ``lip_F`` is a global Lipschitz bound of F, used for
-    step-size guards and quadrature tail bounds. ``global_ok`` is True when
+    step-size guards and quadrature tail bounds. ``lip_dsigma`` is a global
+    Lipschitz bound of sigma', or None when the construction certifies
+    none; with sigma'(0) = 0 it bounds ||dF(x)|| by a multiple of ||x||, so
+    the quadrature may stop where the flow has decayed. ``global_ok`` is True when
     the construction also certifies global attraction, which enables the
     battery's uniform-coercivity and global-attraction checks. ``solver``
     holds the step inverses, and is built from A.
@@ -175,6 +181,7 @@ class Plant:
     flat_at_origin: bool = field(init=False)
     alpha_cert: Optional[float]
     lip_F: float
+    lip_dsigma: Optional[float] = None
     K: Optional[np.ndarray] = None
     S: Optional[np.ndarray] = None
     sigma: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -202,6 +209,9 @@ class Plant:
         if np.any(self.sigma(np.zeros(m)) != 0.0):
             raise ValueError("sigma(0) must be 0")
         self.flat_at_origin = not np.any(self.dsigma(np.zeros(m)))
+        if self.lip_dsigma is not None and not (
+                math.isfinite(self.lip_dsigma) and self.lip_dsigma >= 0):
+            raise ValueError(f"lip_dsigma must be finite and non-negative, got {self.lip_dsigma}")
         self.solver = OperatorSolver(self.A, self.K, self.S)
 
     @property
@@ -235,6 +245,13 @@ def _check_step_size(plant: Plant, dt: float) -> None:
         )
 
 
+# nodes a block sweep steps before its first stop test, and between tests
+# where its columns show no decay; the margin of a test's vecdot screen over
+# the vector path's x . x
+_STOP_EVERY = 8
+_SCREEN = 1.0 + 1e-9
+
+
 def trapezoid_weights(nq) -> np.ndarray:
     """Trapezoid weights, in units of the step, of the nodes 0..max(nq).
 
@@ -254,8 +271,8 @@ def trapezoid_weights(nq) -> np.ndarray:
 
 
 def forward_sweep(
-    step: SweepStep, x0: np.ndarray, phi_at: Callable, nq
-) -> tuple[np.ndarray, np.ndarray]:
+    step: SweepStep, x0: np.ndarray, phi_at: Callable, nq, stop: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray, object]:
     """Forward recursion x_{k+1} = P (x_k - dt K phi_k), phi_k = phi_at(k, S x_k).
 
     The one loop over flow and quadrature nodes, on the :class:`SweepStep`
@@ -263,10 +280,10 @@ def forward_sweep(
     gathers S x and scatters K phi through the step's maps. With phi = sigma
     it is the IMEX flow of F; with phi_k(y) = D_k y, D_k = sigma'(S w_k)
     along a base trajectory, it is the discrete tangent step
-    T_k = P (I - dt K diag(D_k) S). Returns the states x_0..x_n and the
+    T_k = P (I - dt K diag(D_k) S). Returns the states x_0..x_n, the
     trapezoid sum of phi_0..phi_n with step dt, so the quadrature of
-    g_k = K phi_k is K times it. phi_at may get a view of x_k, and must not
-    write into it.
+    g_k = K phi_k is K times it, and the horizons the sweep realized. phi_at
+    may get a view of x_k, and must not write into it.
 
     ``x0`` is a vector or a (dim, c) block with the int horizon ``nq`` = n,
     or a (dim, s) block of s columns with an int array ``nq`` of their own
@@ -275,21 +292,112 @@ def forward_sweep(
     (n + 1,) + x0.shape and phi_at gets (m, c) or (m, s) blocks. Products of
     (dim, dim) with (dim, 1) are matrix-vector products, so a block of one
     column is bitwise the vector sweep.
+
+    ``stop``, for a state vector or a block of states, ends each column
+    early at its first node k >= 1 with ||x_k||_2 <= stop, which becomes its
+    end node, weighed by half; ``nq`` stays the cap. A vector tests every
+    node with x . x. A block tests its stored states with one product at
+    node ``_STOP_EVERY`` and then where its columns' decay predicts their
+    ends (:func:`_screen_gap`), and confirms a hit with the vector's own
+    x . x, so it ends each column where the vector would; phi_at may then
+    be called for a few nodes past the last end, whose rows are not
+    returned.
     """
     wq = step.dt * trapezoid_weights(nq)
     n = len(wq) - 1
-    # one state's weights as floats: a product with a float costs less per node
-    wq = wq.tolist() if wq.ndim == 1 else wq
     p, gather_s, scatter_k = step.p, step.gather_s, step.scatter_k
+    thr2 = None if stop is None else stop * stop
     states = np.empty((n + 1,) + x0.shape)
     states[0] = x = x0
     phi = phi_at(0, gather_s(x))
+    if wq.ndim == 1:
+        # one state's weights as floats: a product with a float costs less per node
+        wq = wq.tolist()
+        q = wq[0] * phi
+        for k in range(1, n + 1):
+            x = np.matmul(p, scatter_k(x, phi), out=states[k])
+            phi = phi_at(k, gather_s(x))
+            if thr2 is not None and x.dot(x) <= thr2:
+                q += wq[0] * phi  # the end node's half weight
+                return states[:k + 1], q, k
+            q += wq[k] * phi
+        return states, q, n
+    # a block adds each node's phi once the stop test of its chunk has fixed
+    # its weight; a column that ends gets its end node's half weight and 0
+    # beyond, in place, as its vector sweep would
+    ends, end_max, check = np.array(nq), n, min(_STOP_EVERY, n)
+    # the squared norm that ends each column, -1 once it cannot end any more
+    screen = None if thr2 is None else np.where(ends > 0, thr2 * _SCREEN, -1.0)
     q = wq[0] * phi
+    pending = []
     for k in range(1, n + 1):
         x = np.matmul(p, scatter_k(x, phi), out=states[k])
         phi = phi_at(k, gather_s(x))
-        q += wq[k] * phi
-    return states, q
+        pending.append(phi)
+        if k < check:
+            continue
+        first = k + 1 - len(pending)
+        if screen is not None:
+            seg = states[first:k + 1]
+            sq = np.vecdot(seg, seg, axis=1)
+            ended = _ended_columns(seg, sq, first, ends, screen, thr2)
+            for j, e in ended:
+                wq[e, j] = wq[0, j]
+                wq[e + 1:, j] = 0.0
+            if ended:
+                end_max = int(ends.max())
+        for wk, phk in zip(wq[first:], pending):
+            q += wk * phk
+        pending.clear()
+        if k >= end_max:
+            break
+        check = min(k + (_STOP_EVERY if screen is None else _screen_gap(sq, screen, thr2)), n)
+    return states[:end_max + 1], q, ends
+
+
+def _ended_columns(seg: np.ndarray, sq: np.ndarray, first: int, ends: np.ndarray,
+                   screen: np.ndarray, thr2: float) -> list:
+    """The (column, node) pairs of a block sweep's columns that end in
+    ``seg``, the states of nodes first, first + 1, ...: each column at its
+    first node there, before its cap, with x . x <= thr2, which becomes its
+    entry of ``ends``. Their squared norms ``sq``, one vecdot, screen the
+    chunk against ``screen``, a margin above its roundoff; x . x on a
+    contiguous copy of the column, the vector sweep's own test, decides.
+    A column that has ended, by its stop or at its cap, leaves ``screen``."""
+    hit = sq <= screen
+    ended = []
+    if hit.any():
+        caps = ends.tolist()
+        for j, col in enumerate(hit.T.tolist()):
+            if True not in col:
+                continue
+            for i in range(col.index(True), min(len(col), caps[j] - first)):
+                if not col[i]:
+                    continue
+                x = seg[i, :, j].copy()
+                if x.dot(x) <= thr2:
+                    ends[j] = first + i
+                    ended.append((j, first + i))
+                    break
+    screen[ends < first + len(sq)] = -1.0
+    return ended
+
+
+def _screen_gap(sq: np.ndarray, screen: np.ndarray, thr2: float) -> int:
+    """Nodes to the next stop test of a block sweep: where the slowest
+    column still running reaches thr2, at the geometric rate its squared
+    norms ``sq`` fell over the chunk just tested; ``_STOP_EVERY`` when a
+    column's norms did not fall. It sets only how many nodes a block may
+    step past its last end, never where a column ends."""
+    gap, m = 1, len(sq) - 1
+    for a, b, live in zip(sq[0].tolist(), sq[-1].tolist(), (screen > 0).tolist()):
+        if not live:
+            continue
+        if not (m and a > b > thr2 > 0):
+            return _STOP_EVERY
+        ahead = m * (math.log(b) - math.log(thr2)) / (math.log(a) - math.log(b))
+        gap = max(gap, math.ceil(ahead))
+    return gap
 
 
 def reverse_sweep(step: SweepStep, D: np.ndarray, psi: np.ndarray, nq) -> np.ndarray:
@@ -336,8 +444,8 @@ def flow(plant: Plant, w0: np.ndarray, T: float, dt: float) -> np.ndarray:
     """
     _check_step_size(plant, dt)
     n = max(int(round(T / dt)), 0)
-    states, _ = forward_sweep(plant.solver.step(dt), np.asarray(w0, dtype=float),
-                              lambda k, y: plant.sigma(y), n)
+    states, _, _ = forward_sweep(plant.solver.step(dt), np.asarray(w0, dtype=float),
+                                 lambda k, y: plant.sigma(y), n)
     return states
 
 
@@ -354,7 +462,7 @@ def tangent_flow(plant: Plant, base: np.ndarray, dt: float, h: np.ndarray) -> np
     step = plant.solver.step(dt)
     gather_s, h = step.gather_s, np.asarray(h, dtype=float)
     col = (..., None) if base.ndim == h.ndim else ...  # one run's slopes on every column
-    tangent, _ = forward_sweep(
+    tangent, _, _ = forward_sweep(
         step, h, lambda k, y: plant.dsigma(gather_s(base[k]))[col] * y, len(base) - 1)
     return tangent
 

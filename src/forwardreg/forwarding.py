@@ -18,9 +18,14 @@ A (dim, s) block of states is evaluated as one too, each column to its own
 horizon: the lockstep equilibrium search steps its cells this way.
 
 The integral converges because the flow contracts at rate alpha and F is
-Lipschitz with F(0) = 0; the neglected tail beyond a horizon tau is below
-lip_F * e^{-alpha tau} * ||w|| * ||CA^{-1}|| / alpha, which fixes the
-per-evaluation horizon.
+Lipschitz with F(0) = 0. The neglected tail beyond a node x_k of the flow is
+below lip_F ||x_k||_H ||CA^{-1}|| / alpha, and dM's tail per unit direction
+below L2 ||x_k||_H ||CA^{-1}|| / (2 alpha) where ||dF(x)|| <= L2 ||x||_H.
+Where alpha and L2 are certified, each quadrature column ends at its first
+node where both bounds are below tail_tol, so a flow that decays faster
+than alpha takes fewer nodes. The a-priori horizon, from
+||x_k|| <= e^{-alpha t_k} ||w||, caps that end, and is the end itself for
+every other plant.
 """
 
 from __future__ import annotations
@@ -64,6 +69,30 @@ def linear_forwarding(plant: Plant) -> np.ndarray:
     return -sla.lu_solve(lu, plant.C.T, trans=1).T
 
 
+def _dF_growth(plant: Plant) -> Optional[float]:
+    """L2 with ||dF(x)||_{H->H} <= L2 ||x||_H for every x, or None.
+
+    Needs sigma'(0) = 0 and the plant's ``lip_dsigma``: then |sigma'(S_i x)|
+    <= lip_dsigma ||S_i||_{H*} ||x||_H, so dF(x) = K diag(sigma'(S x)) S
+    gives L2 = lip_dsigma max_i ||S_i||_{H*} ||K||_{l2->H} ||S||_{H->l2}.
+    With W = S G_H^{-1} S^T, ||S_i||_{H*}^2 is W's diagonal and
+    ||S||_{H->l2}^2 its largest eigenvalue; ||K||_{l2->H}^2 is that of
+    K^T G_H K. None for a linear plant.
+    """
+    if plant.lip_dsigma is None or not plant.flat_at_origin or not plant.lip_F:
+        return None
+    space_h = plant.space_H
+    w = plant.S @ space_h.solve_gram(plant.S.T)
+    k_sq = _top_eigenvalue(plant.K.T @ space_h.gram @ plant.K)
+    return float(plant.lip_dsigma * math.sqrt(np.diag(w).max() * _top_eigenvalue(w) * k_sq))
+
+
+def _top_eigenvalue(sym: np.ndarray) -> float:
+    """The largest eigenvalue of a symmetric matrix."""
+    n = len(sym)
+    return float(sla.eigvalsh(sym, subset_by_index=[n - 1, n - 1])[0])
+
+
 class ForwardingMap:
     """Forwarding construction for one plant: map, differential, gains.
 
@@ -79,6 +108,14 @@ class ForwardingMap:
         Ceiling on the per-evaluation quadrature horizon.
     dt_quad, tail_tol : float
         Quadrature step and accepted tail bound for the truncated integral.
+    dF_growth : float or None
+        L2 with ||dF(x)|| <= L2 ||x||_H (:func:`_dF_growth`), where the plant
+        certifies one.
+    tail_gain : float or None
+        g = sqrt(lambda_max(G_H)) ||CA^{-1}|| max(lip_F, L2 / 2) / alpha: a
+        quadrature ends at its first node k >= 1 with g ||x_k||_2 <= tail_tol.
+        None where alpha or L2 is not certified; then every evaluation
+        takes its whole :meth:`horizon`.
     lam, lam_tilde : float
         Coercivity constant and lam/3.
     rho, kappa : float or None
@@ -99,6 +136,15 @@ class ForwardingMap:
         # psi_tilde = G_H M_lin* zeta = M_lin^T G_Z zeta
         self._mlin_t_gz = np.ascontiguousarray(self.m_lin.T @ space_z.gram)
 
+        self.dF_growth = _dF_growth(plant)
+        alpha = plant.alpha_cert
+        self.tail_gain = None
+        if self.dF_growth is not None and alpha is not None and alpha > 0:
+            # ||x||_H <= sqrt(lambda_max(G_H)) ||x||_2 makes the stop test O(dim)
+            h_over_l2 = math.sqrt(_top_eigenvalue(space_h.gram))
+            self.tail_gain = (h_over_l2 * self.ca_inv_norm
+                              * max(plant.lip_F, self.dF_growth / 2.0) / alpha)
+
         svals_b = weighted_singular_values(plant.B, space_u, space_h)
         self.b_norm = float(svals_b[0]) if svals_b.size else 0.0
 
@@ -116,7 +162,6 @@ class ForwardingMap:
         eigs = np.linalg.eigvals(eta_block) if eta_block.size else np.zeros(0)
         self.loop_gain = float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
-        alpha = plant.alpha_cert
         self.feasible = bool(self.range_ok and alpha is not None and alpha > 0)
         self.lam_tilde = self.lam / 3.0
         if self.feasible:
@@ -127,7 +172,9 @@ class ForwardingMap:
             self.kappa = None
 
     def horizon(self, w_norm: float) -> float:
-        """Quadrature horizon for a state of the given H-norm.
+        """Quadrature horizon for a state of the given H-norm: the cap on
+        where a quadrature may stop (``tail_gain``), and its end where none
+        is certified.
 
         Set so the neglected tail lip_F * e^{-alpha tau} ||w|| ||CA^{-1}|| / alpha
         is below tail_tol, never below 5/alpha, clamped to tau_max. Without a
@@ -187,10 +234,13 @@ class StateEvaluation:
     ``w`` is a state (dim,) or a (dim, s) block of s states evaluated
     together; then every evaluation takes and returns (., s) blocks, column
     j belonging to state j. Each column has its own horizon in nodes
-    (``nqs``: an int for one state, an int array for a block); the block
-    sweeps ``nq`` = max(nqs) nodes, and the slopes are (nq + 1, m, s). A
-    block of one column is bitwise the vector evaluation; wider blocks
-    agree with it to roundoff.
+    (``nqs``: an int for one state, an int array for a block): where the
+    map has a ``tail_gain``, the node at which the base sweep found the
+    column's flow decayed, otherwise (and at most) its a-priori
+    :meth:`ForwardingMap.horizon`. The dM and adjoint sweeps reuse these
+    horizons. A block sweeps ``nq`` = max(nqs) nodes, and the slopes are
+    (nq + 1, m, s). A block of one column is bitwise the vector evaluation;
+    wider blocks agree with it to roundoff.
     """
 
     def __init__(self, fmap: ForwardingMap, w: np.ndarray):
@@ -198,8 +248,8 @@ class StateEvaluation:
         self.plant = plant = fmap.plant
         self.w = np.asarray(w, dtype=float)
 
-        def nodes(x):
-            """One column's horizon in nodes."""
+        def cap(x):
+            """One column's a-priori horizon in nodes."""
             if not plant.lip_F:
                 return 0  # F = 0: Q and its derivative quadrature vanish
             w_norm = plant.space_H.norm(x)
@@ -207,9 +257,9 @@ class StateEvaluation:
                 return 0  # dF(0) = 0: Q vanishes to second order at the origin
             return max(int(math.ceil(fmap.horizon(w_norm) / fmap.dt_quad)), 1)
 
-        nqs = [nodes(x) for x in self.w.reshape(plant.dim, -1).T]
-        self.nqs = np.array(nqs) if self.w.ndim == 2 else nqs[0]
-        self.nq = max(nqs)
+        caps = [cap(x) for x in self.w.reshape(plant.dim, -1).T]
+        self.nqs = np.array(caps) if self.w.ndim == 2 else caps[0]
+        self.nq = max(caps)
         if self.nq == 0:
             # linear path: M = -C A^{-1} w and dM = -C A^{-1}
             self.q = np.zeros_like(self.w)
@@ -223,16 +273,25 @@ class StateEvaluation:
             gathered.append(y)
             return plant.sigma(y)
 
-        # trapezoid accumulation of Q = int F(T_t w) dt along the base flow
-        _, qs = forward_sweep(self._step, self.w, sigma_at, self.nqs)
+        # trapezoid accumulation of Q = int F(T_t w) dt along the base flow,
+        # ended where g ||x_k||_2 <= tail_tol
+        stop = fmap.tail_tol / fmap.tail_gain if fmap.tail_gain else None
+        base, qs, self.nqs = forward_sweep(self._step, self.w, sigma_at, self.nqs, stop)
+        self.nq = len(base) - 1
         self.q = plant.K @ qs
-        self._slopes = plant.dsigma(np.array(gathered))
+        self._slopes = plant.dsigma(np.array(gathered[:self.nq + 1]))
 
     # -- primal evaluations -------------------------------------------------
 
     def M(self) -> np.ndarray:
-        """Forwarding map M(w) = -C A^{-1} (w - Q(w))."""
-        return self.fmap.m_lin @ (self.w - self.q)
+        """Forwarding map M(w) = -C A^{-1} (w - Q(w)).
+
+        Row by column dot products: a product with a (dim, s) block would
+        round a column by the block's width, and the lockstep search's
+        columns would then depend on how its cells are blocked.
+        """
+        m_lin, x = self.fmap.m_lin, self.w - self.q
+        return np.vecdot(m_lin, x) if x.ndim == 1 else np.vecdot(m_lin[:, None], x.T)
 
     def dM(self, h: np.ndarray) -> np.ndarray:
         """Differential dM(w) h along the base flow; one state takes a (dim, c) block too."""
@@ -242,7 +301,7 @@ class StateEvaluation:
         D = self._slopes
         if D.ndim == h.ndim:  # one state's slopes act on every column of h
             D = D[..., None]
-        _, qs = forward_sweep(self._step, h, lambda k, y: D[k] * y, self.nqs)
+        _, qs, _ = forward_sweep(self._step, h, lambda k, y: D[k] * y, self.nqs)
         return self.fmap.m_lin @ (h - self.plant.K @ qs)
 
     # -- adjoint evaluations ------------------------------------------------

@@ -3,8 +3,8 @@ seeded linear benchmark and a scalar linear plant.
 
 Each constructor returns a fully certified Plant: operators, Gram weights
 matching the continuous energy products, a contraction certificate alpha
-(when the parameter regime admits one), and Lipschitz bounds for the
-quadrature horizon.
+(when the parameter regime admits one), and Lipschitz bounds of F and of
+sigma' for the quadrature horizon and its a-posteriori end.
 """
 
 from __future__ import annotations
@@ -215,6 +215,7 @@ def make_sine_gordon(
         C=c_mat,
         alpha_cert=alpha_cert,
         lip_F=2.0 * gamma / math.sqrt(lambda1_disc),
+        lip_dsigma=1.0,  # |d/dt (cos t - 1)| = |sin t| <= 1
         K=k_mat,
         S=s_mat,
         sigma=lambda v: np.sin(v) - v,
@@ -298,6 +299,7 @@ def make_wilson_cowan(n: int = 32, alpha_gain: float = 0.05, kernel: float = 0.1
         C=c_mat,
         alpha_cert=alpha_cert,
         lip_F=lip_f,
+        lip_dsigma=1.0,  # |d/dt (sech^2 t - 1)| = |2 sech^2 t tanh t| <= 0.77
         # F(w) = kop (s(w) - s'(0) w): K = kop, S = I
         K=kop,
         S=np.eye(n),

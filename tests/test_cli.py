@@ -901,33 +901,40 @@ def test_converged_sweep_cell_evaluates_each_state_once(tmp_path, monkeypatch):
 
 def test_sweep_workers_agree_on_a_nonlinear_sweep(tmp_path):
     # --workers 2 steps two blocks of two cells, --workers 1 one block of
-    # four: the columns of the blocks agree to roundoff
-    body = NONLINEAR_INI + """
-    d_norms = 0, 0.01
-    y_ref_norms = 0.01, 0.02
+    # four: the columns of the blocks agree to roundoff. M's product with a
+    # block once rounded a column by the block's width, which broke the
+    # last two grids at this rtol
+    for i, (d_norms, y_ref_norms) in enumerate([
+            ("0, 0.01", "0.01, 0.02"), ("0, 0.01", "0.02, 0.04"),
+            ("0.003, 0.007", "0.015, 0.025")]):
+        body = NONLINEAR_INI + f"""
+    d_norms = {d_norms}
+    y_ref_norms = {y_ref_norms}
     """
-    path = write_config(tmp_path, body)
-    tables = []
-    for workers in ("1", "2"):
-        out = tmp_path / workers
-        assert cli.main(["sweep", "--config", path, "--out", str(out),
-                         "--workers", workers]) == 0
-        lines = (out / "sweep.csv").read_text().splitlines()
-        tables.append(np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]]))
-    header = lines[1].split(",")
-    serial, parallel = tables
-    assert serial.shape == (4, len(header))
-    assert np.all(serial[:, header.index("converged")] == 1)
-    for col in ("d_norm", "y_ref_norm", "success", "converged", "t_reached"):
-        assert np.array_equal(serial[:, header.index(col)], parallel[:, header.index(col)])
-    for col in ("fitted_rate", "averaged_output_error"):
-        np.testing.assert_allclose(parallel[:, header.index(col)],
-                                   serial[:, header.index(col)], rtol=1e-12)
-    # residuals of converged cells sit at roundoff, where 1e-12 is relative
-    # to the states' scale
-    for col in ("drift_residual", "output_residual"):
-        np.testing.assert_allclose(parallel[:, header.index(col)],
-                                   serial[:, header.index(col)], rtol=1e-12, atol=1e-12)
+        case = tmp_path / str(i)
+        case.mkdir()
+        path = write_config(case, body)
+        tables = []
+        for workers in ("1", "2"):
+            out = case / workers
+            assert cli.main(["sweep", "--config", path, "--out", str(out),
+                             "--workers", workers]) == 0
+            lines = (out / "sweep.csv").read_text().splitlines()
+            tables.append(np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]]))
+        header = lines[1].split(",")
+        serial, parallel = tables
+        assert serial.shape == (4, len(header))
+        assert np.all(serial[:, header.index("converged")] == 1)
+        for col in ("d_norm", "y_ref_norm", "success", "converged", "t_reached"):
+            assert np.array_equal(serial[:, header.index(col)], parallel[:, header.index(col)])
+        for col in ("fitted_rate", "averaged_output_error"):
+            np.testing.assert_allclose(parallel[:, header.index(col)],
+                                       serial[:, header.index(col)], rtol=1e-12)
+        # residuals of converged cells sit at roundoff, where 1e-12 is
+        # relative to the states' scale
+        for col in ("drift_residual", "output_residual"):
+            np.testing.assert_allclose(parallel[:, header.index(col)],
+                                       serial[:, header.index(col)], rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("t, w0_norm", [(100, 0), (40, 0), (40, 0.02)],

@@ -1,5 +1,6 @@
 """IMEX stepping, flows, tangent/adjoint consistency, contraction checks."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -129,7 +130,7 @@ def test_reverse_sweep_is_the_exact_transpose(dim, n, blocks, seed):
     step, K, S = sweep_step(rng, dim, blocks)
     D = rng.standard_normal((n + 1, K.shape[1]))
     x0, psi = rng.standard_normal((2, dim))
-    _, qs = forward_sweep(step, x0, lambda k, y: D[k] * y, n)
+    _, qs, _ = forward_sweep(step, x0, lambda k, y: D[k] * y, n)
     r0 = reverse_sweep(step, D, psi, n)
     assert r0.shape == (dim,)
     assert psi @ (K @ qs) == pytest.approx(x0 @ r0, rel=1e-10)
@@ -156,7 +157,7 @@ def test_sweeps_match_the_dense_recursion(blocks, cols):
     D = rng.standard_normal((n + 1, K.shape[1]) + shape[1:])
     x0, psi = rng.standard_normal((2,) + shape)
     nq = n if cols is None else np.full(cols, n)
-    states, qs = forward_sweep(step, x0, lambda k, y: D[k] * y, nq)
+    states, qs, _ = forward_sweep(step, x0, lambda k, y: D[k] * y, nq)
     r0 = reverse_sweep(step, D, psi, nq)
     c = trapezoid_weights(n)
     x, q = x0, 0.0
@@ -213,11 +214,11 @@ def test_block_sweeps_are_column_sweeps(dim, blocks, seed):
     n = nqs.max()
     D = rng.standard_normal((n + 1, K.shape[1], s))
     x0, psi = rng.standard_normal((2, dim, s))
-    states, qs = forward_sweep(step, x0, lambda k, y: D[k] * y, nqs)
+    states, qs, _ = forward_sweep(step, x0, lambda k, y: D[k] * y, nqs)
     r0 = reverse_sweep(step, D, psi, nqs)
     assert states.shape == (n + 1, dim, s) and r0.shape == (dim, s)
     for j, nq in enumerate(nqs):
-        col_states, col_q = forward_sweep(
+        col_states, col_q, _ = forward_sweep(
             step, x0[:, j], lambda k, y: D[k, :, j] * y, int(nq))
         scale = np.abs(col_states).max()
         np.testing.assert_allclose(states[:nq + 1, :, j], col_states, rtol=1e-13,
@@ -230,6 +231,65 @@ def test_block_sweeps_are_column_sweeps(dim, blocks, seed):
         assert psi[:, j] @ (K @ qs[:, j]) == pytest.approx(x0[:, j] @ r0[:, j],
                                                            rel=1e-10, abs=1e-12)
     assert not np.any(r0[:, nqs == 0])  # a horizon of 0 nodes has no cotangent
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 8), blocks=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_a_stopped_sweep_is_the_sweep_to_its_stop(dim, blocks, seed):
+    # a column ends at its first node k >= 1 with ||x_k||_2 <= stop, or at
+    # its cap; the vector sweep's states and sum are then bitwise those of
+    # the sweep to that node, a block's columns end where their vector
+    # sweeps do (across several stop tests), and a block of one is bitwise
+    # the vector
+    rng = np.random.default_rng(seed)
+    step, K, S = sweep_step(rng, dim, blocks)
+    s = 5
+    caps = np.append(0, rng.integers(1, 40, size=s - 1))
+    x0 = rng.standard_normal((dim, s)) * 10.0 ** rng.uniform(-3, 3, size=s)
+    stop = 10.0 ** rng.uniform(-4, 0)
+
+    def phi(k, y):
+        return 0.1 * np.sin(y)
+
+    states, qs, ends = forward_sweep(step, x0, phi, caps, stop)
+    assert len(states) == ends.max() + 1 and ends[0] == 0
+    for j, cap in enumerate(caps):
+        full, _, _ = forward_sweep(step, x0[:, j], phi, int(cap))
+        end = next((k for k in range(1, cap + 1) if full[k] @ full[k] <= stop**2), cap)
+        col_states, col_q, col_end = forward_sweep(step, x0[:, j], phi, int(cap), stop)
+        assert ends[j] == col_end == end
+        to_end, q_end, _ = forward_sweep(step, x0[:, j], phi, end)
+        assert np.array_equal(col_states, to_end) and np.array_equal(col_q, q_end)
+        # a block's products round apart from the vector's over up to 40 nodes
+        np.testing.assert_allclose(states[:end + 1, :, j], col_states, rtol=1e-11,
+                                   atol=1e-11 * np.abs(col_states).max())
+        np.testing.assert_allclose(qs[:, j], col_q, rtol=1e-11,
+                                   atol=1e-11 * np.abs(col_q).max())
+        one_states, one_q, one_end = forward_sweep(step, x0[:, j:j + 1], phi, caps[j:j + 1], stop)
+        assert one_end[0] == end
+        assert np.array_equal(one_states[:, :, 0], col_states)
+        assert np.array_equal(one_q[:, 0], col_q)
+
+
+def test_a_block_ends_where_its_vector_does_at_the_threshold():
+    # a state whose squared norm lies just above stop^2 passes the block's
+    # screen, which has a margin for its roundoff, and must still not end
+    # the column, as it does not end the vector sweep
+    rng = np.random.default_rng(3)
+    step, _, _ = sweep_step(rng, 6, False)
+    x0 = np.column_stack([rng.standard_normal(6), rng.standard_normal(6)])
+
+    def phi(k, y):
+        return 0.1 * np.sin(y)
+
+    full, _, _ = forward_sweep(step, x0[:, 0], phi, 20)
+    sq = np.einsum("ki,ki->k", full, full)
+    k = 1 + int(np.argmin(sq[1:11]))
+    for stop in (math.sqrt(sq[k]), math.sqrt(sq[k] / (1 + 4e-10))):
+        _, _, end = forward_sweep(step, x0[:, 0], phi, 20, stop)
+        _, _, ends = forward_sweep(step, x0, phi, np.array([20, 20]), stop)
+        assert ends[0] == end
+        assert (end == k) == (stop * stop >= sq[k])
 
 
 def test_reverse_sweep_memory_does_not_grow_with_the_horizon():
@@ -308,6 +368,14 @@ def test_plant_refuses_misshaped_operator(name):
             lip_F=0.0,
             **ops,
         )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_plant_refuses_a_bad_lip_dsigma(value):
+    with pytest.raises(ValueError, match=r"^lip_dsigma must be finite and non-negative, got "):
+        Plant(name="bad", space_H=SpaceSpec(1, np.eye(1)), space_U=SpaceSpec(1, np.eye(1)),
+              space_Z=SpaceSpec(1, np.eye(1)), A=np.eye(1), B=np.eye(1), C=np.eye(1),
+              alpha_cert=1.0, lip_F=0.0, lip_dsigma=value)
 
 
 def test_solver_transpose_consistency():

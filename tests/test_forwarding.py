@@ -510,14 +510,17 @@ def test_state_block_duality_per_column(make_plant, dt_quad):
 
 
 def test_block_of_one_state_is_bitwise_the_vector():
-    plant = make_sine_gordon(N=12, gamma=0.05)
-    fmap = build_forwarding(plant, dt_quad=0.5, tail_tol=1e-6)
-    w = block_of_states(plant, 7)[:, 2]
-    eta = np.random.default_rng(8).standard_normal(plant.space_Z.dim)
-    one, vec = StateEvaluation(fmap, w[:, None]), StateEvaluation(fmap, w)
-    assert one.nq == vec.nq > 1
-    assert np.array_equal(one.M()[:, 0], vec.M())
-    assert np.array_equal(one.dM_adjoint_B(eta[:, None])[:, 0], vec.dM_adjoint_B(eta))
+    # also where the base sweep stops early: the block ends where the vector does
+    for plant, dt_quad in ((make_sine_gordon(N=12, gamma=0.05), 0.5),
+                           (make_wilson_cowan(n=8), 1.0)):
+        fmap = build_forwarding(plant, dt_quad=dt_quad, tail_tol=1e-6)
+        w = block_of_states(plant, 7)[:, 2]
+        eta = np.random.default_rng(8).standard_normal(plant.space_Z.dim)
+        one, vec = StateEvaluation(fmap, w[:, None]), StateEvaluation(fmap, w)
+        cap = math.ceil(fmap.horizon(plant.space_H.norm(w)) / dt_quad)
+        assert one.nqs.tolist() == [vec.nqs] and 1 < vec.nq < cap
+        assert np.array_equal(one.M()[:, 0], vec.M())
+        assert np.array_equal(one.dM_adjoint_B(eta[:, None])[:, 0], vec.dM_adjoint_B(eta))
 
 
 def test_singular_A_is_refused_by_name():
@@ -542,3 +545,71 @@ def test_uncertified_map_evaluates_without_a_warning():
         ev = StateEvaluation(fmap, w)
         ev.M(), ev.dM(h), ev.dM_adjoint(np.ones(plant.space_Z.dim))
     assert fmap.horizon(1.0) == fmap.tau_max
+
+
+# -- where the quadrature ends ------------------------------------------------
+
+TAIL_PLANTS = pytest.mark.parametrize(
+    "make_plant, dt_quad",
+    [(lambda: make_sine_gordon(N=60), 1.0), (lambda: make_wilson_cowan(n=32), 5.0)],
+    ids=["sine_gordon", "wilson_cowan"],
+)
+
+
+@TAIL_PLANTS
+def test_tail_bound_constants_hold(make_plant, dt_quad):
+    # ||dF(x) v||_H <= L2 ||x||_H ||v||_H and ||x||_H <= sqrt(lambda_max(G_H))
+    # ||x||_2, also where |S x| > 1, and the stop's gain is built from them
+    plant = make_plant()
+    fmap = build_forwarding(plant, dt_quad=dt_quad, tail_tol=1e-4)
+    space, l2 = plant.space_H, fmap.dF_growth
+    h_over_l2 = math.sqrt(np.linalg.eigvalsh(space.gram)[-1])
+    assert fmap.tail_gain == pytest.approx(
+        h_over_l2 * fmap.ca_inv_norm * max(plant.lip_F, l2 / 2) / plant.alpha_cert, rel=1e-12)
+    rng = np.random.default_rng(11)
+    states = [space.sample_sphere(rng) * r for r in (0.01, 0.3, 3.0, 30.0)]
+    states += [np.full(plant.dim, 2.5), rng.uniform(-4.0, 4.0, plant.dim)]
+    assert max(np.abs(plant.S @ x).max() for x in states) > 1.0
+    for x in states:
+        assert space.norm(x) <= h_over_l2 * np.linalg.norm(x) * (1 + 1e-12)
+        for v in (space.sample_sphere(rng), rng.standard_normal(plant.dim)):
+            assert space.norm(plant.dF(x) @ v) <= l2 * space.norm(x) * space.norm(v) * (1 + 1e-12)
+
+
+@TAIL_PLANTS
+def test_stopped_quadrature_is_within_tail_tol_of_a_long_one(make_plant, dt_quad):
+    # ended where the flow has decayed, M and dM per unit direction stay
+    # within tail_tol of a reference ended at tail_tol 1e-14
+    plant = make_plant()
+    fmap = build_forwarding(plant, dt_quad=dt_quad, tail_tol=1e-4)
+    ref = build_forwarding(plant, dt_quad=dt_quad, tail_tol=1e-14)
+    space, space_z = plant.space_H, plant.space_Z
+    rng = np.random.default_rng(12)
+    for r in (0.01, 0.1, 1.0, 10.0):
+        w, h = space.sample_sphere(rng) * r, space.sample_sphere(rng)
+        ev, long = StateEvaluation(fmap, w), StateEvaluation(ref, w)
+        assert 1 <= ev.nq < math.ceil(fmap.horizon(r) / dt_quad) and ev.nq < long.nq
+        assert space_z.norm(ev.M() - long.M()) <= fmap.tail_tol
+        assert space_z.norm(ev.dM(h) - long.dM(h)) <= fmap.tail_tol
+
+
+def test_the_stop_runs_only_where_it_is_certified():
+    rng = np.random.default_rng(13)
+    # tanh plant: dF(0) = K != 0, so dM's tail is not bounded by ||x_k||;
+    # its own lip_dsigma (|2 sech^2 tanh| <= 0.77) does not turn the stop on
+    plant = make_random_plant()
+    plant.alpha_cert, plant.lip_dsigma = 0.3, 1.0
+    fmap = build_forwarding(plant, dt_quad=0.02, tail_tol=1e-8)
+    w = plant.space_H.sample_ball(rng, 0.8)
+    assert fmap.tail_gain is None
+    assert StateEvaluation(fmap, w).nq == math.ceil(fmap.horizon(plant.space_H.norm(w)) / 0.02)
+    # no contraction certificate: tau_max
+    with pytest.warns(UserWarning, match="no contraction certificate"):
+        plant = make_sine_gordon(N=12, gamma=0.25)
+    fmap = build_forwarding(plant, dt_quad=0.5, tau_max=40.0)
+    assert fmap.dF_growth is not None and fmap.tail_gain is None
+    assert StateEvaluation(fmap, plant.space_H.sample_ball(rng, 0.1)).nq == 80
+    # linear: no nodes
+    fmap = build_forwarding(make_linear_benchmark(5, seed=13), dt_quad=0.05)
+    assert fmap.dF_growth is None and fmap.tail_gain is None
+    assert StateEvaluation(fmap, rng.standard_normal(5)).nq == 0
