@@ -25,7 +25,9 @@ uniformly scaled block of identity columns (sine-Gordon's gamma [0; I]),
 K phi is a scatter and K^T a gather. Any other S or K is a dense product.
 Both kernels sweep a state vector or a (dim, s) block of s states, each
 column to its own horizon, which the forward sweep may end early where the
-column's state has decayed (``stop``). The reverse sweep takes the slopes
+column's state has decayed (``stop``). A block tests each column's states
+with the vector's own x . x, bitwise, so the test is exact at any width and
+position in the block. The reverse sweep takes the slopes
 as one (n + 1, m) block, or (n + 1, m, s) for a block of states, and one
 state's (dim, c) block of directions or cotangents sweeps as one, all on
 its slopes.
@@ -246,10 +248,8 @@ def _check_step_size(plant: Plant, dt: float) -> None:
 
 
 # nodes a block sweep steps before its first stop test, and between tests
-# where its columns show no decay; the margin of a test's vecdot screen over
-# the vector path's x . x
+# where its columns show no decay
 _STOP_EVERY = 8
-_SCREEN = 1.0 + 1e-9
 
 
 def trapezoid_weights(nq) -> np.ndarray:
@@ -296,12 +296,14 @@ def forward_sweep(
     ``stop``, for a state vector or a block of states, ends each column
     early at its first node k >= 1 with ||x_k||_2 <= stop, which becomes its
     end node, weighed by half; ``nq`` stays the cap. A vector tests every
-    node with x . x. A block tests its stored states with one product at
-    node ``_STOP_EVERY`` and then where its columns' decay predicts their
-    ends (:func:`_screen_gap`), and confirms a hit with the vector's own
-    x . x, so it ends each column where the vector would; phi_at may then
-    be called for a few nodes past the last end, whose rows are not
-    returned.
+    node with x . x. A block tests the states it stepped since its last test
+    with one vecdot over a contiguous copy, a row per column, so each
+    squared norm is the vector's own x . x, bitwise: the test is exact, and
+    a column ends at the first node whose state passes it. It tests at node
+    ``_STOP_EVERY`` and then where its live columns' decay predicts their
+    ends (:func:`_screen_gap`). The prediction sets only how far the block
+    steps past its last end: phi_at may be called for a few nodes there,
+    whose rows are not returned.
     """
     wq = step.dt * trapezoid_weights(nq)
     n = len(wq) - 1
@@ -323,11 +325,10 @@ def forward_sweep(
             q += wq[k] * phi
         return states, q, n
     # a block adds each node's phi once the stop test of its chunk has fixed
-    # its weight; a column that ends gets its end node's half weight and 0
-    # beyond, in place, as its vector sweep would
-    ends, end_max, check = np.array(nq), n, min(_STOP_EVERY, n)
-    # the squared norm that ends each column, -1 once it cannot end any more
-    screen = None if thr2 is None else np.where(ends > 0, thr2 * _SCREEN, -1.0)
+    # its weight; wq, the weights of the columns' ends so far, gives a column
+    # that ends its end node's half weight and 0 beyond, as its vector sweep
+    # would, and its last row is the block's last end
+    ends, check = np.array(nq), min(_STOP_EVERY, n)
     q = wq[0] * phi
     pending = []
     for k in range(1, n + 1):
@@ -337,61 +338,35 @@ def forward_sweep(
         if k < check:
             continue
         first = k + 1 - len(pending)
-        if screen is not None:
-            seg = states[first:k + 1]
-            sq = np.vecdot(seg, seg, axis=1)
-            ended = _ended_columns(seg, sq, first, ends, screen, thr2)
-            for j, e in ended:
-                wq[e, j] = wq[0, j]
-                wq[e + 1:, j] = 0.0
-            if ended:
-                end_max = int(ends.max())
+        if thr2 is not None:
+            # each column's states as contiguous rows: a row's squared norm is
+            # the vector's own x . x, bitwise
+            seg = np.ascontiguousarray(states[first:k + 1].transpose(2, 0, 1))
+            sq = np.vecdot(seg, seg)
+            hit = (sq <= thr2) & (np.arange(first, k + 1) < ends[:, None])
+            ended = hit.any(axis=1)
+            if ended.any():
+                ends[ended] = first + hit[ended].argmax(axis=1)
+                wq = step.dt * trapezoid_weights(ends)
         for wk, phk in zip(wq[first:], pending):
             q += wk * phk
         pending.clear()
-        if k >= end_max:
+        if k >= len(wq) - 1:
             break
-        check = min(k + (_STOP_EVERY if screen is None else _screen_gap(sq, screen, thr2)), n)
-    return states[:end_max + 1], q, ends
+        check = min(k + (_STOP_EVERY if thr2 is None else _screen_gap(sq, ends > k, thr2)), n)
+    return states[:len(wq)], q, ends
 
 
-def _ended_columns(seg: np.ndarray, sq: np.ndarray, first: int, ends: np.ndarray,
-                   screen: np.ndarray, thr2: float) -> list:
-    """The (column, node) pairs of a block sweep's columns that end in
-    ``seg``, the states of nodes first, first + 1, ...: each column at its
-    first node there, before its cap, with x . x <= thr2, which becomes its
-    entry of ``ends``. Their squared norms ``sq``, one vecdot, screen the
-    chunk against ``screen``, a margin above its roundoff; x . x on a
-    contiguous copy of the column, the vector sweep's own test, decides.
-    A column that has ended, by its stop or at its cap, leaves ``screen``."""
-    hit = sq <= screen
-    ended = []
-    if hit.any():
-        caps = ends.tolist()
-        for j, col in enumerate(hit.T.tolist()):
-            if True not in col:
-                continue
-            for i in range(col.index(True), min(len(col), caps[j] - first)):
-                if not col[i]:
-                    continue
-                x = seg[i, :, j].copy()
-                if x.dot(x) <= thr2:
-                    ends[j] = first + i
-                    ended.append((j, first + i))
-                    break
-    screen[ends < first + len(sq)] = -1.0
-    return ended
-
-
-def _screen_gap(sq: np.ndarray, screen: np.ndarray, thr2: float) -> int:
+def _screen_gap(sq: np.ndarray, live: np.ndarray, thr2: float) -> int:
     """Nodes to the next stop test of a block sweep: where the slowest
-    column still running reaches thr2, at the geometric rate its squared
-    norms ``sq`` fell over the chunk just tested; ``_STOP_EVERY`` when a
-    column's norms did not fall. It sets only how many nodes a block may
-    step past its last end, never where a column ends."""
-    gap, m = 1, len(sq) - 1
-    for a, b, live in zip(sq[0].tolist(), sq[-1].tolist(), (screen > 0).tolist()):
-        if not live:
+    ``live`` column reaches thr2, at the geometric rate its squared norms
+    ``sq``, one row per column, fell over the chunk just tested;
+    ``_STOP_EVERY`` when a column's norms did not fall. It sets only how
+    many nodes a block may step past its last end, never where a column
+    ends."""
+    gap, m = 1, sq.shape[1] - 1
+    for a, b, on in zip(sq[:, 0].tolist(), sq[:, -1].tolist(), live.tolist()):
+        if not on:
             continue
         if not (m and a > b > thr2 > 0):
             return _STOP_EVERY

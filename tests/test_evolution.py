@@ -269,27 +269,42 @@ def test_a_stopped_sweep_is_the_sweep_to_its_stop(dim, blocks, seed):
         assert one_end[0] == end
         assert np.array_equal(one_states[:, :, 0], col_states)
         assert np.array_equal(one_q[:, 0], col_q)
+    _, _, rev_ends = forward_sweep(step, x0[:, ::-1], phi, caps[::-1], stop)
+    assert np.array_equal(rev_ends, ends[::-1])
 
 
 def test_a_block_ends_where_its_vector_does_at_the_threshold():
-    # a state whose squared norm lies just above stop^2 passes the block's
-    # screen, which has a margin for its roundoff, and must still not end
-    # the column, as it does not end the vector sweep
+    # stop^2 within a few roundoffs of a state's squared norm, or 4e-10 below
+    # it: the block's test is exact, so each column ends at the first node
+    # where the vector's own x . x of its state is at most stop^2, at any
+    # width and place in the block, and a block of one ends where the vector
+    # does
     rng = np.random.default_rng(3)
     step, _, _ = sweep_step(rng, 6, False)
-    x0 = np.column_stack([rng.standard_normal(6), rng.standard_normal(6)])
+    x0 = np.column_stack([rng.standard_normal(6) for _ in range(8)])
 
     def phi(k, y):
         return 0.1 * np.sin(y)
 
+    def stops_and_ends(states):
+        sq = [x.dot(x) for x in np.ascontiguousarray(states)]
+        for k in range(1, 21):
+            root = math.sqrt(sq[k])
+            for stop in [root * (1 + i * 2.0**-52) for i in range(-4, 5)] + [
+                    math.sqrt(sq[k] / (1 + 4e-10))]:
+                yield stop, next((j for j in range(1, 21) if sq[j] <= stop * stop), 20)
+
     full, _, _ = forward_sweep(step, x0[:, 0], phi, 20)
-    sq = np.einsum("ki,ki->k", full, full)
-    k = 1 + int(np.argmin(sq[1:11]))
-    for stop in (math.sqrt(sq[k]), math.sqrt(sq[k] / (1 + 4e-10))):
-        _, _, end = forward_sweep(step, x0[:, 0], phi, 20, stop)
-        _, _, ends = forward_sweep(step, x0, phi, np.array([20, 20]), stop)
-        assert ends[0] == end
-        assert (end == k) == (stop * stop >= sq[k])
+    for stop, end in stops_and_ends(full):
+        assert forward_sweep(step, x0[:, 0], phi, 20, stop)[2] == end
+        assert forward_sweep(step, x0[:, :1], phi, np.array([20]), stop)[2].tolist() == [end]
+    for width in (2, 3, 8):
+        for at in (0, width // 2, width - 1):
+            block = np.roll(x0[:, :width], at, axis=1)  # column 0 moves to ``at``
+            states, _, _ = forward_sweep(step, block, phi, np.full(width, 20))
+            for stop, end in stops_and_ends(states[:, :, at]):
+                _, _, ends = forward_sweep(step, block, phi, np.full(width, 20), stop)
+                assert ends[at] == end, (stop, width, at)
 
 
 def test_reverse_sweep_memory_does_not_grow_with_the_horizon():

@@ -1,11 +1,14 @@
 """Hash every CLI artifact of a checkout, to show that a change moved no byte.
 
-For each ``--seed`` it runs ``gains``, ``simulate``, ``verify`` and ``sweep``
-on every config in ``configs/`` and ``perfbench/configs/`` of the checkout,
-each as its own ``python -m forwardreg.cli`` process with BLAS on one thread,
-and prints one JSON map
+For each ``--seed`` it runs ``gains``, ``simulate``, ``verify``, ``sweep`` and
+``sweep --workers 2`` on every config in ``configs/`` and ``perfbench/configs/``
+of the checkout, each as its own ``python -m forwardreg.cli`` process with BLAS
+on one thread, and prints one JSON map
 
     {"<config>/<command> --seed <seed>": [exit, stdout sha256, {file: sha256}]}
+
+The second sweep splits its cells into two lockstep blocks, so the map also
+covers a second block width.
 
 Each run reads a copy of its config under the same relative name and writes
 into a temporary directory, so two checkouts give comparable keys and the
@@ -30,7 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = ("gains", "simulate", "verify", "sweep")
+COMMANDS = ("gains", "simulate", "verify", "sweep", "sweep --workers 2")
 CONFIG_DIRS = ("configs", "perfbench/configs")
 ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -56,8 +59,8 @@ def hashes(checkout: Path, seeds) -> dict:
                 for command in COMMANDS:
                     outdir = root / "out"
                     proc = subprocess.run(
-                        [sys.executable, "-m", "forwardreg.cli", command, "--config",
-                         config, "--out", "out", "--seed", str(seed)],
+                        [sys.executable, "-m", "forwardreg.cli", *command.split(),
+                         "--config", config, "--out", "out", "--seed", str(seed)],
                         cwd=root, env=env, capture_output=True)
                     files = ({str(p.relative_to(outdir)): _sha256(p.read_bytes())
                               for p in sorted(outdir.rglob("*")) if p.is_file()}
