@@ -405,18 +405,22 @@ def _sweep_cell(fmap: Optional[ForwardingMap], d_norm: float, y_norm: float,
                 "d_norm": d_norm, "y_ref_norm": y_norm, "success": 0, "converged": 0}
 
 
-def _sweep_rows(cfg: RunConfig, cells: list) -> list:
+def _sweep_rows(cfg: RunConfig, cells: list, built: Optional[tuple] = None) -> list:
     """Row dicts of the grid cells ``cells``, (d_norm, y_norm) pairs, searched
     in lockstep as one block (:func:`find_equilibrium_recorded`).
 
-    A failure of the build or of the whole search makes every cell a NaN
-    row; a cell whose state stops being finite is a NaN row of its own.
+    ``built`` is the caller's (plant, fmap) of ``cfg``; without it, as in a
+    worker process, they are built here. A failure of the build or of the
+    whole search makes every cell a NaN row; a cell whose state stops being
+    finite is a NaN row of its own.
     """
     dt, t_budget = cfg.sweep.get("dt", 0.05), cfg.sweep.get("t_budget", 100.0)
     fmap = None
     try:
-        plant = build_plant(cfg)
-        fmap = build_fmap(plant, cfg)
+        if built is None:
+            plant = build_plant(cfg)
+            built = plant, build_fmap(plant, cfg)
+        plant, fmap = built
         y_dir = np.ones(plant.space_Z.dim)
         y_dir /= plant.space_Z.norm(y_dir)
         pairs = [(_sample(plant, np.random.default_rng(cfg.seed), d_norm), y_dir * y_norm)
@@ -447,7 +451,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             parts = list(pool.map(_sweep_rows, [cfg] * len(blocks), blocks))
     else:
-        parts = [_sweep_rows(cfg, block) for block in blocks]
+        parts = [_sweep_rows(cfg, block, (plant, fmap)) for block in blocks]
     rows = [row for part in parts for row in part]
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)

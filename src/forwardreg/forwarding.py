@@ -278,7 +278,7 @@ class StateEvaluation:
         stop = fmap.tail_tol / fmap.tail_gain if fmap.tail_gain else None
         base, qs, self.nqs = forward_sweep(self._step, self.w, sigma_at, self.nqs, stop)
         self.nq = len(base) - 1
-        self.q = plant.K @ qs
+        self.q = plant.K.dot(qs)
         self._slopes = plant.dsigma(np.array(gathered[:self.nq + 1]))
 
     # -- primal evaluations -------------------------------------------------
@@ -315,7 +315,7 @@ class StateEvaluation:
         block of c directions, swept together; for a block of s states it is
         (dim_Z, s), one direction per state.
         """
-        psi_t = self.fmap._mlin_t_gz @ np.asarray(zeta, dtype=float)
+        psi_t = self.fmap._mlin_t_gz.dot(np.asarray(zeta, dtype=float))
         if self.nq == 0:
             return psi_t
         return psi_t - reverse_sweep(self._step, self._slopes, psi_t, self.nqs)
@@ -331,7 +331,7 @@ class StateEvaluation:
         the (dim_U, s) block of their controls.
         """
         gh = self._adjoint_gram_coords(zeta)
-        return self.plant.space_U.solve_gram(self.plant.B.T @ gh)
+        return self.plant.space_U.solve_gram(self.plant.B.T.dot(gh))
 
 
 def assemble_feedback_matrix(fmap: ForwardingMap, w: np.ndarray) -> np.ndarray:

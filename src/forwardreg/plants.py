@@ -303,7 +303,7 @@ def make_wilson_cowan(n: int = 32, alpha_gain: float = 0.05, kernel: float = 0.1
         # F(w) = kop (s(w) - s'(0) w): K = kop, S = I
         K=kop,
         S=np.eye(n),
-        sigma=lambda v: np.tanh(v) - sp0 * v,
+        sigma=lambda v: np.tanh(v) - v,  # s'(0) = sp0 = 1 exactly: no product
         dsigma=lambda v: _tanh_ds(v) - sp0,
         global_ok=feasible and alpha_gain > 2.0 * m_ks,
     )

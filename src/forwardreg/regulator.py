@@ -21,6 +21,7 @@ with its own initial state, step size dt and horizon.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, count, islice
@@ -195,13 +196,13 @@ def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
         ev = StateEvaluation(fmap, w)
         m = ev.M()
         u = ev.dM_adjoint_B(z - m)
-        y = plant.C @ w
+        y = plant.C.dot(w)
         keep = yield w, z, m, u, y
         if keep is not None and not column:
             w, z, u, y, d, y_ref = (a[:, keep] for a in (w, z, u, y, d, y_ref))
             if isinstance(dt, np.ndarray):
                 dt = dt[keep]
-        w = _solve_step(plant, dt, w - dt * plant.F(w) + dt * (plant.B @ u + d))
+        w = _solve_step(plant, dt, w - dt * plant.F(w) + dt * (plant.B.dot(u) + d))
         z = z + dt * (y - y_ref)
 
 
@@ -242,8 +243,8 @@ def _record(fmap: ForwardingMap, states, scenarios: list, ns: list) -> list:
             w_h[k], z_h[k], m_h[k], u_h[k], y_h[k] = w, z, m, u, y
             # V, and the H-norm for the guard, from one Gram product of w
             ww, eta = space_h.inner(w, w), z - m
-            v_h[k] = 0.5 * ww + 0.5 * fmap.rho * space_z.inner(eta, eta)
-            if not np.isfinite(v_h[k]) or np.sqrt(max(ww, 0.0)) > _DIVERGENCE_GUARD:
+            v_h[k] = v = 0.5 * ww + 0.5 * fmap.rho * space_z.inner(eta, eta)
+            if not math.isfinite(v) or math.sqrt(max(ww, 0.0)) > _DIVERGENCE_GUARD:
                 diverged[j], ends[j] = True, k
             elif k < ns[j]:
                 keep.append(p)

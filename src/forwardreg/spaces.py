@@ -11,6 +11,8 @@ continuous models. Each space factors its Gram once (``chol_lower``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dpotrs
@@ -57,10 +59,11 @@ class SpaceSpec:
         self.label = label
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.asarray(x) @ self.gram @ np.asarray(y))
+        """(x, y) of two vectors, as (x @ gram) @ y."""
+        return float(x.dot(self.gram).dot(y))
 
     def norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(x, x), 0.0)))
+        return math.sqrt(max(self.inner(x, x), 0.0))
 
     def solve_gram(self, x: np.ndarray) -> np.ndarray:
         """G^{-1} x for a vector or each column of a block.

@@ -768,6 +768,16 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
 
+def test_one_block_sweep_builds_its_plant_and_map_once(tmp_path, monkeypatch):
+    # the in-process block searches on the pair that the feasibility check built
+    path = write_config(tmp_path, SCALAR_INI + "\n    [sweep]\n    d_norms = 0, 0.05\n")
+    built = {name: Mock(wraps=getattr(cli, name)) for name in ("build_plant", "build_fmap")}
+    for name, mock in built.items():
+        monkeypatch.setattr(cli, name, mock)
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert [mock.call_count for mock in built.values()] == [1, 1]
+
+
 def test_gains_with_singular_A_exit_2(tmp_path, capsys):
     # negative control: a = 0 makes -C A^{-1} undefined; the build says so
     # instead of failing later on infinities

@@ -194,6 +194,38 @@ def test_identity_block_operands_are_gathered_and_scattered():
     np.testing.assert_array_equal(*held(wc.gather_k), 0.5 * plant.K.T)
 
 
+@pytest.mark.parametrize("make", [lambda: make_wilson_cowan(n=32),
+                                  lambda: make_sine_gordon(N=30)],
+                         ids=["dense_K", "identity_blocks"])
+def test_forward_sweep_is_bitwise_the_written_out_recursion(make):
+    # x_{k+1} = P (x_k - dt K phi_k) and q = sum_k w_k phi_k, node by node,
+    # with the step's own P and dt K: the sweep neither reorders a sum nor
+    # changes an operand, for a vector, a (dim, 1) block and a block of one
+    # column with its own horizon
+    plant = make()
+    dt, n = 0.7, 12
+    step = plant.solver.step(dt)
+    w = dt * trapezoid_weights(n)
+    rng = np.random.default_rng(4)
+    # a zero second half, so that dt K phi is not lost in x's roundoff at node 0
+    x0 = np.where(np.arange(plant.dim) < plant.dim // 2, rng.standard_normal(plant.dim), 0.0)
+    xs = [x0]
+    phi = plant.sigma(plant.S @ x0)
+    qs = w[0] * phi
+    for k in range(1, n + 1):
+        xs.append(np.matmul(step.p, xs[-1] - (dt * plant.K) @ phi))
+        phi = plant.sigma(plant.S @ xs[-1])
+        qs += w[k] * phi
+    # one node's dt K phi alone, where no x absorbs its roundoff
+    assert np.array_equal(step.scatter_k(np.zeros(plant.dim), phi), -((dt * plant.K) @ phi))
+    phi_at = lambda k, y: plant.sigma(y)
+    for x, nq, shape in ((x0, n, (plant.dim,)), (x0[:, None], n, (plant.dim, 1)),
+                         (x0[:, None], np.array([n]), (plant.dim, 1))):
+        states, q, _ = forward_sweep(step, x, phi_at, nq)
+        assert np.array_equal(states, np.reshape(xs, (n + 1,) + shape))
+        assert np.array_equal(q, qs.reshape(q.shape))
+
+
 def test_trapezoid_weights():
     np.testing.assert_array_equal(trapezoid_weights(3), [0.5, 1, 1, 0.5])
     np.testing.assert_array_equal(trapezoid_weights(0), [0.0])

@@ -14,6 +14,22 @@ def test_inner_product_weighted():
     assert sp.norm(np.array([1.0, 2.0])) == pytest.approx(np.sqrt(6.0))
 
 
+@pytest.mark.parametrize("dim", [1, 32, 120])
+def test_inner_and_norm_are_bitwise_the_reference_products(dim):
+    # inner is (x @ G) @ y and norm its clamped square root, bit for bit, on
+    # contiguous vectors and on row views of a 2-D array alike
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim))
+    sp = SpaceSpec(dim, m @ m.T + dim * np.eye(dim), "H")
+    rows = rng.standard_normal((8, dim))
+    pairs = [(rows[k], rows[k + 1]) for k in range(0, 8, 2)]
+    pairs += [(x.copy(), y.copy()) for x, y in pairs]
+    for x, y in pairs:
+        assert sp.inner(x, y) == float(x @ sp.gram @ y)
+        assert sp.norm(x) == float(np.sqrt(max(x @ sp.gram @ x, 0.0)))
+        assert type(sp.inner(x, y)) is type(sp.norm(x)) is float
+
+
 def test_gram_must_be_spd():
     with pytest.raises(ValueError):
         SpaceSpec(2, np.diag([1.0, -1.0]))
