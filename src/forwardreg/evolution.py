@@ -15,7 +15,11 @@ Jacobians are J_k = K diag(D_k) S with the slopes D_k = sigma'(S w_k).
 
 These flows and the quadratures of the forwarding module all run on two
 kernels, :func:`forward_sweep` and its exact transpose :func:`reverse_sweep`,
-so this module alone fixes the discrete step, trapezoid weights and transpose.
+so this module alone fixes the discrete step and its transpose. The
+quadrature rule is data, a table of weights per node that only
+:func:`trapezoid_weights` builds from node counts: the forward sweep returns
+the table it realized and the reverse sweep reads every weight from it, so
+it is the transpose whatever the rule.
 Both read a :class:`SweepStep`, built once per step size: P, a row-major
 P^T, and the maps x -> S x, (x, phi) -> x - dt K phi and their transposes.
 Each node takes exactly one product with P (forward) or P^T (reverse) and
@@ -25,20 +29,17 @@ uniformly scaled block of identity columns (sine-Gordon's gamma [0; I]),
 K phi is a scatter and K^T a gather. Any other S or K is a dense product.
 Both kernels sweep a state vector or a (dim, s) block of s states, each
 column to its own horizon, which the forward sweep may end early where the
-column's state has decayed (``stop``). A block tests each column's states
-with the vector's own x . x, bitwise, so the test is exact at any width and
-position in the block. The reverse sweep takes the slopes
-as one (n + 1, m) block, or (n + 1, m, s) for a block of states, and one
-state's (dim, c) block of directions or cotangents sweeps as one, all on
-its slopes.
+column's state has decayed (``stop``), exactly: a block tests each column
+with the vector's own x . x, bitwise. One state's (dim, r) block of
+directions or cotangents sweeps as one, on its (n + 1, m) slopes; a block
+of states takes (n + 1, m, s) slopes.
 
 The products on the hot path (P and P^T in the sweeps, the dense S and K
 maps, ``solve_step`` and ``Plant.F``; in the forwarding and regulator
 modules, the evaluation's and the closed-loop step's) are ``ndarray.dot``
-calls, not ``@``. At these sizes (dim 32-120) the matmul ufunc's dispatch
-costs about twice as much per call (1.16 against 0.62 us at dim 32 on a
-2-vCPU x86_64 host with OpenBLAS), while the BLAS call, and so every bit
-of the result, is the same.
+calls, not ``@``: the same BLAS call, and so the same bits, at about half
+the matmul ufunc's dispatch cost at these sizes (dim 32-120; 0.62 against
+1.16 us at dim 32 on a 2-vCPU x86_64 host with OpenBLAS).
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "OperatorSolver",
     "SweepStep",
     "trapezoid_weights",
+    "horizons",
     "forward_sweep",
     "reverse_sweep",
     "flow",
@@ -260,6 +262,7 @@ def _check_step_size(plant: Plant, dt: float) -> None:
 # nodes a block sweep steps before its first stop test, and between tests
 # where its columns show no decay
 _STOP_EVERY = 8
+_END_WEIGHT = 0.5  # the weight, in units of the step, of the node where the stop ends a column
 
 
 def trapezoid_weights(nq) -> np.ndarray:
@@ -272,17 +275,21 @@ def trapezoid_weights(nq) -> np.ndarray:
     """
     nq = np.asarray(nq)
     if nq.ndim == 0:  # one state, every step of a single run: kept cheap
-        n = int(nq)
-        c = np.full(n + 1, 1.0 if n else 0.0)
-        c[0] = c[n] = 0.5 * c[0]
+        c = np.full(int(nq) + 1, 1.0 if nq else 0.0)
+        c[0] = c[-1] = 0.5 * c[0]
         return c
     k = np.arange(int(nq.max(initial=0)) + 1)[:, None]
     return np.where((k == 0) | (k == nq), 0.5, 1.0) * (k <= nq) * (nq > 0)
 
 
+def horizons(c: np.ndarray) -> np.ndarray:
+    """Each column's last node of nonzero weight in an (n + 1, s) table, 0 where it has none."""
+    return np.where(c.any(axis=0), len(c) - 1 - (c[::-1] != 0).argmax(axis=0), 0)
+
+
 def forward_sweep(
-    step: SweepStep, x0: np.ndarray, phi_at: Callable, nq, stop: Optional[float] = None
-) -> tuple[np.ndarray, np.ndarray, object]:
+    step: SweepStep, x0: np.ndarray, phi_at: Callable, c: np.ndarray, stop: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward recursion x_{k+1} = P (x_k - dt K phi_k), phi_k = phi_at(k, S x_k).
 
     The one loop over flow and quadrature nodes, on the :class:`SweepStep`
@@ -290,56 +297,50 @@ def forward_sweep(
     gathers S x and scatters K phi through the step's maps. With phi = sigma
     it is the IMEX flow of F; with phi_k(y) = D_k y, D_k = sigma'(S w_k)
     along a base trajectory, it is the discrete tangent step
-    T_k = P (I - dt K diag(D_k) S). Returns the states x_0..x_n, the
-    trapezoid sum of phi_0..phi_n with step dt, so the quadrature of
-    g_k = K phi_k is K times it, and the horizons the sweep realized. phi_at
-    may get a view of x_k, and must not write into it.
+    T_k = P (I - dt K diag(D_k) S). ``c`` is the quadrature rule as data:
+    the weights of nodes 0..n in units of the step. Returns the states
+    x_0..x_n, the sum of dt c_k phi_k (K times it is the quadrature of
+    g_k = K phi_k) and the table realized, which :func:`reverse_sweep`
+    takes. phi_at may get a view of x_k, and must not write into it.
 
-    ``x0`` is a vector or a (dim, c) block with the int horizon ``nq`` = n,
-    or a (dim, s) block of s columns with an int array ``nq`` of their own
-    horizons: the block sweeps to n = max(nq), and column j sums phi over its
-    nodes 0..nq_j only (:func:`trapezoid_weights`). States are
-    (n + 1,) + x0.shape and phi_at gets (m, c) or (m, s) blocks. Products of
-    (dim, dim) with (dim, 1) are matrix-vector products, so a block of one
-    column is bitwise the vector sweep.
+    ``x0`` is a vector or a (dim, r) block of directions with an (n + 1,)
+    table, or a (dim, s) block of states with an (n + 1, s) table, column j
+    to its own horizon (:func:`horizons`). States are (n + 1,) + x0.shape;
+    phi_at gets (m, r) or (m, s) blocks. A block of one column is bitwise
+    the vector sweep, as (dim, dim) times (dim, 1) is a matrix-vector product.
 
     ``stop``, for a state vector or a block of states, ends each column
-    early at its first node k >= 1 with ||x_k||_2 <= stop, which becomes its
-    end node, weighed by half; ``nq`` stays the cap. A vector tests every
-    node with x . x. A block tests the states it stepped since its last test
-    with one vecdot over a contiguous copy, a row per column, so each
-    squared norm is the vector's own x . x, bitwise: the test is exact, and
-    a column ends at the first node whose state passes it. It tests at node
-    ``_STOP_EVERY`` and then where its live columns' decay predicts their
-    ends (:func:`_screen_gap`). The prediction sets only how far the block
-    steps past its last end: phi_at may be called for a few nodes there,
-    whose rows are not returned.
+    early at its first node k >= 1 before its horizon with ||x_k||_2 <= stop:
+    in the table returned, that node weighs ``_END_WEIGHT`` and those beyond
+    0. A vector tests every node with x . x; a block, the states stepped
+    since its last test, with one vecdot over a contiguous copy, a row per
+    column, so that each squared norm is the vector's own x . x, bitwise. A
+    block tests at node ``_STOP_EVERY``, then where its live columns' decay
+    predicts their ends (:func:`_screen_gap`): phi_at may be called for a
+    few nodes past its last end, whose rows are not returned.
     """
-    wq = step.dt * trapezoid_weights(nq)
-    n = len(wq) - 1
+    n = last = len(c) - 1
     p, gather_s, scatter_k = step.p, step.gather_s, step.scatter_k
     thr2 = None if stop is None else stop * stop
     states = np.empty((n + 1,) + x0.shape)
     states[0] = x = x0
     phi = phi_at(0, gather_s(x))
-    if wq.ndim == 1:
+    if c.ndim == 1:
         # one state's weights as floats: a product with a float costs less per node
-        wq = wq.tolist()
+        wq = (step.dt * c).tolist()
         q = wq[0] * phi
         for k in range(1, n + 1):
             x = p.dot(scatter_k(x, phi), out=states[k])
             phi = phi_at(k, gather_s(x))
             if thr2 is not None and x.dot(x) <= thr2:
-                q += wq[0] * phi  # the end node's half weight
-                return states[:k + 1], q, k
+                q += step.dt * _END_WEIGHT * phi
+                return states[:k + 1], q, np.concatenate((c[:k], [_END_WEIGHT]))
             q += wq[k] * phi
-        return states, q, n
-    # a block adds each node's phi once the stop test of its chunk has fixed
-    # its weight; wq, the weights of the columns' ends so far, gives a column
-    # that ends its end node's half weight and 0 beyond, as its vector sweep
-    # would, and its last row is the block's last end
-    ends, check = np.array(nq), min(_STOP_EVERY, n)
-    q = wq[0] * phi
+        return states, q, c
+    # a block adds each node's phi once its chunk's stop test has fixed its
+    # weight in the sweep's copy of the table, as a column's vector sweep would
+    c, ends, check = c.copy(), horizons(c), min(_STOP_EVERY, n)
+    q = step.dt * c[0] * phi
     pending = []
     for k in range(1, n + 1):
         x = p.dot(scatter_k(x, phi), out=states[k])
@@ -354,26 +355,24 @@ def forward_sweep(
             seg = np.ascontiguousarray(states[first:k + 1].transpose(2, 0, 1))
             sq = np.vecdot(seg, seg)
             hit = (sq <= thr2) & (np.arange(first, k + 1) < ends[:, None])
-            ended = hit.any(axis=1)
-            if ended.any():
-                ends[ended] = first + hit[ended].argmax(axis=1)
-                wq = step.dt * trapezoid_weights(ends)
-        for wk, phk in zip(wq[first:], pending):
+            for j in np.flatnonzero(hit.any(axis=1)):
+                ends[j] = e = first + hit[j].argmax()
+                c[e, j], c[e + 1:, j] = _END_WEIGHT, 0.0
+            last = ends.max()
+        for wk, phk in zip(step.dt * c[first:last + 1], pending):
             q += wk * phk
         pending.clear()
-        if k >= len(wq) - 1:
+        if k >= last:
             break
         check = min(k + (_STOP_EVERY if thr2 is None else _screen_gap(sq, ends > k, thr2)), n)
-    return states[:len(wq)], q, ends
+    return states[:last + 1], q, c[:last + 1]
 
 
 def _screen_gap(sq: np.ndarray, live: np.ndarray, thr2: float) -> int:
     """Nodes to the next stop test of a block sweep: where the slowest
-    ``live`` column reaches thr2, at the geometric rate its squared norms
-    ``sq``, one row per column, fell over the chunk just tested;
-    ``_STOP_EVERY`` when a column's norms did not fall. It sets only how
-    many nodes a block may step past its last end, never where a column
-    ends."""
+    ``live`` column reaches thr2 at the geometric rate its squared norms
+    ``sq`` (a row per column) fell over the chunk just tested, or
+    ``_STOP_EVERY`` where a column's did not fall. It never sets an end."""
     gap, m = 1, sq.shape[1] - 1
     for a, b, on in zip(sq[:, 0].tolist(), sq[:, -1].tolist(), live.tolist()):
         if not on:
@@ -385,39 +384,35 @@ def _screen_gap(sq: np.ndarray, live: np.ndarray, thr2: float) -> int:
     return gap
 
 
-def reverse_sweep(step: SweepStep, D: np.ndarray, psi: np.ndarray, nq) -> np.ndarray:
+def reverse_sweep(step: SweepStep, D: np.ndarray, psi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Exact transpose of :func:`forward_sweep` with phi_k(y) = D_k y, in reverse.
 
     Each step applies T_k^T = P^T - dt S^T D_k K^T P^T on the same
     :class:`SweepStep` as the forward sweep: a = P^T r, then
     r = a + S^T D_k (c_k dt K^T psi - dt K^T a), one product with P^T per
-    node. Returns r_0 alone, the cotangent of x_0 for the output psi . K q,
-    so psi . K q equals x_0 . r_0 to roundoff, column by column. Callers pass
-    psi in Gram-multiplied coordinates; r_0 is in the same coordinates.
+    node, c_k read from the table ``c`` the forward sweep realized, whatever
+    its rule. Returns r_0 alone, the cotangent of x_0 for the output
+    psi . K q: psi . K q equals x_0 . r_0 to roundoff, column by column.
+    psi, and so r_0, are in Gram-multiplied coordinates.
 
-    For one state, ``D`` holds the (n + 1, m) slopes, ``nq`` = n is an int,
-    and ``psi`` is a vector or a (dim, c) block swept together. For a block
-    of s states, ``D`` is (n + 1, m, s), ``nq`` the int array of the
-    columns' horizons and ``psi`` is (dim, s), one cotangent per state. A
-    column's sweep is 0 past its own end node nq_j and takes its psi weight
-    from there down.
+    ``D`` holds one state's (n + 1, m) slopes, with an (n + 1,) ``c`` and a
+    vector or a (dim, r) block ``psi`` swept together; or a block of s
+    states' (n + 1, m, s) slopes, with an (n + 1, s) ``c`` and a (dim, s)
+    ``psi``, one cotangent per state, each column 0 past its horizon.
     """
-    c = trapezoid_weights(nq)
     n = len(c) - 1
     pt, gather_k, scatter_s = step.pt, step.gather_k, step.scatter_s
     d = D[..., None] if D.ndim == psi.ndim else D
-    # c_k dt K^T psi at every node, c the trapezoid weights; one state's
-    # inner nodes (c_k = 1) share kpsi instead of taking a row each
-    kpsi = gather_k(psi)
-    if c.ndim == 1:
-        ckpsi = [kpsi] * (n + 1)
-        ckpsi[0] = ckpsi[n] = c[0] * kpsi
-    else:
-        ckpsi = c[:, None, :] * kpsi
-    r = scatter_s(np.zeros_like(psi), d[n] * ckpsi[n])
+    kpsi = gather_k(psi)  # node k's output term is d_k c_k dt K^T psi
+    # a run of equal rows (the trapezoid rule's inner nodes) shares its product
+    new = (c[:-1] != c[1:]).reshape(n, c[0].size).any(axis=1).tolist()
+    ckpsi = c[n] * kpsi
+    r = scatter_s(np.zeros_like(psi), d[n] * ckpsi)
     for k in range(n - 1, -1, -1):
         a = pt.dot(r)
-        r = scatter_s(a, d[k] * (ckpsi[k] - gather_k(a)))
+        if new[k]:  # row k differs from row k + 1
+            ckpsi = c[k] * kpsi
+        r = scatter_s(a, d[k] * (ckpsi - gather_k(a)))
     return r
 
 
@@ -430,7 +425,7 @@ def flow(plant: Plant, w0: np.ndarray, T: float, dt: float) -> np.ndarray:
     _check_step_size(plant, dt)
     n = max(int(round(T / dt)), 0)
     states, _, _ = forward_sweep(plant.solver.step(dt), np.asarray(w0, dtype=float),
-                                 lambda k, y: plant.sigma(y), n)
+                                 lambda k, y: plant.sigma(y), trapezoid_weights(n))
     return states
 
 
@@ -447,8 +442,8 @@ def tangent_flow(plant: Plant, base: np.ndarray, dt: float, h: np.ndarray) -> np
     step = plant.solver.step(dt)
     gather_s, h = step.gather_s, np.asarray(h, dtype=float)
     col = (..., None) if base.ndim == h.ndim else ...  # one run's slopes on every column
-    tangent, _, _ = forward_sweep(
-        step, h, lambda k, y: plant.dsigma(gather_s(base[k]))[col] * y, len(base) - 1)
+    tangent, _, _ = forward_sweep(step, h, lambda k, y: plant.dsigma(gather_s(base[k]))[col] * y,
+                                  trapezoid_weights(len(base) - 1))
     return tangent
 
 

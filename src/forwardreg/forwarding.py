@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .evolution import Plant, forward_sweep, reverse_sweep
+from .evolution import Plant, forward_sweep, horizons, reverse_sweep, trapezoid_weights
 from .spaces import weighted_singular_values
 
 __all__ = [
@@ -233,14 +233,13 @@ class StateEvaluation:
 
     ``w`` is a state (dim,) or a (dim, s) block of s states evaluated
     together; then every evaluation takes and returns (., s) blocks, column
-    j belonging to state j. Each column has its own horizon in nodes
-    (``nqs``: an int for one state, an int array for a block): where the
-    map has a ``tail_gain``, the node at which the base sweep found the
-    column's flow decayed, otherwise (and at most) its a-priori
-    :meth:`ForwardingMap.horizon`. The dM and adjoint sweeps reuse these
-    horizons. A block sweeps ``nq`` = max(nqs) nodes, and the slopes are
-    (nq + 1, m, s). A block of one column is bitwise the vector evaluation;
-    wider blocks agree with it to roundoff.
+    j belonging to state j. The base sweep starts from the trapezoid weights
+    of each column's a-priori :meth:`ForwardingMap.horizon` and, where the
+    map has a ``tail_gain``, ends a column where its flow has decayed. The
+    dM and adjoint sweeps take the weight table it realized, so they are the
+    transposes of its quadrature; ``nqs`` reads the columns' horizons off it.
+    A block sweeps ``nq`` = max(nqs) nodes, on (nq + 1, m, s) slopes, and a
+    block of one column is bitwise the vector evaluation (wider: to roundoff).
     """
 
     def __init__(self, fmap: ForwardingMap, w: np.ndarray):
@@ -258,7 +257,6 @@ class StateEvaluation:
             return max(int(math.ceil(fmap.horizon(w_norm) / fmap.dt_quad)), 1)
 
         caps = [cap(x) for x in self.w.reshape(plant.dim, -1).T]
-        self.nqs = np.array(caps) if self.w.ndim == 2 else caps[0]
         self.nq = max(caps)
         if self.nq == 0:
             # linear path: M = -C A^{-1} w and dM = -C A^{-1}
@@ -273,13 +271,20 @@ class StateEvaluation:
             gathered.append(y)
             return plant.sigma(y)
 
-        # trapezoid accumulation of Q = int F(T_t w) dt along the base flow,
-        # ended where g ||x_k||_2 <= tail_tol
+        # Q = int F(T_t w) dt by the trapezoid rule, ended where g ||x_k||_2 <= tail_tol
         stop = fmap.tail_tol / fmap.tail_gain if fmap.tail_gain else None
-        base, qs, self.nqs = forward_sweep(self._step, self.w, sigma_at, self.nqs, stop)
+        c = trapezoid_weights(np.array(caps) if self.w.ndim == 2 else caps[0])
+        base, qs, self._c = forward_sweep(self._step, self.w, sigma_at, c, stop)
         self.nq = len(base) - 1
         self.q = plant.K.dot(qs)
         self._slopes = plant.dsigma(np.array(gathered[:self.nq + 1]))
+
+    @property
+    def nqs(self):
+        """The realized horizons in nodes: an int for one state, an int array for a block."""
+        if self.w.ndim == 1:
+            return self.nq
+        return horizons(self._c) if self.nq else np.zeros(self.w.shape[1], dtype=int)
 
     # -- primal evaluations -------------------------------------------------
 
@@ -301,7 +306,7 @@ class StateEvaluation:
         D = self._slopes
         if D.ndim == h.ndim:  # one state's slopes act on every column of h
             D = D[..., None]
-        _, qs, _ = forward_sweep(self._step, h, lambda k, y: D[k] * y, self.nqs)
+        _, qs, _ = forward_sweep(self._step, h, lambda k, y: D[k] * y, self._c)
         return self.fmap.m_lin @ (h - self.plant.K @ qs)
 
     # -- adjoint evaluations ------------------------------------------------
@@ -318,7 +323,7 @@ class StateEvaluation:
         psi_t = self.fmap._mlin_t_gz.dot(np.asarray(zeta, dtype=float))
         if self.nq == 0:
             return psi_t
-        return psi_t - reverse_sweep(self._step, self._slopes, psi_t, self.nqs)
+        return psi_t - reverse_sweep(self._step, self._slopes, psi_t, self._c)
 
     def dM_adjoint(self, zeta: np.ndarray) -> np.ndarray:
         return self.plant.space_H.solve_gram(self._adjoint_gram_coords(zeta))

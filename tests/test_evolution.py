@@ -14,6 +14,7 @@ from forwardreg.evolution import (
     adjoint_tangent_flow,
     flow,
     forward_sweep,
+    horizons,
     reverse_sweep,
     tangent_flow,
     trapezoid_weights,
@@ -130,17 +131,95 @@ def test_reverse_sweep_is_the_exact_transpose(dim, n, blocks, seed):
     step, K, S = sweep_step(rng, dim, blocks)
     D = rng.standard_normal((n + 1, K.shape[1]))
     x0, psi = rng.standard_normal((2, dim))
-    _, qs, _ = forward_sweep(step, x0, lambda k, y: D[k] * y, n)
-    r0 = reverse_sweep(step, D, psi, n)
+    c = trapezoid_weights(n)
+    _, qs, _ = forward_sweep(step, x0, lambda k, y: D[k] * y, c)
+    r0 = reverse_sweep(step, D, psi, c)
     assert r0.shape == (dim,)
     assert psi @ (K @ qs) == pytest.approx(x0 @ r0, rel=1e-10)
     # a (dim, c) block sweeps each column as its own vector sweep would
     psis = rng.standard_normal((dim, 3))
-    block = reverse_sweep(step, D, psis, n)
+    block = reverse_sweep(step, D, psis, c)
     for j in range(3):
-        col = reverse_sweep(step, D, psis[:, j], n)
+        col = reverse_sweep(step, D, psis[:, j], c)
         np.testing.assert_allclose(block[:, j], col, rtol=1e-12,
                                    atol=1e-12 * np.abs(col).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 8), n=st.integers(0, 10), blocks=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_reverse_sweep_is_the_transpose_for_any_weight_table(dim, n, blocks, seed):
+    # psi . K q == x_0 . r_0 for nonnegative weights of any rule, zeros
+    # included, not only the trapezoid rule's: for a vector, a (dim, 3)
+    # block of directions and a (dim, 3) block of states whose own table
+    # has a column of zero weights
+    rng = np.random.default_rng(seed)
+    step, K, S = sweep_step(rng, dim, blocks)
+    m = K.shape[1]
+
+    def table(*shape):
+        return rng.uniform(0.0, 2.0, shape) * (rng.random(shape) < 0.8)
+
+    def assert_dual(x0, psi, qs, r0):
+        lhs, rhs = np.sum(psi * (K @ qs), axis=0), np.sum(x0 * r0, axis=0)
+        scale = np.sum(np.abs(psi) * np.abs(K @ qs), axis=0)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12 * scale.max())
+
+    c, D = table(n + 1), rng.standard_normal((n + 1, m))
+    x0, psi = rng.standard_normal((2, dim))
+    _, qs, realized = forward_sweep(step, x0, lambda k, y: D[k] * y, c)
+    assert np.array_equal(realized, c)
+    assert_dual(x0, psi, qs, reverse_sweep(step, D, psi, c))
+    x0, psi = rng.standard_normal((2, dim, 3))
+    _, qs, _ = forward_sweep(step, x0, lambda k, y: D[k][:, None] * y, c)
+    assert_dual(x0, psi, qs, reverse_sweep(step, D, psi, c))
+    cs, Ds = table(n + 1, 3), rng.standard_normal((n + 1, m, 3))
+    cs[:, 1] = 0.0
+    _, qs, _ = forward_sweep(step, x0, lambda k, y: Ds[k] * y, cs)
+    r0 = reverse_sweep(step, Ds, psi, cs)
+    assert_dual(x0, psi, qs, r0)
+    assert not np.any(qs[:, 1]) and not np.any(r0[:, 1])
+
+
+@pytest.mark.parametrize("width", [None, 1, 3])
+def test_a_stopped_sweep_hands_its_table_to_the_reverse_sweep(width):
+    # the table a stopped sweep returns is the trapezoid rule of the ends it
+    # found, and the reverse sweep on it is, column by column, the transpose
+    # of that column's own stopped vector sweep
+    rng = np.random.default_rng(11)
+    dim, m = 6, 4
+    a = rng.standard_normal((dim, dim)) / np.sqrt(dim) + 3.0 * np.eye(dim)
+    K, S = rng.standard_normal((dim, m)), rng.standard_normal((m, dim))
+    step = OperatorSolver(a, K, S).step(0.5)
+    caps = np.array([30, 24, 40])[:width or 1]
+    x0 = rng.standard_normal((dim, len(caps))) * np.array([1.0, 1e-2, 1e2])[:len(caps)]
+    D = rng.uniform(0.0, 0.3, (caps.max() + 1, m, len(caps)))
+    psi = rng.standard_normal((dim, len(caps)))
+    stop = 1e-6
+
+    def stopped(j):
+        """Column j's own stopped vector sweep and the reverse sweep on its table."""
+        _, q, c = forward_sweep(step, x0[:, j], lambda k, y: D[k, :, j] * y,
+                                trapezoid_weights(int(caps[j])), stop)
+        return q, c, reverse_sweep(step, D[:len(c), :, j], psi[:, j], c)
+
+    if width is None:
+        q, c, r0 = stopped(0)
+        assert len(c) - 1 < caps[0]
+        assert np.array_equal(c, trapezoid_weights(len(c) - 1))
+        assert psi[:, 0] @ (K @ q) == pytest.approx(x0[:, 0] @ r0, rel=1e-10)
+        return
+    states, qs, c = forward_sweep(step, x0, lambda k, y: D[k] * y, trapezoid_weights(caps), stop)
+    ends = horizons(c)
+    assert np.all(ends < caps) and len(set(ends)) == width and len(states) == ends.max() + 1
+    assert np.array_equal(c, trapezoid_weights(ends))
+    r0 = reverse_sweep(step, D[:len(c)], psi, c)
+    for j in range(width):
+        col_q, col_c, col_r0 = stopped(j)
+        assert len(col_c) - 1 == ends[j]
+        assert psi[:, j] @ (K @ qs[:, j]) == pytest.approx(x0[:, j] @ r0[:, j], rel=1e-10)
+        np.testing.assert_allclose(r0[:, j], col_r0, rtol=1e-11,
+                                   atol=1e-11 * np.abs(col_r0).max())
 
 
 @pytest.mark.parametrize("blocks", [True, False])
@@ -156,9 +235,9 @@ def test_sweeps_match_the_dense_recursion(blocks, cols):
     shape = (dim,) if cols is None else (dim, cols)
     D = rng.standard_normal((n + 1, K.shape[1]) + shape[1:])
     x0, psi = rng.standard_normal((2,) + shape)
-    nq = n if cols is None else np.full(cols, n)
-    states, qs, _ = forward_sweep(step, x0, lambda k, y: D[k] * y, nq)
-    r0 = reverse_sweep(step, D, psi, nq)
+    table = trapezoid_weights(n if cols is None else np.full(cols, n))
+    states, qs, _ = forward_sweep(step, x0, lambda k, y: D[k] * y, table)
+    r0 = reverse_sweep(step, D, psi, table)
     c = trapezoid_weights(n)
     x, q = x0, 0.0
     for k in range(n + 1):
@@ -221,7 +300,7 @@ def test_forward_sweep_is_bitwise_the_written_out_recursion(make):
     phi_at = lambda k, y: plant.sigma(y)
     for x, nq, shape in ((x0, n, (plant.dim,)), (x0[:, None], n, (plant.dim, 1)),
                          (x0[:, None], np.array([n]), (plant.dim, 1))):
-        states, q, _ = forward_sweep(step, x, phi_at, nq)
+        states, q, _ = forward_sweep(step, x, phi_at, trapezoid_weights(nq))
         assert np.array_equal(states, np.reshape(xs, (n + 1,) + shape))
         assert np.array_equal(q, qs.reshape(q.shape))
 
@@ -246,18 +325,19 @@ def test_block_sweeps_are_column_sweeps(dim, blocks, seed):
     n = nqs.max()
     D = rng.standard_normal((n + 1, K.shape[1], s))
     x0, psi = rng.standard_normal((2, dim, s))
-    states, qs, _ = forward_sweep(step, x0, lambda k, y: D[k] * y, nqs)
-    r0 = reverse_sweep(step, D, psi, nqs)
+    c = trapezoid_weights(nqs)
+    states, qs, _ = forward_sweep(step, x0, lambda k, y: D[k] * y, c)
+    r0 = reverse_sweep(step, D, psi, c)
     assert states.shape == (n + 1, dim, s) and r0.shape == (dim, s)
     for j, nq in enumerate(nqs):
         col_states, col_q, _ = forward_sweep(
-            step, x0[:, j], lambda k, y: D[k, :, j] * y, int(nq))
+            step, x0[:, j], lambda k, y: D[k, :, j] * y, trapezoid_weights(int(nq)))
         scale = np.abs(col_states).max()
         np.testing.assert_allclose(states[:nq + 1, :, j], col_states, rtol=1e-13,
                                    atol=1e-13 * scale)
         np.testing.assert_allclose(qs[:, j], col_q, rtol=1e-13,
                                    atol=1e-13 * np.abs(col_q).max())
-        col_r0 = reverse_sweep(step, D[:, :, j], psi[:, j], int(nq))
+        col_r0 = reverse_sweep(step, D[:, :, j], psi[:, j], trapezoid_weights(int(nq)))
         np.testing.assert_allclose(r0[:, j], col_r0, rtol=1e-13,
                                    atol=1e-13 * np.abs(col_r0).max())
         assert psi[:, j] @ (K @ qs[:, j]) == pytest.approx(x0[:, j] @ r0[:, j],
@@ -283,26 +363,29 @@ def test_a_stopped_sweep_is_the_sweep_to_its_stop(dim, blocks, seed):
     def phi(k, y):
         return 0.1 * np.sin(y)
 
-    states, qs, ends = forward_sweep(step, x0, phi, caps, stop)
+    states, qs, table = forward_sweep(step, x0, phi, trapezoid_weights(caps), stop)
+    ends = horizons(table)
     assert len(states) == ends.max() + 1 and ends[0] == 0
     for j, cap in enumerate(caps):
-        full, _, _ = forward_sweep(step, x0[:, j], phi, int(cap))
+        full, _, _ = forward_sweep(step, x0[:, j], phi, trapezoid_weights(int(cap)))
         end = next((k for k in range(1, cap + 1) if full[k] @ full[k] <= stop**2), cap)
-        col_states, col_q, col_end = forward_sweep(step, x0[:, j], phi, int(cap), stop)
-        assert ends[j] == col_end == end
-        to_end, q_end, _ = forward_sweep(step, x0[:, j], phi, end)
+        col_states, col_q, col_table = forward_sweep(
+            step, x0[:, j], phi, trapezoid_weights(int(cap)), stop)
+        assert ends[j] == len(col_table) - 1 == end
+        to_end, q_end, _ = forward_sweep(step, x0[:, j], phi, trapezoid_weights(end))
         assert np.array_equal(col_states, to_end) and np.array_equal(col_q, q_end)
         # a block's products round apart from the vector's over up to 40 nodes
         np.testing.assert_allclose(states[:end + 1, :, j], col_states, rtol=1e-11,
                                    atol=1e-11 * np.abs(col_states).max())
         np.testing.assert_allclose(qs[:, j], col_q, rtol=1e-11,
                                    atol=1e-11 * np.abs(col_q).max())
-        one_states, one_q, one_end = forward_sweep(step, x0[:, j:j + 1], phi, caps[j:j + 1], stop)
-        assert one_end[0] == end
+        one_states, one_q, one_table = forward_sweep(
+            step, x0[:, j:j + 1], phi, trapezoid_weights(caps[j:j + 1]), stop)
+        assert horizons(one_table)[0] == end
         assert np.array_equal(one_states[:, :, 0], col_states)
         assert np.array_equal(one_q[:, 0], col_q)
-    _, _, rev_ends = forward_sweep(step, x0[:, ::-1], phi, caps[::-1], stop)
-    assert np.array_equal(rev_ends, ends[::-1])
+    _, _, rev_table = forward_sweep(step, x0[:, ::-1], phi, trapezoid_weights(caps[::-1]), stop)
+    assert np.array_equal(horizons(rev_table), ends[::-1])
 
 
 def test_a_block_ends_where_its_vector_does_at_the_threshold():
@@ -326,17 +409,19 @@ def test_a_block_ends_where_its_vector_does_at_the_threshold():
                     math.sqrt(sq[k] / (1 + 4e-10))]:
                 yield stop, next((j for j in range(1, 21) if sq[j] <= stop * stop), 20)
 
-    full, _, _ = forward_sweep(step, x0[:, 0], phi, 20)
+    c, block_c = trapezoid_weights(20), trapezoid_weights(np.array([20]))
+    full, _, _ = forward_sweep(step, x0[:, 0], phi, c)
     for stop, end in stops_and_ends(full):
-        assert forward_sweep(step, x0[:, 0], phi, 20, stop)[2] == end
-        assert forward_sweep(step, x0[:, :1], phi, np.array([20]), stop)[2].tolist() == [end]
+        assert len(forward_sweep(step, x0[:, 0], phi, c, stop)[2]) - 1 == end
+        assert horizons(forward_sweep(step, x0[:, :1], phi, block_c, stop)[2]).tolist() == [end]
     for width in (2, 3, 8):
         for at in (0, width // 2, width - 1):
             block = np.roll(x0[:, :width], at, axis=1)  # column 0 moves to ``at``
-            states, _, _ = forward_sweep(step, block, phi, np.full(width, 20))
+            c = trapezoid_weights(np.full(width, 20))
+            states, _, _ = forward_sweep(step, block, phi, c)
             for stop, end in stops_and_ends(states[:, :, at]):
-                _, _, ends = forward_sweep(step, block, phi, np.full(width, 20), stop)
-                assert ends[at] == end, (stop, width, at)
+                _, _, table = forward_sweep(step, block, phi, c, stop)
+                assert horizons(table)[at] == end, (stop, width, at)
 
 
 def test_reverse_sweep_memory_does_not_grow_with_the_horizon():
@@ -350,10 +435,11 @@ def test_reverse_sweep_memory_does_not_grow_with_the_horizon():
     step = OperatorSolver(a, K, S.T).step(0.1)
     D = rng.uniform(0.0, 1.0, (n + 1, m))
     psi = rng.standard_normal((dim, c))
-    reverse_sweep(step, D[:11], psi, 10)  # warm up
+    table = trapezoid_weights(n)
+    reverse_sweep(step, D[:11], psi, trapezoid_weights(10))  # warm up
     tracemalloc.start()
     try:
-        r0 = reverse_sweep(step, D, psi, n)
+        r0 = reverse_sweep(step, D, psi, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from forwardreg.evolution import flow, tangent_flow
+from forwardreg import evolution, forwarding
+from forwardreg.evolution import flow, tangent_flow, trapezoid_weights
 from forwardreg.forwarding import (
     StateEvaluation,
     assemble_feedback_matrix,
@@ -521,6 +522,35 @@ def test_block_of_one_state_is_bitwise_the_vector():
         assert one.nqs.tolist() == [vec.nqs] and 1 < vec.nq < cap
         assert np.array_equal(one.M()[:, 0], vec.M())
         assert np.array_equal(one.dM_adjoint_B(eta[:, None])[:, 0], vec.dM_adjoint_B(eta))
+
+
+@pytest.mark.parametrize("block", [False, True])
+def test_dM_and_the_adjoint_take_the_base_sweeps_table(monkeypatch, block):
+    # the evaluation builds its one weight table from its caps; the dM and
+    # adjoint sweeps take the table its base sweep realized and build none
+    plant = make_wilson_cowan(n=8)
+    fmap = build_forwarding(plant, dt_quad=1.0, tail_tol=1e-6)
+    assert fmap.tail_gain  # the base sweep stops early, so its table is realized
+    calls = []
+
+    def counted(nq):
+        calls.append(nq)
+        return trapezoid_weights(nq)
+
+    monkeypatch.setattr(evolution, "trapezoid_weights", counted)
+    monkeypatch.setattr(forwarding, "trapezoid_weights", counted)
+    ws = block_of_states(plant, 9)[:, 1:]
+    w = ws if block else ws[:, 1]
+    rng = np.random.default_rng(10)
+    ev = StateEvaluation(fmap, w)
+    assert len(calls) == 1
+    ev.dM(rng.standard_normal(w.shape))
+    ev.dM_adjoint(rng.standard_normal((plant.space_Z.dim,) + w.shape[1:]))
+    ev.dM_adjoint_B(rng.standard_normal((plant.space_Z.dim,) + w.shape[1:]))
+    if not block:
+        ev.dM(np.eye(plant.dim))
+        ev.dM_adjoint_B(np.eye(plant.space_Z.dim))
+    assert len(calls) == 1
 
 
 def test_singular_A_is_refused_by_name():
