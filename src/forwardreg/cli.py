@@ -15,7 +15,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -448,6 +447,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     cuts = [len(cells) * i // cfg.workers for i in range(cfg.workers + 1)]
     blocks = [cells[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
     if len(blocks) > 1:
+        # imported here: the pool's modules cost about 20 ms of CPU at every start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             parts = list(pool.map(_sweep_rows, [cfg] * len(blocks), blocks))
     else:

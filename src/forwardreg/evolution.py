@@ -50,7 +50,6 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .spaces import SpaceSpec
 
@@ -151,7 +150,7 @@ class OperatorSolver:
         key = float(dt)
         if key not in self._steps:
             eye = np.eye(self._dim)
-            p = np.ascontiguousarray(sla.lu_solve(sla.lu_factor(eye + dt * self._a), eye))
+            p = np.ascontiguousarray(np.linalg.solve(eye + dt * self._a, eye))
             gather_s, scatter_s = self._s_maps
             scatter_k, gather_k = self._k_maps(key)
             self._steps[key] = SweepStep(key, p, np.ascontiguousarray(p.T),

@@ -31,11 +31,9 @@ every other plant.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .evolution import Plant, forward_sweep, horizons, reverse_sweep, trapezoid_weights
 from .spaces import weighted_singular_values
@@ -56,17 +54,14 @@ _RANK_EPS = 1e-8
 def linear_forwarding(plant: Plant) -> np.ndarray:
     """The linear part -C A^{-1}, the (dim_Z, dim) matrix of a map H -> Z.
 
-    Assembled with dim(Z) transposed solves on one LU factorization of A:
+    Assembled as dim(Z) solves on one LU factorization of A^T:
     C A^{-1} = (A^{-T} C^T)^T. A singular A (a zero pivot) raises a
     ValueError.
     """
-    with warnings.catch_warnings():
-        # a zero pivot is refused below, by name
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu = sla.lu_factor(plant.A)
-    if not np.all(np.diag(lu[0])):
-        raise ValueError("A is singular, so -C A^{-1} is undefined")
-    return -sla.lu_solve(lu, plant.C.T, trans=1).T
+    try:
+        return -np.linalg.solve(plant.A.T, plant.C.T).T
+    except np.linalg.LinAlgError:
+        raise ValueError("A is singular, so -C A^{-1} is undefined") from None
 
 
 def _dF_growth(plant: Plant) -> Optional[float]:
@@ -89,8 +84,7 @@ def _dF_growth(plant: Plant) -> Optional[float]:
 
 def _top_eigenvalue(sym: np.ndarray) -> float:
     """The largest eigenvalue of a symmetric matrix."""
-    n = len(sym)
-    return float(sla.eigvalsh(sym, subset_by_index=[n - 1, n - 1])[0])
+    return float(np.linalg.eigvalsh(sym)[-1])
 
 
 class ForwardingMap:

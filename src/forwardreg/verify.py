@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .evolution import Plant, flow, tangent_flow
 from .forwarding import (
@@ -64,7 +63,7 @@ class LinearOracle:
         """Exact (w, z) samples of the closed loop at t = 0, dt, ..., via expm."""
         n = self.m_matrix.shape[1]
         steps = max(int(round(T / dt)), 1)
-        stepper = sla.expm(dt * self.closed_matrix)
+        stepper = _expm(dt * self.closed_matrix)
         x_star = np.concatenate([self.w_star, self.eta_star])
         dx = np.concatenate([w0, z0 - self.m_matrix @ w0]) - x_star
         w = np.empty((steps + 1, n))
@@ -75,6 +74,27 @@ class LinearOracle:
             z[k] = x[n:] + self.m_matrix @ x[:n]
             dx = stepper @ dx
         return w, z
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scaling and squaring a Taylor polynomial.
+
+    a / 2^s has 1-norm at most 1/2, where the degree-16 Taylor polynomial
+    of e^x leaves a truncation error near 0.5^17 / 17! (2e-20), far below
+    roundoff; s squarings undo the scaling (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 2005, on the method). scipy's expm is the tests' reference.
+    """
+    norm = np.linalg.norm(a, 1)
+    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    x = a / 2.0**s
+    term = np.eye(len(a))
+    out = term.copy()
+    for k in range(1, 17):
+        term = term.dot(x) / k
+        out += term
+    for _ in range(s):
+        out = out.dot(out)
+    return out
 
 
 def dense_linear_oracle(
@@ -99,7 +119,7 @@ def dense_linear_oracle(
     if plant.lip_F != 0.0 or np.any(probe != 0.0):
         raise ValueError("oracle needs a linear plant (F = 0)")
     amat, bmat, cmat = plant.A, plant.B, plant.C
-    m = -sla.solve(amat.T, cmat.T).T
+    m = -np.linalg.solve(amat.T, cmat.T).T
     gz = plant.space_Z.gram
     k = plant.space_U.solve_gram(bmat.T @ (m.T @ gz))
 
@@ -118,7 +138,7 @@ def dense_linear_oracle(
     if svals[-1] <= 1e-12 * svals[0]:
         raise np.linalg.LinAlgError("singular closed-loop matrix (rank-deficient C A^-1 B)")
 
-    x_star = sla.solve(closed, -affine)
+    x_star = np.linalg.solve(closed, -affine)
     w_star, eta_star = x_star[:n], x_star[n:]
     return LinearOracle(
         m_matrix=m,

@@ -1,5 +1,5 @@
-"""Small plant factories, a strict JSON reader and an evaluation counter
-shared by the test modules."""
+"""Small plant factories, a strict JSON reader, an evaluation counter and a
+dense reference adjoint shared by the test modules."""
 
 import json
 
@@ -30,6 +30,12 @@ def count_evaluations(monkeypatch):
 
     monkeypatch.setattr(forwarding.StateEvaluation, "__init__", counted)
     return calls
+
+
+def adjoint(mat, domain, codomain):
+    """Gram-weighted adjoint ``G_dom^{-1} mat^T G_cod`` of a map domain -> codomain,
+    a dense reference for the adjoint evaluations."""
+    return domain.solve_gram(np.asarray(mat, dtype=float).T @ codomain.gram)
 
 
 def make_scalar_plant(a=2.0, c=0.1):

@@ -1035,19 +1035,37 @@ def test_shipped_sine_gordon_config_gains(tmp_path):
 # -- installed entry point ------------------------------------------------------
 
 
-def test_console_script_smoke(tmp_path):
-    path = write_config(tmp_path, SCALAR_INI)
-    out = tmp_path / "out"
-    # the child imports the same forwardreg as this process, installed or not
+def run_fresh(code, *args):
+    """Run ``python -c code args`` in a fresh interpreter that imports the
+    same forwardreg as this process, installed or not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from forwardreg.cli import main; sys.exit(main(sys.argv[1:]))",
-         "gains", "--config", path, "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_script_smoke(tmp_path):
+    path = write_config(tmp_path, SCALAR_INI)
+    out = tmp_path / "out"
+    proc = run_fresh("import sys; from forwardreg.cli import main; sys.exit(main(sys.argv[1:]))",
+                     "gains", "--config", path, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "feasible = True" in proc.stdout
     assert (out / "gains.json").exists()
+
+
+def test_the_cli_imports_no_scipy(tmp_path):
+    # the package runs on numpy alone: neither its import nor a gains run,
+    # which builds a plant and its map, loads any scipy module
+    loaded = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+    proc = run_fresh(f"import sys; import forwardreg.cli; print({loaded})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    proc = run_fresh(f"import sys; from forwardreg.cli import main; rc = main(sys.argv[1:]); "
+                     f"print({loaded}); sys.exit(rc)",
+                     "gains", "--config", str(CONFIG_DIR / "sine_gordon.ini"),
+                     "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "gains.json").exists()

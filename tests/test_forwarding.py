@@ -21,9 +21,8 @@ from forwardreg.plants import (
     make_sine_gordon,
     make_wilson_cowan,
 )
-from forwardreg.spaces import adjoint
 from forwardreg.verify import FD_TOL, fd_check_dM, uniform_coercivity_check
-from helpers import make_random_plant, make_scalar_plant
+from helpers import adjoint, make_random_plant, make_scalar_plant
 
 
 def make_random_fmap(**kw):

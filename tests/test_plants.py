@@ -1,18 +1,21 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from forwardreg.forwarding import linear_forwarding
+from forwardreg import plants
 from forwardreg.plants import (
     make_linear_benchmark,
     make_scalar_linear,
     make_sine_gordon,
     make_wilson_cowan,
 )
-from forwardreg.spaces import adjoint, weighted_singular_values
+from forwardreg.spaces import weighted_singular_values
 from forwardreg.verify import estimate_alpha
+from helpers import adjoint
 
 
 # -- linear benchmark ---------------------------------------------------------
@@ -94,6 +97,30 @@ def test_sine_gordon_infeasible_constructs_with_warning():
         plant = make_sine_gordon(N=30, gamma=0.25)
     assert any("certificate" in str(w.message) for w in rec)
     assert plant.alpha_cert is None
+
+
+@pytest.mark.parametrize("n", [3, 60, 400, 1000])
+def test_dirichlet_lambda1_is_the_least_eigenvalue(n):
+    # the closed form in floating point against the same form in 40 digits,
+    # to its few roundings, and that value against a Sturm count of tridiag(-1, 2, -1) / h^2 at 40
+    # digits: no eigenvalue lies below it and exactly one within 1e-30 above
+    h = math.pi / (n + 1)
+    with mpmath.workdps(40):
+        hm = mpmath.pi / (n + 1)
+        exact = 4 / hm**2 * mpmath.sin(mpmath.pi / (2 * (n + 1))) ** 2
+
+        def eigenvalues_below(x):
+            # negative pivots of the LDL^T factorization of T - x I
+            count, d = 0, None
+            for _ in range(n):
+                d = 2 / hm**2 - x - (0 if d is None else 1 / (hm**4 * d))
+                count += d < 0
+            return count
+
+        assert eigenvalues_below(exact * (1 - mpmath.mpf(10) ** -30)) == 0
+        assert eigenvalues_below(exact * (1 + mpmath.mpf(10) ** -30)) == 1
+        got = plants._dirichlet_lambda1(n, h)
+        assert abs(got - exact) <= 4 * np.finfo(float).eps * exact
 
 
 def test_sine_gordon_discrete_lambda1_close_to_analytic():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from forwardreg.spaces import SpaceSpec, adjoint, weighted_singular_values
+from forwardreg.spaces import SpaceSpec, weighted_singular_values
+from helpers import adjoint
 
 
 def test_inner_product_weighted():
@@ -48,19 +49,24 @@ def test_gram_solve_roundtrip():
     np.testing.assert_allclose(sp.solve_gram(sp.gram @ x), x, atol=1e-12)
 
 
-def test_solve_gram_is_bitwise_cho_solve():
-    # LAPACK potrs called directly: the same bits as scipy's wrapper, and a
-    # non-finite column of a block stays in that column
+def test_solve_gram_agrees_with_cho_solve():
+    # a product with the stored G^{-1} agrees with scipy's Cholesky solve to
+    # the forward-error bound of a backward-stable solve, dim * cond(G) * eps
+    # relative, and a non-finite column of a block stays in that column
     rng = np.random.default_rng(5)
     m = rng.standard_normal((7, 7))
     sp = SpaceSpec(7, m @ m.T + 7 * np.eye(7), "H")
+    rtol = 7 * np.linalg.cond(sp.gram) * np.finfo(float).eps
     block = rng.standard_normal((7, 3))
     block[2, 1] = np.inf
     for x in (rng.standard_normal(7), block):
         got = sp.solve_gram(x)
         want = sla.cho_solve((sp.chol_lower, True), x, check_finite=False)
         assert got.shape == want.shape
-        assert np.array_equal(got, want, equal_nan=True)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        scale = np.abs(np.where(finite, want, 0.0)).max(axis=0)
+        assert np.all((np.abs(got - want) <= rtol * scale)[finite])
     assert np.all(np.isfinite(sp.solve_gram(block)[:, [0, 2]]))
 
 
@@ -126,12 +132,13 @@ def test_sample_ball_inside():
 
 
 def test_space_factors_its_gram_once(monkeypatch):
-    # the Gram is factored once: the solves read a Fortran-ordered copy of
-    # chol_lower, not a second factor
+    # the Gram is factored and its factor inverted once, at construction:
+    # the solves, samples and singular values read the stored inverses
     calls = []
-    for module, name in ((np.linalg, "cholesky"), (sla, "cholesky"), (sla, "cho_factor")):
-        def counted(*args, _orig=getattr(module, name), **kwargs):
-            calls.append(_orig)
+    for module, name in ((np.linalg, "cholesky"), (np.linalg, "inv"),
+                         (sla, "cholesky"), (sla, "cho_factor")):
+        def counted(*args, _name=name, _orig=getattr(module, name), **kwargs):
+            calls.append(_name)
             return _orig(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     rng = np.random.default_rng(4)
@@ -139,4 +146,32 @@ def test_space_factors_its_gram_once(monkeypatch):
     sp = SpaceSpec(5, m @ m.T + 5 * np.eye(5), "H")
     x = rng.standard_normal(5)
     np.testing.assert_allclose(sp.gram @ sp.solve_gram(x), x, atol=1e-12)
-    assert len(calls) == 1
+    sp.sample_sphere(rng)
+    weighted_singular_values(np.eye(5), sp, sp)
+    assert calls == ["cholesky", "inv"]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 120])
+def test_samples_and_singular_values_agree_with_triangular_solves(dim):
+    # the products with the stored L^{-1} against scipy's triangular solves,
+    # to the forward-error bound dim * cond(L) * eps of a backward-stable one
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim))
+    dom = SpaceSpec(dim, m @ m.T + dim * np.eye(dim), "H")
+    mc = rng.standard_normal((3, 3))
+    cod = SpaceSpec(3, mc @ mc.T + 3 * np.eye(3), "Z")
+    mat = rng.standard_normal((3, dim))
+    chol = dom.chol_lower
+    rtol = dim * np.linalg.cond(chol) * np.finfo(float).eps
+
+    want = np.linalg.svd(cod.chol_lower.T @ sla.solve_triangular(chol, mat.T, lower=True).T,
+                         compute_uv=False)
+    got = weighted_singular_values(mat, dom, cod)
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * want[0])
+
+    seed = int(rng.integers(2**32))
+    got = dom.sample_sphere(np.random.default_rng(seed))
+    v = sla.solve_triangular(chol, np.random.default_rng(seed).standard_normal(dim),
+                             lower=True, trans=1)
+    want = v / dom.norm(v)
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())

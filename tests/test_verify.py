@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from forwardreg import verify
 from forwardreg.evolution import Plant
@@ -41,6 +42,19 @@ def test_oracle_scalar_hand_assembly():
     # Cw* = y_ref -> w* = 0.2; u* = 2 w* = 0.4; z* = M w* + u*/k = -0.9
     assert orc.w_star[0] == pytest.approx(0.2)
     assert orc.z_star[0] == pytest.approx(-0.9)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.02])
+@pytest.mark.parametrize("dt", [1e-2, 2.5e-3, 1.0])
+def test_oracle_expm_agrees_with_scipy(alpha, dt):
+    # the oracle's stepper e^{dt A} of the closed loop against scipy's Pade
+    # expm, relative to its largest entry: the small entries are differences
+    # of large ones, so no expm holds them to a relative 1e-12 one by one
+    plant = make_linear_benchmark(20, alpha=alpha, seed=0)
+    closed = dense_linear_oracle(plant, None, np.zeros(2)).closed_matrix
+    got = verify._expm(dt * closed)
+    want = sla.expm(dt * closed)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_oracle_zero_data_origin():
