@@ -498,17 +498,14 @@ def convergence_report(
     dt = result.scenario.dt
     rho = fmap.rho
 
-    errs_sq = np.array(
-        [space_z.inner(y - y_ref, y - y_ref) for y in result.y]
-    )
     n_win = max(int(round(1.0 / fmap.kappa / dt)), 1)
-    tail = errs_sq[-(n_win + 1):]
+    tail = np.array([space_z.inner(y - y_ref, y - y_ref) for y in result.y[-(n_win + 1):]])
+    final_err = float(np.sqrt(tail[-1]))
     if len(tail) > 1:
         duration = (len(tail) - 1) * dt
         averaged = float(np.sqrt(np.trapezoid(tail, dx=dt) / duration))
     else:
-        averaged = float(np.sqrt(tail[-1]))
-    final_err = float(np.sqrt(errs_sq[-1]))
+        averaged = final_err
 
     eta_star = z_star - StateEvaluation(fmap, w_star).M()
     dev = np.empty(len(result))

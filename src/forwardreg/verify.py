@@ -156,17 +156,27 @@ def dense_linear_oracle(
 def fd_check_dM(fmap: ForwardingMap, w: np.ndarray, h: np.ndarray) -> dict:
     """Central-difference quotients of M against dM along one direction, one
     per step of ``FD_EPS``: the ``{"eps", "errors", "orders"}`` table that
-    verify.json stores, each a list."""
-    dm = StateEvaluation(fmap, w).dM(h)
+    verify.json stores, each a list.
+
+    An order is NaN (null in verify.json) unless both of its errors exceed
+    10 times the quotient's roundoff floor eps_mach ||M(w)|| / (eps ||dM h||),
+    below which the errors measure cancellation, not truncation.
+    """
+    ev = StateEvaluation(fmap, w)
+    dm = ev.dM(h)
     space_z = fmap.plant.space_Z
     scale = max(space_z.norm(dm), 1e-14)
+    roundoff = np.finfo(float).eps * space_z.norm(ev.M()) / scale
     errors = []
     for eps in FD_EPS:
         plus = StateEvaluation(fmap, w + eps * h).M()
         minus = StateEvaluation(fmap, w - eps * h).M()
         quotient = (plus - minus) / (2 * eps)
         errors.append(space_z.norm(quotient - dm) / scale)
-    return {"eps": list(FD_EPS), "errors": errors, "orders": _observed_orders(errors, FD_EPS)}
+    resolved = [e > 10 * roundoff / eps for e, eps in zip(errors, FD_EPS, strict=True)]
+    orders = [order if ok0 and ok1 else float("nan") for order, ok0, ok1
+              in zip(_observed_orders(errors, FD_EPS), resolved, resolved[1:])]
+    return {"eps": list(FD_EPS), "errors": errors, "orders": orders}
 
 
 def _observed_orders(errors, steps) -> list:
@@ -421,20 +431,17 @@ FD_EPS = (1e-3, 1e-4)
 DISSIPATION_DT = 0.05
 SAMPLE_RADIUS = 1.0
 ORACLE_DTS = (1e-2, 5e-3, 2.5e-3)
-# the sample counts of the monotonicity, contraction and linearized-decay
-# checks, which no config sets
+# the sample counts that no config sets
 MONOTONICITY_SAMPLES = 25
 CONTRACTION_PAIRS = 3
 DECAY_DIRS = 3
+FUNCEQ_SAMPLES = 3
+DUALITY_PAIRS = 3
 
-# the sample count of each other sampled check, the only battery config; a
-# check on no sample keeps its start value (inf or 0), a pass
-BATTERY_DEFAULTS = {
-    "funceq_samples": 3,
-    "duality_pairs": 3,
-    "dissipation_runs": 3,
-    "coercivity_samples": 20,
-}
+# the sample counts of the dissipation fit and uniform coercivity, the only
+# battery config (a count below 1 is refused: a check on no sample keeps its
+# start value, inf or 0, a pass)
+BATTERY_DEFAULTS = {"dissipation_runs": 3, "coercivity_samples": 20}
 
 
 def _battery_config(config: Optional[dict]) -> dict:
@@ -478,11 +485,12 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
 
     Every verdict is made here: the sampling helpers return the number they
     measure, and each check compares it with its bound, a module constant
-    (``FUNCEQ_TOL`` and so on) that no config sets. ``config`` sets four
+    (``FUNCEQ_TOL`` and so on) that no config sets. ``config`` sets two
     sample counts (keys and defaults in ``BATTERY_DEFAULTS``; an invalid
     config is refused before any check runs, see :func:`_battery_config`),
-    the other three are constants (``MONOTONICITY_SAMPLES``,
-    ``CONTRACTION_PAIRS``, ``DECAY_DIRS``), and ``seed`` seeds every sample.
+    the other five are constants (``MONOTONICITY_SAMPLES``,
+    ``CONTRACTION_PAIRS``, ``DECAY_DIRS``, ``FUNCEQ_SAMPLES``,
+    ``DUALITY_PAIRS``), and ``seed`` seeds every sample.
     """
     cfg = _battery_config(config)
     radius = SAMPLE_RADIUS
@@ -542,14 +550,14 @@ def run_battery(plant: Plant, fmap: ForwardingMap, config: Optional[dict] = None
 
     # functional equation on smooth sampled states
     worst = 0.0
-    for _ in range(int(cfg["funceq_samples"])):
+    for _ in range(FUNCEQ_SAMPLES):
         w = smooth_sample(plant, rng, radius)
         worst = max(worst, functional_equation_residual(fmap, w))
     checks.append(_check_le("functional_equation", worst, FUNCEQ_TOL))
 
     # dM duality: <zeta, dM h>_Z == <dM* zeta, h>_H to roundoff
     worst = 0.0
-    for _ in range(int(cfg["duality_pairs"])):
+    for _ in range(DUALITY_PAIRS):
         w = smooth_sample(plant, rng, radius)
         h = space_h.sample_sphere(rng)
         zeta = space_z.sample_sphere(rng)

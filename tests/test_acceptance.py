@@ -305,10 +305,6 @@ def test_criterion_9_negative_controls(tmp_path, capfd):
         [forwarding]
         dt_quad = 0.5
         tau_max = 40
-
-        [verify]
-        funceq_samples = 1
-        duality_pairs = 1
         """))
     out_a = tmp_path / "a"
     with pytest.warns(UserWarning):
@@ -328,10 +324,6 @@ def test_criterion_9_negative_controls(tmp_path, capfd):
 
         [forwarding]
         dt_quad = 0.01
-
-        [verify]
-        funceq_samples = 1
-        duality_pairs = 1
         """))
     out_b = tmp_path / "b"
     code_b = cli.main(["verify", "--config", str(cfg_b), "--out", str(out_b)])

@@ -253,6 +253,26 @@ BAD_VALUES = {
                       "[plant] n = '2': must be an integer >= 3"),
     "wilson_cowan_n": ("gains", SCALAR_PLANT, "kind = wilson_cowan\n    n = 2\n",
                        "[plant] n = '2': must be an integer >= 3"),
+    "benchmark_rank_deficient": ("gains", SCALAR_PLANT,
+                                 "kind = linear_benchmark\n    rank_deficient = maybe\n",
+                                 "[plant] rank_deficient = 'maybe': must be one of 1, yes, "
+                                 "true, on, 0, no, false, off"),
+    "sine_gordon_window_one_value": ("gains", SCALAR_PLANT,
+                                     "kind = sine_gordon\n    window = 0.5\n",
+                                     "[plant] window = '0.5': needs 2 values, got 1"),
+    "sine_gordon_window_three_values": ("gains", SCALAR_PLANT,
+                                        "kind = sine_gordon\n    window = 0.5, 1, 2\n",
+                                        "[plant] window = '0.5, 1, 2': needs 2 values, got 3"),
+    "sine_gordon_window_reversed": ("gains", SCALAR_PLANT,
+                                    "kind = sine_gordon\n    window = 2, 1\n",
+                                    "control window must be a sub-interval of (0, L)"),
+    "sine_gordon_window_past_l": ("gains", SCALAR_PLANT,
+                                  "kind = sine_gordon\n    window = 1, 4\n",
+                                  "control window must be a sub-interval of (0, L)"),
+    "sine_gordon_window_between_points": ("gains", SCALAR_PLANT,
+                                          "kind = sine_gordon\n    n = 3\n"
+                                          "    window = 0.1, 0.2\n",
+                                          "control window contains no grid points"),
     "output_seed": ("gains", "seed = 0\n", "seed = -1\n",
                     "[output] seed = '-1': must be an integer >= 0"),
     "sweep_workers": ("sweep", "d_norms = 0, 0.05\n", "d_norms = 0, 0.05\n    workers = 0\n",
@@ -325,6 +345,8 @@ REMOVED_KEYS = {
     "monotonicity_samples": ("verify", "25", verify.MONOTONICITY_SAMPLES, 25),
     "contraction_pairs": ("verify", "3", verify.CONTRACTION_PAIRS, 3),
     "decay_dirs": ("verify", "3", verify.DECAY_DIRS, 3),
+    "funceq_samples": ("verify", "1", verify.FUNCEQ_SAMPLES, 3),
+    "duality_pairs": ("verify", "1", verify.DUALITY_PAIRS, 3),
     "oracle_dts": ("verify", "1e-2, 5e-3, 2.5e-3", verify.ORACLE_DTS, (1e-2, 5e-3, 2.5e-3)),
 }
 COMMAND_OF = {"forwarding": "gains", "sweep": "sweep", "scenario.1": "simulate",
@@ -612,6 +634,37 @@ def test_verify_scalar_passes(tmp_path, capsys):
         assert entry["pass"] is True
 
 
+def test_simulate_infeasible_map_exit_2(tmp_path, capsys):
+    # rank-deficient C A^-1 B: no closed loop exists, so no scenario runs and
+    # no file is written
+    path = write_config(
+        tmp_path,
+        """\
+        [plant]
+        kind = linear_benchmark
+        dim = 12
+        alpha = 0.8
+        seed = 1
+        dim_out = 2
+        rank_deficient = true
+
+        [forwarding]
+        dt_quad = 0.01
+
+        [scenario.1]
+        y_ref = 0.1, 0.1
+        t = 10
+        dt = 0.05
+        """,
+    )
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "infeasible configuration" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_verify_infeasible_plant_exit_1(tmp_path, capsys):
     # stiffness 0.25 exceeds the feasibility threshold for this wave plant,
     # so no contraction certificate exists and the battery must say so
@@ -626,10 +679,6 @@ def test_verify_infeasible_plant_exit_1(tmp_path, capsys):
         [forwarding]
         dt_quad = 0.5
         tau_max = 40
-
-        [verify]
-        funceq_samples = 1
-        duality_pairs = 1
         """,
     )
     out = tmp_path / "out"
@@ -656,10 +705,6 @@ def test_verify_rank_deficient_exit_1(tmp_path):
 
         [forwarding]
         dt_quad = 0.01
-
-        [verify]
-        funceq_samples = 1
-        duality_pairs = 1
         """,
     )
     out = tmp_path / "out"
@@ -997,6 +1042,17 @@ def test_main_arithmetic_error_exit_3(tmp_path, monkeypatch, capsys):
 
 
 # -- shipped configs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
+def test_shipped_config_runs_the_full_battery(path):
+    # a shipped config may raise a [verify] count, never lower it below the
+    # battery's default; the benchmark's configs trade counts for time and
+    # are not shipped configs
+    counts = cli.load_config(str(path)).verify
+    assert set(counts) <= set(verify.BATTERY_DEFAULTS)
+    for key, count in counts.items():
+        assert count >= verify.BATTERY_DEFAULTS[key], f"{path.name}: [verify] {key} = {count}"
 
 
 def test_shipped_linear_config_verifies(tmp_path, capsys):

@@ -510,6 +510,34 @@ def test_plant_refuses_a_bad_lip_dsigma(value):
               alpha_cert=1.0, lip_F=0.0, lip_dsigma=value)
 
 
+def _plant_2d(**semilinear):
+    sp = SpaceSpec(2, np.eye(2))
+    return Plant(name="semilinear", space_H=sp, space_U=sp, space_Z=sp, A=np.eye(2),
+                 B=np.eye(2), C=np.eye(2), alpha_cert=1.0, lip_F=1.0, **semilinear)
+
+
+@pytest.mark.parametrize("k_shape, s_shape", [((2, 1), (2, 2)), ((3, 1), (1, 2)),
+                                              ((2, 1), (1, 3))])
+def test_plant_refuses_misshaped_k_or_s(k_shape, s_shape):
+    with pytest.raises(ValueError, match=r"^K must be \(2, m\) and S \(m, 2\), got "):
+        _plant_2d(K=np.ones(k_shape), S=np.ones(s_shape), sigma=np.tanh,
+                  dsigma=lambda v: 1.0 - np.tanh(v) ** 2)
+
+
+def test_plant_refuses_sigma_off_the_origin():
+    # F(0) = K sigma(0) must vanish, so the origin stays an equilibrium
+    with pytest.raises(ValueError, match=r"^sigma\(0\) must be 0$"):
+        _plant_2d(K=np.ones((2, 1)), S=np.ones((1, 2)), sigma=np.cos, dsigma=np.sin)
+
+
+def test_require_alpha_names_the_uncertified_plant():
+    plant = _plant_2d()
+    assert plant.require_alpha() == 1.0
+    plant.alpha_cert = None
+    with pytest.raises(ValueError, match="plant 'semilinear' has no certified monotonicity"):
+        plant.require_alpha()
+
+
 def test_solver_transpose_consistency():
     rng = np.random.default_rng(51)
     a = rng.standard_normal((5, 5)) + 5 * np.eye(5)

@@ -41,6 +41,16 @@ def test_build_forwarding_refuses_bad_horizon(name, value):
         build_forwarding(make_scalar_plant(), **kwargs)
 
 
+def test_build_forwarding_needs_tau_max_without_a_certificate():
+    # the default horizon is 40 / alpha, so a plant with no alpha needs one given
+    plant = make_scalar_plant()
+    plant.alpha_cert = None
+    with pytest.raises(ValueError, match="^tau_max must be given for plants without a "
+                                         "contraction certificate$"):
+        build_forwarding(plant, dt_quad=0.01)
+    assert build_forwarding(plant, dt_quad=0.01, tau_max=5.0).tau_max == 5.0
+
+
 # -- linear part -------------------------------------------------------------
 
 

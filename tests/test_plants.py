@@ -91,6 +91,14 @@ def test_sine_gordon_rejects_tiny_grids():
         make_sine_gordon(N=2)
 
 
+def test_wilson_cowan_window_needs_a_grid_point(monkeypatch):
+    # n >= 3 puts a midpoint inside the shipped window (0.3, 0.7); a window
+    # narrower than the grid step is refused, not built with no input
+    monkeypatch.setattr(plants, "_WC_WINDOW", (0.9, 0.95))
+    with pytest.raises(ValueError, match="^control window contains no grid points$"):
+        make_wilson_cowan(n=3)
+
+
 def test_sine_gordon_infeasible_constructs_with_warning():
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")

@@ -40,6 +40,12 @@ def test_gram_must_be_spd():
         SpaceSpec(2, np.diag([1.0, 0.0]))  # singular
 
 
+@pytest.mark.parametrize("gram", [np.eye(3), np.ones(2), np.eye(2)[None]])
+def test_gram_must_be_dim_by_dim(gram):
+    with pytest.raises(ValueError, match=r"^gram must be \(2, 2\), got "):
+        SpaceSpec(2, gram)
+
+
 def test_gram_solve_roundtrip():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((5, 5))

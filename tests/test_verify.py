@@ -19,6 +19,7 @@ from forwardreg.verify import (
     fd_check_dM,
     run_battery,
     smooth_sample,
+    uniform_coercivity_check,
 )
 
 from helpers import make_scalar_plant
@@ -115,6 +116,23 @@ def test_fd_table_linear_plant_at_floor():
     rng = np.random.default_rng(0)
     tab = fd_check_dM(fmap, rng.standard_normal(5), rng.standard_normal(5))
     assert all(e < 1e-9 for e in tab["errors"])
+    # M is linear, so the errors are roundoff and no order is resolved
+    assert len(tab["orders"]) == 1 and np.isnan(tab["orders"][0])
+
+
+def test_fd_order_needs_both_errors_above_the_roundoff_floor(monkeypatch):
+    # an order stands only where both of its errors exceed 10 times
+    # eps_mach ||M(w)|| / (eps ||dM h||): at eps 1e-9 the quotient is all
+    # cancellation, so the order is null while the errors stay as they were
+    plant = make_scalar_plant(a=2.0, c=0.1)
+    fmap = build_forwarding(plant, dt_quad=0.002, tail_tol=1e-10)
+    w, h = np.array([0.8]), np.array([1.0])
+    full = fd_check_dM(fmap, w, h)
+    assert np.isfinite(full["orders"][0])
+    monkeypatch.setattr(verify, "FD_EPS", (1e-3, 1e-9))
+    tab = fd_check_dM(fmap, w, h)
+    assert tab["errors"][0] == full["errors"][0]
+    assert np.isnan(tab["orders"][0])
 
 
 def test_fd_eps_is_a_decreasing_ladder():
@@ -223,6 +241,20 @@ def test_battery_benchmark_all_pass():
     assert "oracle_equilibrium" in names  # linear plants get oracle checks
 
 
+def test_oracle_refuses_a_plant_above_desk_scale():
+    plant = make_linear_benchmark(201, alpha=0.8, seed=0)
+    with pytest.raises(ValueError, match=r"^oracle covers desk-scale plants only \(dim <= 200\)$"):
+        dense_linear_oracle(plant, None, np.zeros(plant.space_Z.dim))
+
+
+def test_uniform_coercivity_needs_a_sample():
+    # on no sample the minimum keeps its start value, inf, which reads as a pass
+    plant = make_scalar_linear()
+    fmap = build_forwarding(plant, dt_quad=0.01)
+    with pytest.raises(ValueError, match="^n_samples must be >= 1$"):
+        uniform_coercivity_check(fmap, n_samples=0, radius=1.0)
+
+
 def test_battery_rejects_unknown_config_key():
     plant = make_scalar_plant(a=2.0, c=0.0)
     fmap = build_forwarding(plant, dt_quad=0.01)
@@ -230,15 +262,26 @@ def test_battery_rejects_unknown_config_key():
         run_battery(plant, fmap, {"duality_pair": 5})
 
 
-@pytest.mark.parametrize("key", [
-    "funceq_samples", "duality_pairs", "dissipation_runs", "coercivity_samples",
-])
+@pytest.mark.parametrize("key", ["dissipation_runs", "coercivity_samples"])
 def test_battery_rejects_zero_sample_count(key):
     # with no sample a sampled check would read its start value as a pass
     plant = make_scalar_linear()
     fmap = build_forwarding(plant, dt_quad=0.01)
     with pytest.raises(ValueError, match=key):
         run_battery(plant, fmap, {key: 0})
+
+
+@pytest.mark.parametrize("key", ["funceq_samples", "duality_pairs"])
+def test_battery_refuses_a_constant_count_as_unknown(key):
+    # the functional-equation and duality counts are code (FUNCEQ_SAMPLES,
+    # DUALITY_PAIRS), not battery keys, so no config cuts either check to
+    # one sample
+    assert getattr(verify, key.upper()) == 3
+    assert verify.BATTERY_DEFAULTS == {"dissipation_runs": 3, "coercivity_samples": 20}
+    plant = make_scalar_linear()
+    fmap = build_forwarding(plant, dt_quad=0.01)
+    with pytest.raises(ValueError, match=f"unknown battery key.*{key}"):
+        run_battery(plant, fmap, {key: 1})
 
 
 @pytest.mark.parametrize("key, ladder", [
@@ -290,7 +333,7 @@ def test_battery_flags_infeasible_gamma():
         warnings.simplefilter("ignore")
         plant = make_sine_gordon(N=30, gamma=0.25)
     fmap = build_forwarding(plant, dt_quad=0.5, tau_max=40.0)
-    rep = run_battery(plant, fmap, {"funceq_samples": 1, "duality_pairs": 1})
+    rep = run_battery(plant, fmap)
     assert not rep.overall
     assert "monotonicity" in rep.failures()
 
