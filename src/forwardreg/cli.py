@@ -485,7 +485,7 @@ def main(argv=None) -> int:
             "sweep": cmd_sweep,
         }[args.command]
         return handler(cfg)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ArithmeticError as exc:

@@ -206,6 +206,13 @@ def _closed_loop(plant, fmap, w, z, d, y_ref, dt):
         z = z + dt * (y - y_ref)
 
 
+def _onward(plant, fmap, rows, d, y_ref, dt):
+    """The states in ``rows``, w, z, m, u and y of one run as (k >= 1, .) arrays,
+    then the run's closed loop stepped on from the last: bitwise a run from it."""
+    onward = _closed_loop(plant, fmap, rows[0][-1], rows[1][-1], d, y_ref, dt)
+    return chain(zip(*rows), islice(onward, 1, None))
+
+
 def _solve_step(plant, dt, rhs):
     """(I + dt A)^{-1} rhs for a scalar ``dt``, or per column for an (s,) array."""
     if not isinstance(dt, np.ndarray):
@@ -407,8 +414,7 @@ def find_equilibrium(
     """
     budget = Scenario(y_ref=y_ref, T=t_budget, dt=dt, d=d)
     w0, z0, d, y_ref, (n,) = _start(plant, fmap, [budget])
-    # states 1..n: the origin itself is never part of the tail
-    states = islice(_closed_loop(plant, fmap, w0, z0, d, y_ref, dt), 1, None)
+    states = _closed_loop(plant, fmap, w0, z0, d, y_ref, dt)
     if run is not None:
         _, _, run_d, run_y, _ = _start(plant, fmap, [run.scenario])
         for name, ours, theirs in (("dt", dt, run.scenario.dt), ("d", d, run_d),
@@ -416,11 +422,10 @@ def find_equilibrium(
             if not np.array_equal(ours, theirs):
                 raise ValueError(f"run is of another scenario: its {name} differs")
         if not (np.any(run.w[0]) or np.any(run.z[0])):
-            w, z = run.w[-1][:, None], run.z[-1][:, None]  # one column, as d and y_ref
-            onward = _closed_loop(plant, fmap, w, z, d, y_ref, dt)
-            states = chain(zip(run.w[1:], run.z[1:], run.m[1:], run.u[1:], run.y[1:]),
-                           islice(onward, 1, None))
-    (out,) = _search(plant, fmap, states, d, y_ref, dt, n)
+            states = _onward(plant, fmap, (run.w, run.z, run.m, run.u, run.y),
+                             d[:, 0], y_ref[:, 0], dt)
+    # states 1..n: the origin itself is never part of the tail
+    (out,) = _search(plant, fmap, islice(states, 1, None), d, y_ref, dt, n)
     if isinstance(out, Exception):
         raise out
     return out
@@ -450,8 +455,8 @@ def find_equilibrium_recorded(
 
     Each of the s cells keeps copies of its first n // s + 1 states, n =
     t_budget / dt, so the copies of a block take the memory of one cell's
-    run for the duration of the call. A cell that converges within them
-    builds its run from them; one that converges later is simulated again.
+    run for the duration of the call. A converged cell builds its run from
+    them, and one that converges after them steps on from its last copy.
     """
     if not cells:
         return []
@@ -470,9 +475,9 @@ def find_equilibrium_recorded(
         res, run = out[2], None
         if res.converged:
             k = res.iterations
-            scenario = replace(cells[j], T=res.t_reached)
-            run = (_record(fmap, zip(*(r[j, :k + 1] for r in rows)), [scenario], [k])[0]
-                   if k <= n // s else simulate(plant, fmap, scenario))
+            states = _onward(plant, fmap, [r[j, :min(k, n // s) + 1] for r in rows],
+                             d[:, j], y_ref[:, j], dt)
+            run = _record(fmap, states, [replace(cells[j], T=res.t_reached)], [k])[0]
         found[j] = out + (run,)
     return found
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 from unittest.mock import Mock
 
@@ -992,6 +993,32 @@ def test_sweep_workers_agree_on_a_nonlinear_sweep(tmp_path):
                                        serial[:, header.index(col)], rtol=1e-12, atol=1e-12)
 
 
+def test_sweep_cells_past_their_copies_agree_with_blocks_of_one(tmp_path):
+    # 150 time units give three cells in one block 100 copies each, and
+    # each converges past them, at about step 150; --workers 3 steps blocks
+    # of one cell, whose 300 copies hold every state
+    body = NONLINEAR_INI.replace("t_budget = 1200", "t_budget = 150") + """
+    d_norms = 0, 0.01, 0.02
+    y_ref_norms = 0.01
+    """
+    path = write_config(tmp_path, body)
+    tables = []
+    for workers in ("1", "3"):
+        out = tmp_path / workers
+        assert cli.main(["sweep", "--config", path, "--out", str(out),
+                         "--workers", workers]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        tables.append(np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]]))
+    header = lines[1].split(",")
+    one_block, blocks_of_one = tables
+    assert one_block.shape == (3, len(header))
+    assert np.all(one_block[:, header.index("converged")] == 1)
+    assert np.all(one_block[:, header.index("t_reached")] / 0.5 > 300 // 3)
+    # residuals of converged cells sit at roundoff, where 1e-10 is relative
+    # to the states' scale
+    np.testing.assert_allclose(one_block, blocks_of_one, rtol=1e-10, atol=1e-12)
+
+
 @pytest.mark.parametrize("t, w0_norm", [(100, 0), (40, 0), (40, 0.02)],
                          ids=["search_inside_horizon", "search_past_horizon",
                               "off_origin"])
@@ -1039,6 +1066,37 @@ def test_main_arithmetic_error_exit_3(tmp_path, monkeypatch, capsys):
         side_effect=FloatingPointError("equilibrium search diverged at step 50")))
     assert cli.main(["simulate", "--config", path]) == cli.EXIT_DIVERGED
     assert "error: equilibrium search diverged at step 50" in capsys.readouterr().err
+
+
+# command -> a config whose first array of a run, a quadrature table or a
+# sweep's copies needs 1e17 floats: 800 PB, past any virtual address space
+# (2^57 bytes), so numpy refuses it before touching memory
+HUGE = {
+    "simulate": SCALAR_INI.replace("t = 150", "t = 1e15").replace("dt = 0.05", "dt = 0.01"),
+    "verify": """\
+        [plant]
+        kind = sine_gordon
+        n = 30
+        gamma = 0.25
+
+        [forwarding]
+        dt_quad = 0.5
+        tau_max = 5e16
+        """,
+    "sweep": SCALAR_INI + "\n    [sweep]\n    dt = 0.01\n    t_budget = 1e15\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HUGE))
+def test_main_memory_error_exit_2(tmp_path, capsys, command):
+    # more memory than exists is an infeasible config, not a failed battery
+    path = write_config(tmp_path, HUGE[command])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the uncertified plant
+        code = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
 
 # -- shipped configs ------------------------------------------------------------

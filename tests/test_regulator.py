@@ -332,16 +332,17 @@ def assert_runs_close(run, want, rtol):
         np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("t_budget, recorded", [(300.0, True), (200.0, False)],
-                         ids=["recorded_runs", "runs_simulated_again"])
-def test_lockstep_search_matches_cell_by_cell(wave_loop, t_budget, recorded):
+@pytest.mark.parametrize("t_budget, late", [(300.0, False), (200.0, True)],
+                         ids=["recorded_runs", "runs_stepped_on"])
+def test_lockstep_search_matches_cell_by_cell(wave_loop, t_budget, late):
     # three cells in one block give each cell's own search and run; with
     # 200 time units a cell's share of copies (133 of 400 states) ends
-    # before it converges, so its run is simulated again
+    # before it converges, so its run steps on from its last copy
     plant, fmap = wave_loop
     cells = lockstep_cells(plant, [0.0, 0.01, 0.02], [0.01, 0.0, 0.02])
     found = find_equilibrium_recorded(plant, fmap, cells, dt=0.5, t_budget=t_budget)
     assert len(found) == 3
+    copies = round(t_budget / 0.5) // len(cells)
     for (ws, zs, res, run), (d, y_ref) in zip(found, cells):
         want_w, want_z, want = find_equilibrium(plant, fmap, d, y_ref,
                                                 dt=0.5, t_budget=t_budget)
@@ -353,11 +354,34 @@ def test_lockstep_search_matches_cell_by_cell(wave_loop, t_budget, recorded):
             assert getattr(res, key) == pytest.approx(getattr(want, key), rel=1e-10,
                                                       abs=1e-13)
         sim = simulate(plant, fmap, Scenario(y_ref=y_ref, T=res.t_reached, dt=0.5, d=d))
-        if recorded:
-            assert_runs_close(run, sim, 1e-10)
-        else:
-            assert all(np.array_equal(getattr(run, f), getattr(sim, f))
+        assert_runs_close(run, sim, 1e-10)
+        assert (res.iterations > copies) == late
+        if late:
+            # the states after its copies are bitwise a run from its last copy
+            rest = simulate(plant, fmap, Scenario(
+                y_ref=y_ref, T=res.t_reached - copies * 0.5, dt=0.5, d=d,
+                w0=run.w[copies], z0=run.z[copies]))
+            assert len(rest) == len(run) - copies
+            assert all(np.array_equal(getattr(run, f)[copies + 1:], getattr(rest, f)[1:])
                        for f in ("w", "z", "m", "u", "y", "v"))
+
+
+def test_lockstep_cell_past_its_copies_costs_its_steps_past_them(wave_loop, monkeypatch):
+    # a cell that converges at step k after its n // s copies costs
+    # k - n // s + 1 evaluations beyond the search: its last copy's again,
+    # then one a step; a run from the origin would cost k + 1
+    plant, fmap = wave_loop
+    cells = lockstep_cells(plant, [0.0, 0.01, 0.02], [0.01, 0.0, 0.02])
+    calls = count_evaluations(monkeypatch)
+    counts, iterations = [], []
+    for t_budget in (300.0, 200.0):  # 200 and 133 copies a cell
+        calls.clear()
+        found = find_equilibrium_recorded(plant, fmap, cells, dt=0.5, t_budget=t_budget)
+        counts.append(len(calls))
+        iterations.append([res.iterations for _, _, res, _ in found])
+    ks = iterations[1]
+    assert iterations[0] == ks and 400 // 3 < min(ks) and max(ks) <= 600 // 3
+    assert counts[1] - counts[0] == sum(k - 400 // 3 + 1 for k in ks)
 
 
 def test_lockstep_of_no_cells_is_empty(wave_loop):
