@@ -422,7 +422,10 @@ def _sweep_rows(cfg: RunConfig, cells: list, built: Optional[tuple] = None) -> l
         plant, fmap = built
         y_dir = np.ones(plant.space_Z.dim)
         y_dir /= plant.space_Z.norm(y_dir)
-        pairs = [(_sample(plant, np.random.default_rng(cfg.seed), d_norm), y_dir * y_norm)
+        # one seeded direction for every cell, scaled as _sample scales its draw
+        d_dir = smooth_sample(plant, np.random.default_rng(cfg.seed), 1.0)
+        d_dir_norm = plant.space_H.norm(d_dir)
+        pairs = [(None if d_norm == 0 else d_dir * (d_norm / d_dir_norm), y_dir * y_norm)
                  for d_norm, y_norm in cells]
         found = find_equilibrium_recorded(plant, fmap, pairs, dt=dt, t_budget=t_budget)
     except (ValueError, ArithmeticError) as exc:

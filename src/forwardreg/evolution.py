@@ -180,7 +180,10 @@ class Plant:
     the quadrature may stop where the flow has decayed. ``global_ok`` is True when
     the construction also certifies global attraction, which enables the
     battery's uniform-coercivity and global-attraction checks. ``solver``
-    holds the step inverses, and is built from A.
+    holds the step inverses, and is built from A. Construction alone
+    decides what the fields mean, and names one it refuses: A, B, C, K and
+    S are finite, ``alpha_cert`` is None or finite and > 0, ``lip_F``
+    finite and >= 0, and ``lip_dsigma`` None or finite and >= 0.
     """
 
     name: str
@@ -219,12 +222,20 @@ class Plant:
             raise ValueError(
                 f"K must be ({dim}, m) and S (m, {dim}), got {self.K.shape} and {self.S.shape}"
             )
+        for name in ("A", "B", "C", "K", "S"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        # the certificates; alpha_cert and lip_dsigma may be None: none certified
+        for name, positive in (("alpha_cert", True), ("lip_F", False), ("lip_dsigma", False)):
+            value = getattr(self, name)
+            if value is None and name != "lip_F":
+                continue
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                rule = "positive" if positive else "non-negative"
+                raise ValueError(f"{name} must be finite and {rule}, got {value}")
         if np.any(self.sigma(np.zeros(m)) != 0.0):
             raise ValueError("sigma(0) must be 0")
         self.flat_at_origin = not np.any(self.dsigma(np.zeros(m)))
-        if self.lip_dsigma is not None and not (
-                math.isfinite(self.lip_dsigma) and self.lip_dsigma >= 0):
-            raise ValueError(f"lip_dsigma must be finite and non-negative, got {self.lip_dsigma}")
         self.solver = OperatorSolver(self.A, self.K, self.S)
 
     @property
@@ -252,7 +263,7 @@ class Plant:
 def _check_step_size(plant: Plant, dt: float) -> None:
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if plant.lip_F > 0 and dt * plant.lip_F >= 1.0:
+    if dt * plant.lip_F >= 1.0:
         raise ValueError(
             f"dt too large for the explicit part: dt * lip_F = {dt * plant.lip_F:.3g} >= 1"
         )

@@ -133,7 +133,7 @@ class ForwardingMap:
         self.dF_growth = _dF_growth(plant)
         alpha = plant.alpha_cert
         self.tail_gain = None
-        if self.dF_growth is not None and alpha is not None and alpha > 0:
+        if self.dF_growth is not None and alpha is not None:
             # ||x||_H <= sqrt(lambda_max(G_H)) ||x||_2 makes the stop test O(dim)
             h_over_l2 = math.sqrt(_top_eigenvalue(space_h.gram))
             self.tail_gain = (h_over_l2 * self.ca_inv_norm
@@ -156,7 +156,7 @@ class ForwardingMap:
         eigs = np.linalg.eigvals(eta_block) if eta_block.size else np.zeros(0)
         self.loop_gain = float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
-        self.feasible = bool(self.range_ok and alpha is not None and alpha > 0)
+        self.feasible = bool(self.range_ok and alpha is not None)
         self.lam_tilde = self.lam / 3.0
         if self.feasible:
             self.rho = self.b_norm**2 * max(1.0, 2.0 / alpha)
@@ -177,7 +177,7 @@ class ForwardingMap:
         """
         plant = self.plant
         alpha = plant.alpha_cert
-        if alpha is None or alpha <= 0:
+        if alpha is None:
             return self.tau_max
         ratio = plant.lip_F * w_norm * self.ca_inv_norm / (alpha * self.tail_tol)
         tau = 5.0 / alpha
@@ -206,7 +206,7 @@ def build_forwarding(
     ``tau_max`` must be finite and positive, and A nonsingular.
     """
     if tau_max is None:
-        if plant.alpha_cert is None or plant.alpha_cert <= 0:
+        if plant.alpha_cert is None:
             raise ValueError(
                 "tau_max must be given for plants without a contraction certificate"
             )

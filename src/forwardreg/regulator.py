@@ -54,7 +54,8 @@ _TAIL_STEPS = 20
 # convergence_report calls a run Lyapunov-monotone when no step raises V by
 # more than this
 _JUMP_TOL = 0.0
-# simulate stops a run once the H-norm of its state passes this
+# the one divergence rule, of _record and _search: a closed loop has diverged
+# at a state whose H-norm is not <= this (past it, or not finite)
 _DIVERGENCE_GUARD = 1e6
 
 
@@ -150,8 +151,9 @@ def _start(plant: Plant, fmap: ForwardingMap, scenarios: list):
 
     Checks that ``fmap`` is feasible and was built for ``plant``, and each
     scenario's w0, z0, d and y_ref against (dim,), (dim_Z,), (dim,) and
-    (dim_Z,); a field of None is zeros, so the loop always adds a
-    disturbance. Returns the fields stacked as columns, column j that of
+    (dim_Z,), and refuses a NaN; an infinite entry runs, and diverges by
+    state 2. A field of None is zeros, so the loop always adds a disturbance.
+    Returns the fields stacked as columns, column j that of
     ``scenarios[j]``, and the step count of each scenario.
     """
     if plant is not fmap.plant:
@@ -166,6 +168,8 @@ def _start(plant: Plant, fmap: ForwardingMap, scenarios: list):
             value = np.zeros(dim) if value is None else np.asarray(value, dtype=float)
             if value.shape != (dim,):
                 raise ValueError(f"{name} must have shape {(dim,)}, got {value.shape}")
+            if np.any(np.isnan(value)):
+                raise ValueError(f"{name} must not be NaN")
             columns[name].append(value)
     ns = [max(int(round(sc.T / sc.dt)), 1) for sc in scenarios]
     return (*(np.column_stack(c) for c in columns.values()), ns)
@@ -229,8 +233,8 @@ def _record(fmap: ForwardingMap, states, scenarios: list, ns: list) -> list:
 
     ``states`` yields (dim, s) and (dim_Z, s) blocks, column j the run of
     ``scenarios[j]``, or vectors while one run is left. A run leaves the
-    block at its state ns[j], or at the first state whose V is not finite or
-    whose H-norm passes the divergence guard; the others run on, and
+    block at its state ns[j], or diverged at the first state whose H-norm
+    is past ``_DIVERGENCE_GUARD`` or not finite; the others run on, and
     ``states`` is sent the columns that stay. Returns one RunResult per
     scenario, up to the state where it left.
     """
@@ -250,8 +254,8 @@ def _record(fmap: ForwardingMap, states, scenarios: list, ns: list) -> list:
             w_h[k], z_h[k], m_h[k], u_h[k], y_h[k] = w, z, m, u, y
             # V, and the H-norm for the guard, from one Gram product of w
             ww, eta = space_h.inner(w, w), z - m
-            v_h[k] = v = 0.5 * ww + 0.5 * fmap.rho * space_z.inner(eta, eta)
-            if not math.isfinite(v) or math.sqrt(max(ww, 0.0)) > _DIVERGENCE_GUARD:
+            v_h[k] = 0.5 * ww + 0.5 * fmap.rho * space_z.inner(eta, eta)
+            if not math.sqrt(max(ww, 0.0)) <= _DIVERGENCE_GUARD:
                 diverged[j], ends[j] = True, k
             elif k < ns[j]:
                 keep.append(p)
@@ -277,12 +281,12 @@ def _search(plant, fmap, states, d, y_ref, dt, n, rows=None):
     ``states`` yields the states from state 1 on: (dim, s) and (dim_Z, s)
     blocks of s runs from :func:`_closed_loop`, or vectors while one run is
     left; it is sent the columns that stay whenever one leaves. Every 50
-    states, and at state n, each column is checked. A column leaves once its
-    mean drift speed is at most 1e-10 (converged; every 50 states only),
-    when its state norm is not finite, or at state n. Returns one entry per
-    column: (w*, z*, result), with the mean of the column's last 20 states
-    and its residuals, or, for a column whose state stopped being finite,
-    the FloatingPointError naming the step.
+    states, and at state n, each column is checked. A column leaves when it
+    diverges by :func:`_record`'s rule, once its mean drift speed is at most
+    1e-10 (converged; every 50 states only), or at state n. Returns one
+    entry per column: (w*, z*, result), with the mean of the column's last
+    20 states and its residuals, or, for a column that diverged, the
+    FloatingPointError naming the step.
     Memory is each column's 20-state tail, whatever the budget; ``rows``,
     when given, are (s, c + 1, .) arrays that get w, z, m, u and y of each
     column's states 1..min(k, c) while it stays.
@@ -309,14 +313,14 @@ def _search(plant, fmap, states, d, y_ref, dt, n, rows=None):
         # gone[p]: True (converged), the error, or False (budget used up)
         gone = {}
         for p in range(len(live)):
-            if check and (space_h.norm(w[:, p] - w_mark[:, p]) + space_z.norm(
+            if not space_h.norm(w[:, p]) <= _DIVERGENCE_GUARD:
+                gone[p] = FloatingPointError(
+                    f"equilibrium search diverged: the state's H-norm is past "
+                    f"{_DIVERGENCE_GUARD:g} or not finite at step {k} (t = {k * dt:.6g})"
+                )
+            elif check and (space_h.norm(w[:, p] - w_mark[:, p]) + space_z.norm(
                     z[:, p] - z_mark[:, p])) / (_CHECK_EVERY * dt) <= _STAG_TOL:
                 gone[p] = True
-            elif not np.isfinite(space_h.norm(w[:, p])):
-                gone[p] = FloatingPointError(
-                    f"equilibrium search diverged: the state is not finite at "
-                    f"step {k} (t = {k * dt:.6g})"
-                )
             elif k == n:
                 gone[p] = False
         if check:
@@ -357,9 +361,9 @@ def _equilibrium(plant, fmap, w_star, z_star, d, y_ref, converged, k, dt):
 def simulate(plant: Plant, fmap: ForwardingMap, scenario: Scenario) -> RunResult:
     """Integrate the closed loop over the scenario horizon.
 
-    Deterministic: no randomness anywhere in the loop. Returns a truncated
-    result with ``diverged=True`` when the H-norm of the state passes 1e6
-    or V stops being finite.
+    Deterministic: no randomness anywhere in the loop. Returns a result
+    truncated at the first state whose H-norm is past ``_DIVERGENCE_GUARD``
+    (1e6) or not finite, with ``diverged=True``.
     """
     return simulate_lockstep(plant, fmap, [scenario])[0]
 
@@ -399,8 +403,8 @@ def find_equilibrium(
     at the averaged point. A search that exhausts the budget without
     stagnating returns ``converged=False``; per the local theory this can
     simply mean (d, y_ref) are too large for the basin. A search whose state
-    is no longer finite at a check or at its last state raises
-    FloatingPointError naming the step.
+    has diverged by :func:`simulate`'s rule at a check or at its last state
+    raises FloatingPointError naming the step.
 
     ``run``, when given, is a :func:`simulate` result of this ``d``, ``y_ref``
     and ``dt`` (None and zeros alike); another scenario's run raises
@@ -445,9 +449,9 @@ def find_equilibrium_recorded(
     zero) and ``y_ref`` in Z, as :func:`find_equilibrium` takes them. The
     cells step as one block, each with its own stagnation rule and
     tail, and a cell leaves the block when it converges, uses up the budget
-    or stops being finite. Returns one entry per cell: ``(w*, z*, result,
-    run)``, or the FloatingPointError of a cell whose state stopped being
-    finite, while the other cells run on. For a converged cell ``run`` is
+    or diverges (:func:`find_equilibrium`'s rule). Returns one entry per
+    cell: ``(w*, z*, result, run)``, or the FloatingPointError of a cell
+    that diverged, while the other cells run on. For a converged cell ``run`` is
     the closed-loop run over ``[0, result.t_reached]`` from the origin; it
     is None otherwise. A block of one cell gives ``find_equilibrium`` and
     ``simulate`` bitwise; in a wider block the columns agree with them to

@@ -33,7 +33,7 @@ class SpaceSpec:
     dim : int
         Number of coordinates.
     gram : (dim, dim) array
-        Symmetric positive definite Gram matrix; ``(x, y) = x @ gram @ y``.
+        Finite, symmetric positive definite Gram matrix; ``(x, y) = x @ gram @ y``.
     label : str
         Conventional role tag ("H" state, "U" input, "Z" output), free form.
     """
@@ -42,6 +42,8 @@ class SpaceSpec:
         gram = np.asarray(gram, dtype=float)
         if gram.shape != (int(dim), int(dim)):
             raise ValueError(f"gram must be ({dim}, {dim}), got {gram.shape}")
+        if not np.all(np.isfinite(gram)):
+            raise ValueError("gram matrix must be finite")
         scale = max(np.abs(gram).max(), 1.0)
         if np.abs(gram - gram.T).max() > _SYM_TOL * scale:
             raise ValueError("gram matrix must be symmetric")

@@ -903,6 +903,36 @@ def test_sweep_cell_diverged_search_is_a_nan_row(tmp_path):
     assert np.isnan(row["drift_residual"]) and np.isnan(row["t_reached"])
 
 
+def test_diverging_sweep_cells_end_at_the_guard(tmp_path, monkeypatch):
+    # configs/linear.ini with a sweep step of 0.05: the explicit z-step is
+    # unstable in three of the four cells, which simulate marks diverged at
+    # states 92-104. Each search ends at its first check past the guard,
+    # with no overflow (warnings are errors here), not at about step 1700
+    # where the state overflows
+    body = (CONFIG_DIR / "linear.ini").read_text()
+    sweep = "y_ref_norms = 0, 0.1\ndt = 0.01\n"
+    assert body.count(sweep) == 1
+    path = write_config(tmp_path, body.replace(sweep, sweep.replace("0.01", "0.05")))
+    cfg = cli.load_config(path, str(tmp_path / "out"))
+    assert cli.cmd_sweep(cfg) == 0
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), map(float, line.split(",")))) for line in lines[2:]]
+    assert [r["success"] for r in rows] == [1, 0, 0, 0]
+    assert rows[0]["converged"] == 1 and rows[0]["t_reached"] == 2.5
+    for row in rows[1:]:
+        assert row["converged"] == 0
+        assert all(np.isnan(row[key]) for key in ("drift_residual", "output_residual",
+                                                  "t_reached"))
+    plant = cli.build_plant(cfg)
+    built = plant, cli.build_fmap(plant, cfg)
+    for cell in [(0.0, 0.1), (0.1, 0.0), (0.1, 0.1)]:
+        calls = count_evaluations(monkeypatch)
+        (row,) = cli._sweep_rows(cfg, [cell], built)
+        monkeypatch.undo()
+        assert row["converged"] == 0 and np.isnan(row["drift_residual"])
+        assert len(calls) <= 151, cell
+
+
 # -- each closed-loop state is evaluated once -----------------------------------
 
 # a small nonlinear plant whose search converges at step 150 (t = 75)

@@ -510,6 +510,36 @@ def test_plant_refuses_a_bad_lip_dsigma(value):
               alpha_cert=1.0, lip_F=0.0, lip_dsigma=value)
 
 
+def _plant_1d(**fields):
+    sp = SpaceSpec(1, np.eye(1))
+    kwargs = dict(name="bad", space_H=sp, space_U=sp, space_Z=sp, A=np.eye(1), B=np.eye(1),
+                  C=np.eye(1), alpha_cert=1.0, lip_F=1.0, K=np.eye(1), S=np.eye(1),
+                  sigma=np.sin, dsigma=np.cos)
+    return Plant(**{**kwargs, **fields})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, 0.0])
+def test_plant_refuses_a_bad_alpha_cert(value):
+    # a NaN alpha would surface late, as build_forwarding's "tau_max must
+    # be finite and positive, got nan"; no certificate is None, not a margin <= 0
+    with pytest.raises(ValueError, match=r"^alpha_cert must be finite and positive, got "):
+        _plant_1d(alpha_cert=value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -2.0])
+def test_plant_refuses_a_bad_lip_f(value):
+    # a NaN lip_F would give a NaN tail gain, so no quadrature would stop
+    # early, and a negative one would pass flow's step-size guard at any dt
+    with pytest.raises(ValueError, match=r"^lip_F must be finite and non-negative, got "):
+        _plant_1d(lip_F=value)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "K", "S"])
+def test_plant_refuses_a_non_finite_operator(name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
+        _plant_1d(**{name: np.full((1, 1), np.nan)})
+
+
 def _plant_2d(**semilinear):
     sp = SpaceSpec(2, np.eye(2))
     return Plant(name="semilinear", space_H=sp, space_U=sp, space_Z=sp, A=np.eye(2),

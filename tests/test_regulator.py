@@ -77,6 +77,18 @@ def test_simulate_names_a_misshapen_field(sine_gordon_loop, field, value, messag
         simulate_lockstep(plant, fmap, [sc])
 
 
+@pytest.mark.parametrize("field", ["w0", "z0", "d", "y_ref"])
+def test_simulate_refuses_a_nan_field(unit_loop, field):
+    # a NaN d would give a run marked diverged at state 1, not a refusal
+    plant, fmap = unit_loop
+    sc = Scenario(T=1.0, dt=0.1, **{"y_ref": np.zeros(1), field: np.array([np.nan])})
+    with pytest.raises(ValueError, match=rf"^{field} must not be NaN$"):
+        simulate(plant, fmap, sc)
+    if field in ("d", "y_ref"):
+        with pytest.raises(ValueError, match=rf"^{field} must not be NaN$"):
+            find_equilibrium(plant, fmap, sc.d, sc.y_ref, dt=0.1, t_budget=1.0)
+
+
 def test_find_equilibrium_names_a_misshapen_disturbance(sine_gordon_loop):
     plant, fmap = sine_gordon_loop
     with pytest.raises(ValueError, match=r"d must have shape \(24,\), got \(5,\)"):
@@ -254,15 +266,16 @@ def test_find_equilibrium_reports_budget_exhaustion(fast_loop):
 
 
 def test_find_equilibrium_reports_overflow_stop(fast_loop):
-    # dt = 1 makes the explicit z-step unstable: the state norm overflows
-    # long before the budget, and the search must raise at the check where
-    # it stopped instead of averaging overflowed states
+    # dt = 1 makes the explicit z-step unstable: the search must raise at
+    # the first check where simulate's guard holds the run diverged, long
+    # before the state overflows at about step 1400
     plant, fmap = fast_loop
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match="at step 1400 "):
-            find_equilibrium(
-                plant, fmap, None, np.array([0.3]), dt=1.0, t_budget=20000.0
-            )
+    y_ref, dt = np.array([0.3]), 1.0
+    run = simulate(plant, fmap, Scenario(y_ref=y_ref, T=20000.0, dt=dt))
+    assert run.diverged
+    step = -(-(len(run) - 1) // 50) * 50
+    with pytest.raises(FloatingPointError, match=f"at step {step} "):
+        find_equilibrium(plant, fmap, None, y_ref, dt=dt, t_budget=20000.0)
 
 
 def test_find_equilibrium_catches_an_overflow_at_its_last_state(unit_loop):

@@ -40,6 +40,14 @@ def test_gram_must_be_spd():
         SpaceSpec(2, np.diag([1.0, 0.0]))  # singular
 
 
+@pytest.mark.parametrize("gram", [[[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
+                         ids=["nan", "inf"])
+def test_gram_must_be_finite(gram):
+    # both passed the symmetry and Cholesky tests, and norm gave nan or inf
+    with pytest.raises(ValueError, match="^gram matrix must be finite$"):
+        SpaceSpec(2, np.array(gram))
+
+
 @pytest.mark.parametrize("gram", [np.eye(3), np.ones(2), np.eye(2)[None]])
 def test_gram_must_be_dim_by_dim(gram):
     with pytest.raises(ValueError, match=r"^gram must be \(2, 2\), got "):
